@@ -220,7 +220,7 @@ let metrics_arg =
         ~doc:
           "Stream cumulative metric frames (JSONL) to $(docv) while the \
            campaign runs, plus a final rollup to $(docv).rollup — inspect \
-           with $(b,kfi-stats).  Pure observation: records, CSV, stripped \
+           with $(b,kfi-stats).  Pure observation: records, CSV, telemetry \
            JSONL and the journal are byte-identical with or without it.")
 
 let metrics_interval_arg =

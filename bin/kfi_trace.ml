@@ -5,7 +5,6 @@
      kfi-trace --fn clear_page --byte 2 --bit 4
      kfi-trace --fn do_page_fault --addr 0xc0100f30 --byte 1 --bit 7
      kfi-trace --lint campaign.jsonl     # schema-lint a telemetry log
-     kfi-trace --strip campaign.jsonl    # drop wall-clock fields (determinism diffs)
      kfi-trace --dump-journal run.kj     # canonical text dump of a campaign journal
 
    Targets are addressed as in campaign CSVs: either a byte offset from
@@ -118,23 +117,6 @@ let outcome_lines outcome =
       (Outcome.severity_name c.Outcome.severity)
       (Forensics.path_to_string c.Outcome.propagation)
 
-(* Print the log with the volatile (wall-clock) fields removed: two runs
-   of the same campaign — serial vs parallel, interrupted-and-resumed vs
-   uninterrupted — must then compare byte-for-byte. *)
-let strip_file path =
-  match
-    let ic = open_in_bin path in
-    let doc = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    Telemetry.strip_volatile doc
-  with
-  | exception Sys_error msg ->
-    Printf.eprintf "kfi-trace: %s\n" msg;
-    1
-  | stripped ->
-    print_string stripped;
-    0
-
 (* Canonical text dump of a campaign journal: entries sorted by target
    key, one line each with a digest of the full entry.  Raw journal bytes
    differ between runs that complete in different orders (-j 1 vs -j 4,
@@ -164,18 +146,17 @@ let dump_journal_file path =
                 (Digest.string (Marshal.to_string e [ Marshal.No_sharing ]))));
     0
 
-let run lint strip dump_journal fn byte bit addr workload level trace_n backend
+let run lint dump_journal fn byte bit addr workload level trace_n backend
     _seed _subsample _jobs =
-  match (lint, strip, dump_journal) with
-  | Some path, _, _ -> lint_file path
-  | None, Some path, _ -> strip_file path
-  | None, None, Some path -> dump_journal_file path
-  | None, None, None -> (
+  match (lint, dump_journal) with
+  | Some path, _ -> lint_file path
+  | None, Some path -> dump_journal_file path
+  | None, None -> (
     match fn with
     | None ->
       Printf.eprintf
-        "kfi-trace: one of --lint, --strip, --dump-journal or --fn is \
-         required (see --help)\n";
+        "kfi-trace: one of --lint, --dump-journal or --fn is required (see \
+         --help)\n";
       2
     | Some fn -> (
       Printf.eprintf "booting kernel + golden runs + profiling...\n%!";
@@ -255,15 +236,6 @@ let lint_arg =
     & info [ "lint" ] ~docv:"FILE"
         ~doc:"Schema-lint a telemetry JSONL file and exit (no kernel boot).")
 
-let strip_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "strip" ] ~docv:"FILE"
-        ~doc:
-          "Print a telemetry JSONL file with its volatile wall-clock fields \
-           removed and exit (no kernel boot); used by determinism gates.")
-
 let dump_journal_arg =
   Arg.(
     value
@@ -338,7 +310,7 @@ let cmd =
     (Cmd.info "kfi-trace"
        ~doc:"Replay one injection with full tracing and print the oops dump")
     Term.(
-      const run $ lint_arg $ strip_arg $ dump_journal_arg $ fn_arg $ byte_arg
+      const run $ lint_arg $ dump_journal_arg $ fn_arg $ byte_arg
       $ bit_arg $ addr_arg $ workload_arg $ level_arg $ trace_n_arg
       $ backend_arg $ seed_arg $ subsample_arg $ jobs_arg)
 

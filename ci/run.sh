@@ -50,20 +50,15 @@ cmp _artifacts/campaign_serial.csv _artifacts/campaign.csv || {
   echo "determinism gate failed: parallel campaign diverged from serial" >&2
   exit 1
 }
-# telemetry too, once the volatile wall-clock fields are stripped
-dune exec bin/kfi_trace.exe -- --strip _artifacts/campaign_serial.jsonl \
-  > _artifacts/campaign_serial.jsonl.stripped
-dune exec bin/kfi_trace.exe -- --strip _artifacts/campaign.jsonl \
-  > _artifacts/campaign.jsonl.stripped
-cmp _artifacts/campaign_serial.jsonl.stripped _artifacts/campaign.jsonl.stripped || {
+cmp _artifacts/campaign_serial.jsonl _artifacts/campaign.jsonl || {
   echo "determinism gate failed: parallel telemetry diverged from serial" >&2
   exit 1
 }
 
 echo "== observability gate: metrics on, frames lint, byte-identity at -j 4 vs -j 1 =="
-# Metrics are pure observation: with --metrics on, the CSV, the stripped
-# JSONL and the (canonically dumped) journal must be byte-identical
-# between -j 4 and -j 1, and identical to the metrics-off runs above.
+# Metrics are pure observation: with --metrics on, the CSV, the JSONL and
+# the (canonically dumped) journal must be byte-identical between -j 4
+# and -j 1, and identical to the metrics-off runs above.
 dune exec bin/kfi_campaign.exe -- -c A --subsample 60 -q -j 4 \
   --csv _artifacts/obs4.csv --jsonl _artifacts/obs4.jsonl \
   --journal _artifacts/obs4.journal \
@@ -92,15 +87,11 @@ cmp _artifacts/obs1.csv _artifacts/obs4.csv || {
   echo "observability gate failed: -j 4 CSV diverged from -j 1 with metrics on" >&2
   exit 1
 }
-dune exec bin/kfi_trace.exe -- --strip _artifacts/obs1.jsonl \
-  > _artifacts/obs1.jsonl.stripped
-dune exec bin/kfi_trace.exe -- --strip _artifacts/obs4.jsonl \
-  > _artifacts/obs4.jsonl.stripped
-cmp _artifacts/campaign_serial.jsonl.stripped _artifacts/obs1.jsonl.stripped || {
+cmp _artifacts/campaign_serial.jsonl _artifacts/obs1.jsonl || {
   echo "observability gate failed: metrics-on telemetry diverged from metrics-off" >&2
   exit 1
 }
-cmp _artifacts/obs1.jsonl.stripped _artifacts/obs4.jsonl.stripped || {
+cmp _artifacts/obs1.jsonl _artifacts/obs4.jsonl || {
   echo "observability gate failed: -j 4 telemetry diverged from -j 1 with metrics on" >&2
   exit 1
 }
@@ -116,7 +107,7 @@ cmp _artifacts/obs1.journal.dump _artifacts/obs4.journal.dump || {
 
 echo "== backend gate: cached backend byte-identical to the interpreter, -j 1 and -j 4 =="
 # The cached backend (dirty-page restore + pre-decoded basic blocks) is a
-# pure optimization: the CSV, the stripped JSONL and the canonically
+# pure optimization: the CSV, the JSONL and the canonically
 # dumped journal must match the interpreter runs above byte for byte,
 # serial and parallel.  (Its per-instruction semantics are additionally
 # fuzzed against the interpreter by the backend.equiv property in the
@@ -135,15 +126,11 @@ cmp _artifacts/cached1.csv _artifacts/cached4.csv || {
   echo "backend gate failed: cached -j 4 CSV diverged from cached -j 1" >&2
   exit 1
 }
-dune exec bin/kfi_trace.exe -- --strip _artifacts/cached1.jsonl \
-  > _artifacts/cached1.jsonl.stripped
-dune exec bin/kfi_trace.exe -- --strip _artifacts/cached4.jsonl \
-  > _artifacts/cached4.jsonl.stripped
-cmp _artifacts/campaign_serial.jsonl.stripped _artifacts/cached1.jsonl.stripped || {
+cmp _artifacts/campaign_serial.jsonl _artifacts/cached1.jsonl || {
   echo "backend gate failed: cached -j 1 telemetry diverged from the interpreter" >&2
   exit 1
 }
-cmp _artifacts/cached1.jsonl.stripped _artifacts/cached4.jsonl.stripped || {
+cmp _artifacts/cached1.jsonl _artifacts/cached4.jsonl || {
   echo "backend gate failed: cached -j 4 telemetry diverged from cached -j 1" >&2
   exit 1
 }
@@ -200,9 +187,7 @@ cmp _artifacts/campaign_serial.csv _artifacts/chaos.csv || {
   echo "chaos gate failed: resumed campaign CSV diverged from uninterrupted" >&2
   exit 1
 }
-dune exec bin/kfi_trace.exe -- --strip _artifacts/chaos.jsonl \
-  > _artifacts/chaos.jsonl.stripped
-cmp _artifacts/campaign_serial.jsonl.stripped _artifacts/chaos.jsonl.stripped || {
+cmp _artifacts/campaign_serial.jsonl _artifacts/chaos.jsonl || {
   echo "chaos gate failed: resumed telemetry diverged from uninterrupted" >&2
   exit 1
 }
@@ -210,7 +195,7 @@ cmp _artifacts/campaign_serial.jsonl.stripped _artifacts/chaos.jsonl.stripped ||
 echo "== shard chaos gate: SIGKILL worker processes mid-campaign, byte-identical merge =="
 # Run the campaign as process-isolated shards under the supervising
 # coordinator, shoot two worker processes while it runs (waiting for the
-# restarted replacement between shots), and demand CSV, stripped JSONL
+# restarted replacement between shots), and demand CSV, JSONL
 # and the canonically dumped journal byte-identical to the serial
 # uninterrupted artifacts above.  The supervisor event log (spawns,
 # deaths, requeues) is kept as an artifact.
@@ -268,9 +253,7 @@ cmp _artifacts/campaign_serial.csv _artifacts/shard_chaos.csv || {
   echo "shard chaos gate failed: merged CSV diverged from serial after worker kills" >&2
   exit 1
 }
-dune exec bin/kfi_trace.exe -- --strip _artifacts/shard_chaos.jsonl \
-  > _artifacts/shard_chaos.jsonl.stripped
-cmp _artifacts/campaign_serial.jsonl.stripped _artifacts/shard_chaos.jsonl.stripped || {
+cmp _artifacts/campaign_serial.jsonl _artifacts/shard_chaos.jsonl || {
   echo "shard chaos gate failed: merged telemetry diverged from serial" >&2
   exit 1
 }

@@ -113,7 +113,7 @@ module Config : sig
     metrics : Kfi_obs.Metrics.t option;
         (** observability registry threaded to the runner(s), fleet and
             journal (phase spans, throughput counters, fsync stalls).
-            Pure observation: records, CSV, stripped JSONL and journal
+            Pure observation: records, CSV, telemetry JSONL and journal
             bytes are identical with or without it, at any job count *)
     backend : Kfi_isa.Backend.kind;
         (** execution backend for the runner(s) ({!Backend.Interp} by

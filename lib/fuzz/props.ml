@@ -1075,7 +1075,7 @@ let rec gen_json depth rng =
 
 let telemetry_json_roundtrip =
   Fuzz.make ~name:"telemetry.json_roundtrip"
-    ~doc:"telemetry JSON rendering parses back equal; strip_volatile is idempotent"
+    ~doc:"telemetry JSON rendering is one line and parses back equal"
     (Fuzz.arb
        ~shrink:Shrink.nil
        ~print:(fun v -> Kfi_trace.Telemetry.to_string v)
@@ -1087,31 +1087,8 @@ let telemetry_json_roundtrip =
       else
         match parse s with
         | exception Parse_error e -> Error (spf "own rendering rejected: %s of %S" e s)
-        | v' ->
-            if v' <> v then Error (spf "parse(to_string v) <> v for %S" s)
-            else
-              (* strip_volatile idempotence over a JSONL doc built from v *)
-              let doc =
-                to_string (Obj [ ("type", Str "x"); ("seq", Int 1); ("wall_ms", Float 1.5);
-                                 ("payload", v) ])
-                ^ "\n"
-              in
-              let once = strip_volatile doc in
-              let twice = strip_volatile once in
-              if once <> twice then Error "strip_volatile is not idempotent"
-              else if
-                List.exists
-                  (fun k ->
-                    (* the volatile key must actually be gone *)
-                    let re = "\"" ^ k ^ "\"" in
-                    let rec find i =
-                      i + String.length re <= String.length once
-                      && (String.sub once i (String.length re) = re || find (i + 1))
-                    in
-                    find 0)
-                  volatile_keys
-              then Error "strip_volatile left a volatile key behind"
-              else Ok ())
+        | v' when v' <> v -> Error (spf "parse(to_string v) <> v for %S" s)
+        | _ -> Ok ())
 
 (* ---------- obs: snapshot merge is associative/commutative ---------- *)
 

@@ -65,7 +65,7 @@ type t = {
   metrics : Kfi_obs.Metrics.t option;
       (* observability registry threaded to the runner(s), fleet and
          journal: phase spans, throughput counters, stall histograms.
-         Pure observation — records, CSV, stripped JSONL and the
+         Pure observation — records, CSV, telemetry JSONL and the
          journal are byte-identical with or without it, which is why
          it stays out of [fingerprint] *)
   backend : Kfi_isa.Backend.kind;

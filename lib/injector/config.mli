@@ -68,7 +68,7 @@ type t = {
   metrics : Kfi_obs.Metrics.t option;
       (** observability registry threaded to the runner(s), fleet and
           journal (phase-span histograms, throughput counters, fsync
-          stalls).  Pure observation: records, CSV, stripped JSONL and
+          stalls).  Pure observation: records, CSV, telemetry JSONL and
           journal bytes are identical with or without it, at any job
           count — so it is deliberately absent from {!fingerprint} *)
   backend : Kfi_isa.Backend.kind;

@@ -84,21 +84,19 @@ let workload_for profile (t : Target.t) =
    prunes provably-equivalent mutations, so the observable outcome
    distribution is preserved. *)
 (* One "target" telemetry event, plus the aggregate counters the report
-   surfaces.  Pruned targets cost no machine time, so their wall/cycle
-   fields are zero and they stay out of the activation-rate denominator.
-   Timing comes in explicitly (not from the runner's [last_*] fields):
-   under a fleet the run happened on another domain's runner. *)
+   surfaces.  Pruned targets cost no machine time, so their cycle field is
+   zero and they stay out of the activation-rate denominator.  The cycle
+   count comes in explicitly (not from the runner's [last_cycles]): under
+   a fleet the run happened on another domain's runner. *)
 let telemetry_target tm letter (t : Target.t) ~workload ~outcome ~predicted
-    ~retries ~(timing : Fleet.timing) =
+    ~retries ~cycles =
   let open Telemetry in
   locked tm (fun () ->
       tm.n_targets <- tm.n_targets + 1;
       if predicted then tm.n_pruned <- tm.n_pruned + 1
       else begin
         tm.n_run <- tm.n_run + 1;
-        tm.wall_run <- tm.wall_run +. timing.Fleet.wall;
-        tm.wall_restore <- tm.wall_restore +. timing.Fleet.restore;
-        tm.sim_cycles <- tm.sim_cycles + timing.Fleet.cycles;
+        tm.sim_cycles <- tm.sim_cycles + cycles;
         if Outcome.is_activated outcome then tm.n_activated <- tm.n_activated + 1;
         if Outcome.is_crash_or_hang outcome then
           tm.n_crash_hang <- tm.n_crash_hang + 1;
@@ -106,15 +104,6 @@ let telemetry_target tm letter (t : Target.t) ~workload ~outcome ~predicted
         | Outcome.Harness_abort _ -> tm.n_aborted <- tm.n_aborted + 1
         | _ -> ()
       end);
-  let wall_ms, restore_ms, exec_ms, classify_ms, cycles =
-    if predicted then (0., 0., 0., 0., 0)
-    else
-      ( timing.Fleet.wall *. 1000.,
-        timing.Fleet.restore *. 1000.,
-        timing.Fleet.exec *. 1000.,
-        timing.Fleet.classify *. 1000.,
-        timing.Fleet.cycles )
-  in
   let path =
     match outcome with
     | Outcome.Crash { propagation = _ :: _ :: _ as p; _ } ->
@@ -132,10 +121,6 @@ let telemetry_target tm letter (t : Target.t) ~workload ~outcome ~predicted
        ("outcome", Str (Outcome.category outcome));
        ("predicted", Bool predicted);
        ("retries", Int retries);
-       ("wall_ms", Float wall_ms);
-       ("restore_ms", Float restore_ms);
-       ("exec_ms", Float exec_ms);
-       ("classify_ms", Float classify_ms);
        ("cycles", Int cycles);
      ]
     @ path)
@@ -178,7 +163,6 @@ let run_targets ?(config = Config.default) ?fleet runner profile campaign
   in
   let total = List.length targets in
   let letter = Target.campaign_letter campaign in
-  let wall_start = Unix.gettimeofday () in
   (* a resumed journal must have been written under the same config —
      otherwise the enumeration itself differs and entries are garbage *)
   (match journal with
@@ -216,11 +200,7 @@ let run_targets ?(config = Config.default) ?fleet runner profile campaign
                  Some
                    {
                      Fleet.res_outcome = e.Journal.e_outcome;
-                     res_timing =
-                       {
-                         Fleet.timing_zero with
-                         Fleet.cycles = e.Journal.e_cycles;
-                       };
+                     res_cycles = e.Journal.e_cycles;
                      res_predicted = e.Journal.e_predicted;
                      res_retries = e.Journal.e_retries;
                    }
@@ -258,7 +238,7 @@ let run_targets ?(config = Config.default) ?fleet runner profile campaign
     | Some tm ->
       telemetry_target tm letter it.Fleet.it_target ~workload:it.Fleet.it_workload
         ~outcome:res.Fleet.res_outcome ~predicted:res.Fleet.res_predicted
-        ~retries:res.Fleet.res_retries ~timing:res.Fleet.res_timing
+        ~retries:res.Fleet.res_retries ~cycles:res.Fleet.res_cycles
     | None -> ()
   in
   (* the journal hook fires in *completion* order, on the domain that ran
@@ -279,7 +259,7 @@ let run_targets ?(config = Config.default) ?fleet runner profile campaign
           e_outcome = res.Fleet.res_outcome;
           e_predicted = res.Fleet.res_predicted;
           e_retries = res.Fleet.res_retries;
-          e_cycles = res.Fleet.res_timing.Fleet.cycles;
+          e_cycles = res.Fleet.res_cycles;
         }
     | _ -> ()
   in
@@ -307,7 +287,7 @@ let run_targets ?(config = Config.default) ?fleet runner profile campaign
                 Fleet.res_outcome =
                   Outcome.Harness_abort
                     { ha_reason = "worker killed: " ^ msg; ha_retries = 0 };
-                res_timing = Fleet.timing_zero;
+                res_cycles = 0;
                 res_predicted = false;
                 res_retries = 0;
               }
@@ -335,9 +315,6 @@ let run_targets ?(config = Config.default) ?fleet runner profile campaign
   (match on_progress with Some f -> f ~done_:total ~total | None -> ());
   (match telemetry with
    | Some tm ->
-     let wall = Unix.gettimeofday () -. wall_start in
-     Telemetry.locked tm (fun () ->
-         tm.Telemetry.wall_total <- tm.Telemetry.wall_total +. wall);
      let count p = Array.fold_left (fun n r -> if p r then n + 1 else n) 0 results in
      let run = count (fun r -> not r.Fleet.res_predicted) in
      let activated =
@@ -357,9 +334,6 @@ let run_targets ?(config = Config.default) ?fleet runner profile campaign
          ("pruned", Telemetry.Int (total - run));
          ("activated", Telemetry.Int activated);
          ("aborted", Telemetry.Int aborted);
-         ("wall_s", Telemetry.Float wall);
-         ("inj_per_s",
-          Telemetry.Float (if wall > 0. then float_of_int run /. wall else 0.));
        ]
    | None -> ());
   Array.to_list

@@ -70,18 +70,18 @@ val run_campaign :
     [runner]; it is grown to [jobs] runners if smaller), otherwise a
     temporary pool is booted.  Whatever [jobs] is, the returned records,
     the telemetry event stream and the progress ticks are identical to a
-    serial run with the same seed (timing fields aside): planning is
-    serial, runners boot deterministically, and results are collected
-    back into serial target order.
+    serial run with the same seed: planning is serial, runners boot
+    deterministically, and results are collected back into serial target
+    order.
 
     With [config.journal] set, every completed injection is appended to
     the journal (fsync'd, in completion order, before the ordered
     collector sees it), and targets already present in the journal are
     replayed instead of re-run — so a campaign killed at any point and
     restarted over a [Journal.open_ ~resume:true] handle produces
-    byte-identical records, CSV, progress ticks and (volatile-stripped)
-    telemetry.  [config.policy] adds per-injection wall-clock deadlines,
-    retry with backoff, quarantine as {!Outcome.Harness_abort}, and
+    byte-identical records, CSV, progress ticks and telemetry.
+    [config.policy] adds per-injection wall-clock deadlines, retry with
+    backoff, quarantine as {!Outcome.Harness_abort}, and
     fleet degraded mode (see {!Fleet.policy}); progress ticks fire once
     per target plus a final 100% tick in every path, including when all
     targets were pruned or journal-skipped. *)

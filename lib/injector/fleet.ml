@@ -55,27 +55,6 @@ end
 
 (* ----- work items and results ----- *)
 
-type timing = {
-  wall : float; (* restore + exec + classify *)
-  restore : float;
-  exec : float;
-  classify : float;
-  cycles : int;
-}
-
-let timing_zero =
-  { wall = 0.; restore = 0.; exec = 0.; classify = 0.; cycles = 0 }
-
-(* the runner's [last_*] fields, read on the domain that owns it *)
-let timing_of_runner (r : Runner.t) =
-  {
-    wall = Runner.last_wall r +. Runner.last_classify r;
-    restore = Runner.last_restore r;
-    exec = Float.max 0. (Runner.last_wall r -. Runner.last_restore r);
-    classify = Runner.last_classify r;
-    cycles = Runner.last_cycles r;
-  }
-
 type item = {
   it_target : Target.t;
   it_workload : int;
@@ -88,7 +67,7 @@ type item = {
 
 and result = {
   res_outcome : Outcome.t;
-  res_timing : timing;
+  res_cycles : int; (* simulated cycles of the run; 0 if nothing ran *)
   res_predicted : bool;
   res_retries : int; (* harness retries consumed before this outcome *)
 }
@@ -158,7 +137,7 @@ let describe_exn = function
 let quarantine ~reason ~retries =
   {
     res_outcome = Outcome.Harness_abort { ha_reason = reason; ha_retries = retries };
-    res_timing = timing_zero;
+    res_cycles = 0;
     res_predicted = false;
     res_retries = retries;
   }
@@ -206,7 +185,7 @@ let run_item (r : Runner.t) it =
     | Some o ->
       {
         res_outcome = o;
-        res_timing = timing_zero;
+        res_cycles = 0;
         res_predicted = true;
         res_retries = 0;
       }
@@ -214,7 +193,7 @@ let run_item (r : Runner.t) it =
       let o = Runner.run_one r ~workload:it.it_workload it.it_target in
       {
         res_outcome = o;
-        res_timing = timing_of_runner r;
+        res_cycles = Runner.last_cycles r;
         res_predicted = false;
         res_retries = 0;
       })
@@ -243,10 +222,18 @@ let run_attempt ~policy ~attempt (r : Runner.t) it =
   let o = Runner.run_one ?deadline r ~workload:it.it_workload it.it_target in
   {
     res_outcome = o;
-    res_timing = timing_of_runner r;
+    res_cycles = Runner.last_cycles r;
     res_predicted = false;
     res_retries = attempt;
   }
+
+(* the first attempt that suspects the caller's runner and boots a
+   fresh one *)
+let fresh_runner_attempt = 2
+
+let ran_on_given_runner res =
+  res.res_retries < fresh_runner_attempt
+  && match res.res_outcome with Outcome.Harness_abort _ -> false | _ -> true
 
 let run_item_safe ?(policy = default_policy) (r : Runner.t) it =
   match it.it_done with
@@ -256,7 +243,7 @@ let run_item_safe ?(policy = default_policy) (r : Runner.t) it =
     | Some o ->
       {
         res_outcome = o;
-        res_timing = timing_zero;
+        res_cycles = 0;
         res_predicted = true;
         res_retries = 0;
       }
@@ -266,7 +253,7 @@ let run_item_safe ?(policy = default_policy) (r : Runner.t) it =
          later retries suspect the runner itself and boot a fresh one *)
       let fresh = ref None in
       let runner_for attempt =
-        if attempt < 2 then r
+        if attempt < fresh_runner_attempt then r
         else
           match !fresh with
           | Some r' -> r'
@@ -524,8 +511,10 @@ let run ?jobs ?(chunk = 1) ?(policy = default_policy) ?metrics ?on_result
         then
           abandon slot
             ~reason:
+              (* the configured budget, not the measured silence: the
+                 reason can end up in a quarantined record's CSV row *)
               (Printf.sprintf "worker wedged: no heartbeat for %.2fs"
-                 (now -. slot.s_beat)))
+                 policy.heartbeat_s))
       slots
   in
   let drain_degraded () =

@@ -31,24 +31,6 @@ module Chunks : sig
       when the queue is drained. *)
 end
 
-(** Per-injection wall-clock measurements, captured on the worker that
-    ran the injection (the runner's [last_*] fields are per-runner
-    mutable state, so they must be read on the owning domain).
-    [wall = restore + exec + classify]: snapshot restore, the
-    decode/step loop (trap delivery included — it happens inside the
-    simulated execution), and outcome classification. *)
-type timing = {
-  wall : float;
-  restore : float;
-  exec : float;
-  classify : float;
-  cycles : int;
-}
-
-val timing_zero : timing
-(** All-zero timing, used for oracle-pruned and journal-replayed
-    targets. *)
-
 (** One unit of planned work.  Planning (workload choice, oracle
     resolution, journal replay) is serial and machine-independent; items
     carry its results so workers only ever touch their own runner. *)
@@ -64,7 +46,9 @@ type item = {
 
 and result = {
   res_outcome : Outcome.t;
-  res_timing : timing;
+  res_cycles : int;
+      (** simulated cycles of the run (deterministic); 0 for oracle-pruned
+          and quarantined targets *)
   res_predicted : bool;
   res_retries : int;
       (** harness retries consumed before this outcome (0 normally) *)
@@ -115,8 +99,8 @@ exception Worker_killed of string
 
 val run_item : Runner.t -> item -> result
 (** Execute one item on the given runner (or resolve it statically /
-    from the journal), capturing the runner's timing.  No retry policy:
-    runner exceptions propagate. *)
+    from the journal), capturing the runner's cycle count.  No retry
+    policy: runner exceptions propagate. *)
 
 val run_item_safe : ?policy:policy -> Runner.t -> item -> result
 (** {!run_item} under a {!policy}: each attempt gets a fresh wall-clock
@@ -126,6 +110,12 @@ val run_item_safe : ?policy:policy -> Runner.t -> item -> result
     quarantined as {!Outcome.Harness_abort} with the last failure
     reason.  Only {!Worker_killed} escapes.  The serial campaign path
     and the fleet's workers share this. *)
+
+val ran_on_given_runner : result -> bool
+(** For a result of [run_item_safe r it] that ran a machine: whether [r]
+    itself produced the outcome, so that [r]'s [Runner.last_*] timings
+    describe it.  False for a quarantine, and for a retry that ran on
+    the freshly booted runner. *)
 
 type t
 (** A pool of runners.  Runner 0 is the primary (borrowed from the

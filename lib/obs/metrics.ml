@@ -14,7 +14,7 @@
 
    Everything here is wall-clock flavored and volatile by construction:
    snapshots must never enter a determinism-gated artifact (records,
-   CSV, stripped JSONL, journal entries). *)
+   CSV, telemetry JSONL, journal entries). *)
 
 module J = Kfi_trace.Telemetry
 

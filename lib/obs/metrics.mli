@@ -12,7 +12,7 @@
 
     Everything here is wall-clock flavored and volatile by construction:
     snapshots must never enter a determinism-gated artifact (records,
-    CSV, stripped JSONL, journal entries). *)
+    CSV, telemetry JSONL, journal entries). *)
 
 type t
 (** A mutable registry.  All operations are thread-safe. *)

@@ -48,7 +48,7 @@ let chaos_of_env () =
    the shard's journal.  Returns the number of entries appended by this
    call; entries already journaled by a previous owner are skipped.
    [on_entry] fires after each append (i.e. after the entry is
-   durable), with the runner's phase timings. *)
+   durable), with the result it records. *)
 let run_shard ~runner ~policy ~fingerprint ~dir ~campaign
     (sh : Proto.shard) ~on_entry =
   let j = J.open_ ~resume:true (Plan.journal_path ~dir sh) in
@@ -79,7 +79,7 @@ let run_shard ~runner ~policy ~fingerprint ~dir ~campaign
                   Fleet.res_outcome =
                     Outcome.Harness_abort
                       { ha_reason = "worker killed: " ^ msg; ha_retries = 0 };
-                  res_timing = Fleet.timing_zero;
+                  res_cycles = 0;
                   res_predicted = false;
                   res_retries = 0;
                 }
@@ -95,12 +95,12 @@ let run_shard ~runner ~policy ~fingerprint ~dir ~campaign
                 e_outcome = res.Fleet.res_outcome;
                 e_predicted = res.Fleet.res_predicted;
                 e_retries = res.Fleet.res_retries;
-                e_cycles = res.Fleet.res_timing.Fleet.cycles;
+                e_cycles = res.Fleet.res_cycles;
               }
             in
             J.append j entry;
             incr fresh;
-            on_entry entry res.Fleet.res_timing)
+            on_entry entry res)
         sh.Proto.sh_targets;
       !fresh)
 
@@ -152,16 +152,22 @@ let main () =
       let fresh =
         run_shard ~runner:r ~policy ~fingerprint:h.Proto.h_fingerprint
           ~dir:h.Proto.h_shard_dir ~campaign:h.Proto.h_campaign sh
-          ~on_entry:(fun entry timing ->
+          ~on_entry:(fun entry res ->
+            (* zeros rather than the stale timings of an earlier run *)
+            let restore, run, classify =
+              if Fleet.ran_on_given_runner res then
+                (Runner.last_restore r, Runner.last_wall r, Runner.last_classify r)
+              else (0., 0., 0.)
+            in
             Proto.send_from_worker proto_out
               (Proto.Entry
                  {
                    en_shard = sh.Proto.sh_id;
                    en_entry = entry;
-                   en_restore = timing.Fleet.restore;
-                   en_exec = timing.Fleet.exec;
-                   en_classify = timing.Fleet.classify;
-                   en_wall = timing.Fleet.wall;
+                   en_restore = restore;
+                   en_exec = Float.max 0. (run -. restore);
+                   en_classify = classify;
+                   en_wall = run +. classify;
                  });
             incr streamed;
             match chaos.die_after with

@@ -8,7 +8,7 @@ val run_shard :
   dir:string ->
   campaign:Kfi_injector.Target.campaign ->
   Proto.shard ->
-  on_entry:(Kfi_injector.Journal.entry -> Kfi_injector.Fleet.timing -> unit) ->
+  on_entry:(Kfi_injector.Journal.entry -> Kfi_injector.Fleet.result -> unit) ->
   int
 (** Execute a shard against [runner], resuming from (and fsync-appending
     to) the shard's journal under [dir]: targets already journaled by a

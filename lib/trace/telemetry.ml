@@ -203,19 +203,14 @@ let parse (s : string) : value =
 (* Required keys per event type; every event needs "type" and "seq". *)
 let schema =
   [
-    ("prepare", [ "wall_s" ]);
     ("campaign_start", [ "campaign"; "targets"; "subsample"; "seed" ]);
     ( "target",
       [
         "campaign"; "fn"; "subsys"; "addr"; "byte"; "bit"; "workload"; "outcome";
-        "predicted"; "retries"; "wall_ms"; "restore_ms"; "exec_ms";
-        "classify_ms"; "cycles";
+        "predicted"; "retries"; "cycles";
       ] );
     ( "campaign_end",
-      [
-        "campaign"; "targets"; "run"; "pruned"; "activated"; "aborted"; "wall_s";
-        "inj_per_s";
-      ] );
+      [ "campaign"; "targets"; "run"; "pruned"; "activated"; "aborted" ] );
     ("fleet_degraded", [ "campaign"; "reason"; "jobs_left" ]);
   ]
 
@@ -238,26 +233,6 @@ let lint_line line =
           | None -> Ok ty))
     | _ -> Error "missing string \"type\"")
   | _ -> Error "not a JSON object"
-
-(* Wall-clock fields vary run to run even when everything else is
-   byte-identical; determinism gates strip them before comparing. *)
-let volatile_keys =
-  [ "wall_ms"; "restore_ms"; "exec_ms"; "classify_ms"; "wall_s"; "inj_per_s" ]
-
-let strip_volatile doc =
-  let strip_line line =
-    if String.trim line = "" then line
-    else
-      match parse line with
-      | exception Parse_error _ -> line
-      | Obj fields ->
-        to_string
-          (Obj (List.filter (fun (k, _) -> not (List.mem k volatile_keys)) fields))
-      | _ -> line
-  in
-  String.split_on_char '\n' doc
-  |> List.map strip_line
-  |> String.concat "\n"
 
 (* Lint a whole document: [Ok n] lines, or the first offending line. *)
 let lint doc =
@@ -289,10 +264,7 @@ type t = {
   mutable n_activated : int;
   mutable n_crash_hang : int;
   mutable n_aborted : int;       (* quarantined as Harness_abort *)
-  mutable wall_run : float;      (* seconds spent inside run_one *)
-  mutable wall_restore : float;  (* seconds of that spent restoring snapshots *)
   mutable sim_cycles : int;      (* simulated cycles executed across runs *)
-  mutable wall_total : float;    (* campaign wall-clock (between start/end events) *)
 }
 
 let create ?(sink = fun _ -> ()) () =
@@ -306,10 +278,7 @@ let create ?(sink = fun _ -> ()) () =
     n_activated = 0;
     n_crash_hang = 0;
     n_aborted = 0;
-    wall_run = 0.;
-    wall_restore = 0.;
     sim_cycles = 0;
-    wall_total = 0.;
   }
 
 let locked t f = Mutex.protect t.lock f
@@ -330,9 +299,6 @@ type summary = {
   s_activated : int;
   s_crash_hang : int;
   s_aborted : int;
-  s_wall_run : float;
-  s_wall_restore : float;
-  s_wall_total : float;
   s_sim_cycles : int;
   s_events : int;
 }
@@ -345,9 +311,6 @@ let summary t =
     s_activated = t.n_activated;
     s_crash_hang = t.n_crash_hang;
     s_aborted = t.n_aborted;
-    s_wall_run = t.wall_run;
-    s_wall_restore = t.wall_restore;
-    s_wall_total = t.wall_total;
     s_sim_cycles = t.sim_cycles;
     s_events = t.seq;
   }
@@ -367,14 +330,6 @@ let summary_to_string s =
     (pct s.s_crash_hang s.s_activated);
   if s.s_aborted > 0 then
     add "harness aborts       %8d  (quarantined after retries)\n" s.s_aborted;
-  add "wall clock           %8.2f s total, %.2f s in injections\n" s.s_wall_total
-    s.s_wall_run;
-  add "snapshot restore     %8.2f s  (%.1f%% of injection time)\n" s.s_wall_restore
-    (if s.s_wall_run > 0. then 100. *. s.s_wall_restore /. s.s_wall_run else 0.);
-  (if s.s_wall_run > 0. then
-     add "throughput           %8.1f injections/s, %.0f simulated cycles/s\n"
-       (float_of_int s.s_run /. s.s_wall_run)
-       (float_of_int s.s_sim_cycles /. s.s_wall_run));
   add "simulated cycles     %8d across all runs\n" s.s_sim_cycles;
   add "events emitted       %8d\n" s.s_events;
   Buffer.contents b

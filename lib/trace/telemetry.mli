@@ -1,6 +1,9 @@
 (** Structured campaign telemetry: a JSONL event log (one JSON object per
     line) plus aggregate counters surfaced in {!Kfi_analysis.Report}.
-    Includes a strict JSON parser used to schema-lint event logs in CI. *)
+    Includes a strict JSON parser used to schema-lint event logs in CI.
+    Every field is deterministic (per-injection wall time lives only in
+    {!Kfi_obs} spans), so the logs of two equivalent runs compare with
+    [cmp]. *)
 
 (** Minimal JSON value. *)
 type value =
@@ -29,17 +32,6 @@ val lint : string -> (int, int * string) result
 (** Validate a whole document (blank lines ignored).  [Ok n] events, or
     [Error (line_number, reason)] for the first offending line. *)
 
-val volatile_keys : string list
-(** The wall-clock timing keys ([wall_ms], [restore_ms], [exec_ms],
-    [classify_ms], [wall_s], [inj_per_s]) that vary between otherwise
-    byte-identical runs. *)
-
-val strip_volatile : string -> string
-(** Drop the {!volatile_keys} from every JSONL object in the document,
-    re-rendering each line canonically.  Determinism gates (CI, tests)
-    compare the stripped streams of two runs byte-for-byte.  Blank and
-    unparseable lines pass through untouched. *)
-
 (** Telemetry sink with aggregate counters.  The counters are mutable and
     filled in by {!Kfi_injector.Experiment}; mutate them under {!locked}
     if the sink may be shared across domains. *)
@@ -53,10 +45,7 @@ type t = {
   mutable n_activated : int;
   mutable n_crash_hang : int;
   mutable n_aborted : int;  (** quarantined as [Harness_abort] *)
-  mutable wall_run : float;
-  mutable wall_restore : float;
   mutable sim_cycles : int;
-  mutable wall_total : float;
 }
 
 val create : ?sink:(string -> unit) -> unit -> t
@@ -79,9 +68,6 @@ type summary = {
   s_activated : int;
   s_crash_hang : int;
   s_aborted : int;
-  s_wall_run : float;
-  s_wall_restore : float;
-  s_wall_total : float;
   s_sim_cycles : int;
   s_events : int;
 }

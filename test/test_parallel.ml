@@ -137,7 +137,7 @@ let test_fleet_ordered_collection () =
       ~on_result:(fun i _ res ->
         seen := i :: !seen;
         check bool "predicted" true res.Fleet.res_predicted;
-        check int "zero cycles" 0 res.Fleet.res_timing.Fleet.cycles)
+        check int "zero cycles" 0 res.Fleet.res_cycles)
       fleet items
   in
   check int "all results" (Array.length items) (Array.length results);
@@ -182,14 +182,10 @@ let test_jobs4_identical_to_serial () =
    | Ok events -> check int "events = targets + 2" (List.length serial + 2) events
    | Error (l, e) ->
      Alcotest.failf "parallel telemetry lint: line %d: %s" l e);
-  (* ...and is line-for-line identical once wall-clock fields are gone *)
-  let strip doc =
-    Telemetry.strip_volatile doc
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  check (Alcotest.list Alcotest.string) "identical JSONL modulo wall clock"
-    (strip jsonl1) (strip jsonl4)
+  (* ...and is line-for-line identical to the serial one *)
+  let lines = String.split_on_char '\n' in
+  check (Alcotest.list Alcotest.string) "identical JSONL" (lines jsonl1)
+    (lines jsonl4)
 
 let suite =
   [

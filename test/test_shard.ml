@@ -247,7 +247,9 @@ let test_backoff_exhaustion_quarantines () =
    | Outcome.Harness_abort { ha_retries; _ } ->
      check int "full budget consumed" 2 ha_retries
    | o -> Alcotest.fail ("expected Harness_abort, got " ^ Outcome.category o));
-  check int "res_retries mirrors the budget" 2 res.Fleet.res_retries
+  check int "res_retries mirrors the budget" 2 res.Fleet.res_retries;
+  check bool "no timings to report for a quarantine" false
+    (Fleet.ran_on_given_runner res)
 
 (* ----- supervisor end to end ----- *)
 

@@ -270,8 +270,8 @@ let test_jsonl_lint () =
     String.concat "\n"
       [
         {|{"type":"campaign_start","seq":0,"campaign":"A","targets":2,"subsample":1,"seed":42}|};
-        {|{"type":"target","seq":1,"campaign":"A","fn":"f","subsys":"mm","addr":"0xc0100000","byte":0,"bit":3,"workload":"spawn","outcome":"crash (dumped)","predicted":false,"retries":0,"wall_ms":1.5,"restore_ms":0.5,"exec_ms":0.9,"classify_ms":0.1,"cycles":1000}|};
-        {|{"type":"campaign_end","seq":2,"campaign":"A","targets":2,"run":2,"pruned":0,"activated":1,"aborted":0,"wall_s":0.1,"inj_per_s":20.0}|};
+        {|{"type":"target","seq":1,"campaign":"A","fn":"f","subsys":"mm","addr":"0xc0100000","byte":0,"bit":3,"workload":"spawn","outcome":"crash (dumped)","predicted":false,"retries":0,"cycles":1000}|};
+        {|{"type":"campaign_end","seq":2,"campaign":"A","targets":2,"run":2,"pruned":0,"activated":1,"aborted":0}|};
         "";
       ]
   in
@@ -382,9 +382,20 @@ let test_campaign_progress_and_telemetry () =
   let s = Telemetry.summary tm in
   check int "summary targets" n s.Telemetry.s_targets;
   check int "summary run (nothing pruned)" n s.Telemetry.s_run;
-  check bool "wall clock measured" true (s.Telemetry.s_wall_total > 0.);
+  (* the summary's cycle total is exactly the sum of the per-target events *)
+  let event_cycles =
+    String.split_on_char '\n' (Buffer.contents buf)
+    |> List.filter_map (fun l ->
+           match Telemetry.parse l with
+           | Telemetry.Obj fs when List.mem ("type", Telemetry.Str "target") fs -> (
+             match List.assoc "cycles" fs with Telemetry.Int c -> Some c | _ -> None)
+           | _ | (exception Telemetry.Parse_error _) -> None)
+  in
+  check int "one cycles field per target" n (List.length event_cycles);
   check bool "cycles counted" true (s.Telemetry.s_sim_cycles > 0);
-  (* and the rendered report section mentions the throughput block *)
+  check int "summary cycles = sum of event cycles"
+    (List.fold_left ( + ) 0 event_cycles) s.Telemetry.s_sim_cycles;
+  (* and the rendered report section *)
   let txt = Kfi_analysis.Report.telemetry_summary tm in
   check bool "summary renders" true (contains txt "activation rate")
 
