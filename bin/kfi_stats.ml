@@ -61,6 +61,9 @@ let render ~header (s : Metrics.snap) =
             Printf.sprintf " (%.1f%%)" (100. *. float_of_int act /. float_of_int count)
           else ""));
     Buffer.add_string buf
+      (Printf.sprintf "               skipped (golden never reaches target): %s\n"
+         (fmt_count (c "inj.skipped")));
+    Buffer.add_string buf
       (Printf.sprintf "  campaign     %s targets, %s pruned, %s replayed\n"
          (fmt_count (c "campaign.targets"))
          (fmt_count (c "campaign.pruned"))

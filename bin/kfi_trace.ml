@@ -223,6 +223,12 @@ let run lint dump_journal fn byte bit addr workload level trace_n backend
              (Forensics.oops ?dump
                 ?injected_at:(Runner.last_injected_at runner) ~inject_desc
                 ~trace_n build machine)
+         | Outcome.Not_activated ->
+           (* resolved from the golden reach map without running: the
+              machine still holds whatever the previous run left *)
+           Printf.printf "not activated: the %s golden run never reaches 0x%08lx\n"
+             (List.nth Kfi.Workload.Progs.names workload)
+             target.Target.t_addr
          | _ ->
            (* no crash: the trace listing alone is still useful *)
            print_string

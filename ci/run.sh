@@ -55,6 +55,20 @@ cmp _artifacts/campaign_serial.jsonl _artifacts/campaign.jsonl || {
   exit 1
 }
 
+echo "== reference gate: serial campaign must match the committed full-run artifacts =="
+# Every other gate compares two runs that both resolve never-reached
+# targets from the golden reach map.  results/ci_A_sub60.{csv,jsonl}
+# were written by the plain full-run path (every target executed), so a
+# skip that changes any row or any per-target cycle count fails here.
+cmp results/ci_A_sub60.csv _artifacts/campaign_serial.csv || {
+  echo "reference gate failed: campaign CSV diverged from the full-run reference" >&2
+  exit 1
+}
+cmp results/ci_A_sub60.jsonl _artifacts/campaign_serial.jsonl || {
+  echo "reference gate failed: telemetry diverged from the full-run reference" >&2
+  exit 1
+}
+
 echo "== observability gate: metrics on, frames lint, byte-identity at -j 4 vs -j 1 =="
 # Metrics are pure observation: with --metrics on, the CSV, the JSONL and
 # the (canonically dumped) journal must be byte-identical between -j 4

@@ -540,23 +540,21 @@ let mmu_translate_ref =
 
 (* ---------- oracle.equivalent_sound ---------- *)
 
-(* One booted runner + oracle per process, shared by every case.  The
-   boot is deterministic, so sharing does not break replay. *)
+(* One booted runner per process, shared by every case of every
+   property that injects.  The boot is deterministic, so sharing does
+   not break replay. *)
+let shared_runner = lazy (Kfi_injector.Runner.create ())
+
+let campaign_targets campaign =
+  let build = Kfi_injector.Runner.build (Lazy.force shared_runner) in
+  let fns = List.map (fun f -> f.Kfi_asm.Assembler.f_name) build.Kfi_kernel.Build.funcs in
+  Array.of_list (Kfi_injector.Target.enumerate build ~campaign ~seed:7 fns)
+
 let oracle_env =
   lazy
-    (let runner = Kfi_injector.Runner.create () in
-     let build = Kfi_injector.Runner.build runner in
-     let oracle = Kfi_staticoracle.Oracle.create build in
-     let fns =
-       List.map
-         (fun f -> f.Kfi_asm.Assembler.f_name)
-         build.Kfi_kernel.Build.funcs
-     in
-     let targets =
-       Array.of_list
-         (Kfi_injector.Target.enumerate build ~campaign:A ~seed:7 fns)
-     in
-     (runner, oracle, targets))
+    (let runner = Lazy.force shared_runner in
+     let oracle = Kfi_staticoracle.Oracle.create (Kfi_injector.Runner.build runner) in
+     (runner, oracle, campaign_targets A))
 
 let oracle_equivalent_sound =
   Fuzz.make ~name:"oracle.equivalent_sound"
@@ -621,6 +619,107 @@ let slice_sound =
               (spf "%s b%d bit%d: slice says masked but outcome %s" t.Target.t_fn
                  t.Target.t_byte bit (Outcome.category o))
           else Ok ())
+
+(* ---------- runner.fastforward_equiv ---------- *)
+
+(* [Runner.run_one] resolves a target its golden run never reaches
+   without running it.  The reference here is the plain full run through
+   the public API only: restore the baseline, write the hardening flag,
+   arm DR0 with a hook that records the hit cycle and changes nothing,
+   run.  Never hit: [run_one] must say [Not_activated] with the same
+   cycle count.  Hit: [run_one] must have injected at that cycle. *)
+
+let ff_campaigns = Kfi_injector.Target.[| A; B; C; R |]
+let ff_targets = lazy (Array.map campaign_targets ff_campaigns)
+
+type ff_case = {
+  ff_campaign : int;
+  ff_index : int;
+  ff_workload : int;
+  ff_hardening : bool;
+  ff_cached : bool;
+  ff_budget : int option;  (** a reduced watchdog budget *)
+}
+
+let gen_ff_case rng =
+  let ff_campaign = Kfi_fuzz.Rng.int rng (Array.length ff_campaigns) in
+  let ff_index = Kfi_fuzz.Rng.int rng 1_000_000 in
+  let ff_workload = Kfi_fuzz.Rng.int rng (List.length Kfi_workload.Progs.names) in
+  let ff_hardening = Kfi_fuzz.Rng.int rng 4 = 0 in
+  let ff_cached = Kfi_fuzz.Rng.bool rng in
+  let ff_budget =
+    if Kfi_fuzz.Rng.int rng 4 = 0 then Some (Kfi_fuzz.Rng.int_range rng 1_000 2_000_000)
+    else None
+  in
+  { ff_campaign; ff_index; ff_workload; ff_hardening; ff_cached; ff_budget }
+
+let runner_fastforward_equiv =
+  Fuzz.make ~name:"runner.fastforward_equiv"
+    ~doc:
+      "a target resolved from the golden reach map reports exactly what its \
+       full run reports"
+    (Fuzz.arb ~shrink:Shrink.nil
+       ~print:(fun c ->
+         spf "campaign %s target#%d workload %d%s%s%s"
+           (Kfi_injector.Target.campaign_letter ff_campaigns.(c.ff_campaign))
+           c.ff_index c.ff_workload
+           (if c.ff_hardening then " hardened" else "")
+           (if c.ff_cached then " cached" else "")
+           (match c.ff_budget with Some b -> spf " budget %d" b | None -> ""))
+       gen_ff_case)
+    (fun c ->
+      let open Kfi_injector in
+      let runner = Lazy.force shared_runner in
+      let targets = (Lazy.force ff_targets).(c.ff_campaign) in
+      let t = targets.(c.ff_index mod Array.length targets) in
+      let saved_cycles = Runner.max_cycles runner
+      and saved_backend = Runner.backend_kind runner in
+      Fun.protect
+        ~finally:(fun () ->
+          Runner.set_hardening runner false;
+          Runner.set_max_cycles runner saved_cycles;
+          Runner.set_backend runner saved_backend)
+        (fun () ->
+          Runner.set_hardening runner c.ff_hardening;
+          Option.iter (Runner.set_max_cycles runner) c.ff_budget;
+          Runner.set_backend runner (if c.ff_cached then Backend.Cached else Backend.Interp);
+          let m = Runner.machine runner in
+          let cpu = Machine.cpu m in
+          Machine.restore m (Runner.baselines runner).(c.ff_workload);
+          Runner.poke_hardening runner;
+          let start = cpu.Cpu.cycles in
+          let hit = ref None in
+          cpu.Cpu.dr.(0) <- t.Target.t_addr;
+          cpu.Cpu.dr7 <- 1;
+          cpu.Cpu.on_debug_hit <-
+            Some
+              (fun c _ ->
+                c.Cpu.dr7 <- 0;
+                hit := Some c.Cpu.cycles);
+          ignore (Machine.run m ~max_cycles:(Runner.max_cycles runner));
+          cpu.Cpu.on_debug_hit <- None;
+          cpu.Cpu.dr7 <- 0;
+          let full_cycles = cpu.Cpu.cycles - start in
+          let o = Runner.run_one runner ~workload:c.ff_workload t in
+          let at = Runner.last_injected_at runner in
+          match !hit with
+          | None ->
+            if o <> Outcome.Not_activated then
+              Error (spf "never hit, but run_one says %s" (Outcome.category o))
+            else if Runner.last_cycles runner <> full_cycles then
+              Error
+                (spf "never hit: %d cycles, run_one reports %d" full_cycles
+                   (Runner.last_cycles runner))
+            else if at <> None then Error "never hit, but run_one reports an injection"
+            else Ok ()
+          | Some h ->
+            if at = Some h then Ok ()
+            else
+              Error
+                (spf "hit at cycle %d, run_one %s" h
+                   (match at with
+                    | Some a -> spf "injected at %d" a
+                    | None -> "did not run it (" ^ Outcome.category o ^ ")"))))
 
 (* ---------- fs.fsck_total ---------- *)
 
@@ -1201,6 +1300,7 @@ let all =
     mmu_translate_ref;
     oracle_equivalent_sound;
     slice_sound;
+    runner_fastforward_equiv;
     fs_fsck_total;
     journal_torn_resume;
     shard_merge_deterministic;

@@ -10,7 +10,13 @@ open Kfi_isa
 module L = Kfi_kernel.Layout
 module Build = Kfi_kernel.Build
 
-type golden = { g_exit : int; g_console : string }
+type golden = { g_exit : int; g_console : string; g_cycles : int }
+
+(* What one fault-free run of a workload executed.  [r_seen] has one
+   byte per kernel-text byte, nonzero at every address the debug compare
+   in [Cpu.step] saw; [r_cycles] is the run's length, [max_int] when it
+   ended without a terminal state (so it never proves anything). *)
+type reach = { r_seen : Bytes.t; r_cycles : int }
 
 type t = {
   build : Build.t;
@@ -22,6 +28,10 @@ type t = {
          so experiments inject into a running benchmark, as in the paper
          (the injector never sees the program-load path) *)
   golden : golden array; (* per workload *)
+  reach : reach option array array;
+      (* [reach.(h).(w)]: the golden reach map of workload [w] with
+         hardening off ([h = 0], recorded at boot) or on ([h = 1],
+         recorded on first use) *)
   manifest : (string * Digest.t) list;
   mutable max_cycles : int;
   mutable hardening : bool;
@@ -77,6 +87,55 @@ let run_to_user machine ~max_cycles =
   in
   loop ()
 
+let write_hardening build machine on =
+  let addr = Build.symbol build "assert_hardening" in
+  let pa = (Int32.to_int addr land 0xFFFFFFFF) - L.page_offset in
+  Phys.write32 (Machine.phys machine) pa (if on then 1l else 0l)
+
+(* The fault-free run of one workload, with exactly [run_one]'s prefix
+   (restore the baseline, write the hardening flag, run) and
+   [Machine.run]'s exit checks, stepped one instruction at a time so the
+   reach map can be recorded.  Marking is conservative: the pre-step eip,
+   and on a step where the timer IRQ is due the timer gate's handler,
+   which is what the debug compare sees after delivery.  Too many marks
+   only skip less; a missing one would misclassify a target. *)
+let golden_run build machine snapshot ~hardening ~max_cycles =
+  Machine.restore machine snapshot;
+  write_hardening build machine hardening;
+  let cpu = Machine.cpu machine in
+  let seen = Bytes.make build.Build.text_size '\000' in
+  let mark a =
+    let off = (Int32.to_int a land 0xFFFFFFFF) - L.kernel_text_base in
+    if off >= 0 && off < Bytes.length seen then Bytes.unsafe_set seen off '\001'
+  in
+  let timer_gate = cpu.Cpu.idt_base + (Trap.number Trap.Timer_irq * 4) in
+  let start = cpu.Cpu.cycles in
+  let limit = start + max_cycles in
+  let rec loop () =
+    if cpu.Cpu.snapshot_request then Machine.Snapshot_point
+    else if cpu.Cpu.halted then
+      match cpu.Cpu.exit_code with
+      | Some code -> Machine.Powered_off code
+      | None -> Machine.Halted
+    else if cpu.Cpu.cycles >= limit then Machine.Watchdog
+    else begin
+      mark cpu.Cpu.eip;
+      if cpu.Cpu.cycles >= cpu.Cpu.next_timer && Flags.get cpu.Cpu.eflags Flags.if_ then
+        mark
+          (try Phys.read32 cpu.Cpu.phys timer_gate
+           with Phys.Bad_physical_address _ -> 0l);
+      Cpu.step cpu;
+      loop ()
+    end
+  in
+  let result = try loop () with Cpu.Triple_fault trap -> Machine.Reset trap in
+  let r_cycles =
+    match result with
+    | Machine.Watchdog | Machine.Snapshot_point -> max_int
+    | _ -> cpu.Cpu.cycles - start
+  in
+  (result, { r_seen = seen; r_cycles })
+
 let create ?(max_cycles = default_max_cycles) () =
   let disk_image = Kfi_fsimage.Mkfs.create (Kfi_workload.Progs.fs_files ()) in
   let machine, build = Build.boot_machine ~disk_image () in
@@ -90,25 +149,23 @@ let create ?(max_cycles = default_max_cycles) () =
         run_to_user machine ~max_cycles;
         Machine.snapshot machine)
   in
-  let golden =
+  let runs =
     Array.init nworkloads (fun w ->
-        Machine.restore machine baselines.(w);
-        match Machine.run machine ~max_cycles with
-        | Machine.Powered_off code ->
-          { g_exit = code; g_console = Machine.tty_contents machine }
+        match golden_run build machine baselines.(w) ~hardening:false ~max_cycles with
+        | Machine.Powered_off 0, reach ->
+          let g_console = Machine.tty_contents machine in
+          ({ g_exit = 0; g_console; g_cycles = reach.r_cycles }, Some reach)
+        | Machine.Powered_off code, _ ->
+          failwith (Printf.sprintf "golden run for workload %d exited %d" w code)
         | _ -> failwith (Printf.sprintf "golden run for workload %d did not complete" w))
   in
-  Array.iteri
-    (fun w g ->
-      if g.g_exit <> 0 then
-        failwith (Printf.sprintf "golden run for workload %d exited %d" w g.g_exit))
-    golden;
   {
     build;
     machine;
     baseline;
     baselines;
-    golden;
+    golden = Array.map fst runs;
+    reach = [| Array.map snd runs; Array.make nworkloads None |];
     manifest = Kfi_workload.Progs.manifest ();
     max_cycles;
     hardening = false;
@@ -198,10 +255,35 @@ let propagation t ~injected_at (target : Target.t) ~crash_fn ~crash_subsys =
     (match cut [] path with Some p -> p | None -> path @ [ (cfn, csub) ])
   | _ -> path
 
-let poke_hardening t =
-  let addr = Build.symbol t.build "assert_hardening" in
-  let pa = (Int32.to_int addr land 0xFFFFFFFF) - L.page_offset in
-  Phys.write32 (Machine.phys t.machine) pa (if t.hardening then 1l else 0l)
+let poke_hardening t = write_hardening t.build t.machine t.hardening
+
+(* The reach map for [workload] under the current hardening mode; the
+   hardened ones cost a golden run each, so they wait for first use.
+   They are recorded with at least the default budget, so a reduced
+   [max_cycles] in force at first use does not spoil them for good. *)
+let reach_for t ~workload =
+  let h = if t.hardening then 1 else 0 in
+  match t.reach.(h).(workload) with
+  | Some r -> r
+  | None ->
+    let _, r =
+      golden_run t.build t.machine t.baselines.(workload) ~hardening:t.hardening
+        ~max_cycles:(max t.max_cycles default_max_cycles)
+    in
+    t.reach.(h).(workload) <- Some r;
+    r
+
+(* Until DR0 fires, an injection replays the golden run exactly.  So a
+   target the golden run never fetches is [Not_activated] without
+   running, provided the whole golden run fits the watchdog budget (a
+   shorter budget cuts the full run short: its cycle count differs). *)
+let never_reached t ~workload (target : Target.t) =
+  let r = reach_for t ~workload in
+  let off = (Int32.to_int target.Target.t_addr land 0xFFFFFFFF) - L.kernel_text_base in
+  if r.r_cycles < t.max_cycles && off >= 0 && off < Bytes.length r.r_seen
+     && Bytes.get r.r_seen off = '\000'
+  then Some r.r_cycles
+  else None
 
 exception Deadline_exceeded of float
 (* the wall-clock budget (seconds) that was exceeded *)
@@ -232,12 +314,11 @@ let run_with_deadline t ~deadline =
   in
   go ()
 
-(* Run one injection experiment.  [deadline], if given, is an absolute
-   wall-clock time past which the run is abandoned with
+(* Run one injection experiment in full.  [deadline], if given, is an
+   absolute wall-clock time past which the run is abandoned with
    [Deadline_exceeded]; the machine is left mid-flight but every
    injection restores a snapshot first, so the runner stays usable. *)
-let run_one ?deadline t ~workload (target : Target.t) =
-  let wall0 = Unix.gettimeofday () in
+let run_full ?deadline t ~workload (target : Target.t) ~wall0 =
   Backend.restore t.backend t.baselines.(workload);
   t.last_restore <- Unix.gettimeofday () -. wall0;
   poke_hardening t;
@@ -370,6 +451,28 @@ let run_one ?deadline t ~workload (target : Target.t) =
     | Machine.Snapshot_point -> failwith "unexpected snapshot point during experiment")
   in
   t.last_classify <- Unix.gettimeofday () -. classify0;
+  outcome
+
+(* Resolve a target the golden run never reaches straight from its
+   reach map, leaving exactly what a full run would report: the golden
+   cycle count, no injection cycle, and a fresh (empty) trace ring. *)
+let run_one ?deadline t ~workload (target : Target.t) =
+  let wall0 = Unix.gettimeofday () in
+  let skipped = never_reached t ~workload target in
+  let outcome =
+    match skipped with
+    | None -> run_full ?deadline t ~workload target ~wall0
+    | Some cycles ->
+      let trace = (Machine.cpu t.machine).Cpu.trace in
+      Trace.set_level trace t.trace_level;
+      Trace.clear trace;
+      t.last_restore <- 0.;
+      t.last_wall <- Unix.gettimeofday () -. wall0;
+      t.last_classify <- 0.;
+      t.last_cycles <- cycles;
+      t.last_injected_at <- None;
+      Outcome.Not_activated
+  in
   (* phase spans + outcome counters; pure observation — nothing here
      feeds back into the outcome or any determinism-gated artifact *)
   (match t.metrics with
@@ -382,6 +485,7 @@ let run_one ?deadline t ~workload (target : Target.t) =
      M.observe m "phase.classify" t.last_classify;
      M.observe m "inj.wall" (t.last_wall +. t.last_classify);
      M.incr m "inj.count";
-     if !injected_at <> None then M.incr m "inj.activated";
+     if skipped <> None then M.incr m "inj.skipped";
+     if t.last_injected_at <> None then M.incr m "inj.activated";
      M.incr m ("outcome." ^ Outcome.category outcome));
   outcome

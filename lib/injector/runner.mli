@@ -12,8 +12,9 @@
 
 open Kfi_isa
 
-type golden = { g_exit : int; g_console : string }
-(** Exit code and tty output of a fault-free run. *)
+type golden = { g_exit : int; g_console : string; g_cycles : int }
+(** Exit code, tty output and length in simulated cycles of a
+    fault-free run (hardening off). *)
 
 type t
 
@@ -21,9 +22,13 @@ val default_max_cycles : int
 
 val create : ?max_cycles:int -> unit -> t
 (** Build the file system, boot the kernel to its snapshot point, take
-    the per-workload baselines and record the golden runs.  Runs on the
-    reference {!Kfi_isa.Backend.Interp} backend until {!set_backend}
-    says otherwise.
+    the per-workload baselines and record the golden runs.  Each golden
+    run follows [run_one]'s prefix (restore, {!poke_hardening}, run) and
+    records a reach map: every kernel-text address the debug compare
+    sees, plus the run's cycle count.  The maps for hardening on are
+    recorded on first use.  Runs on the reference
+    {!Kfi_isa.Backend.Interp} backend until {!set_backend} says
+    otherwise.
     @raise Failure if the pristine kernel cannot complete a workload. *)
 
 (** {2 Modes} *)
@@ -66,7 +71,8 @@ val baselines : t -> Machine.snapshot array
     experiments inject into a running benchmark as in the paper. *)
 
 val golden : t -> int -> golden
-(** The fault-free run of one workload. *)
+(** The fault-free run of one workload, recorded by {!create} with
+    hardening off. *)
 
 val hardening : t -> bool
 val trace_level : t -> Trace.level
@@ -104,6 +110,15 @@ exception Deadline_exceeded of float
 
 val run_one : ?deadline:float -> t -> workload:int -> Target.t -> Outcome.t
 (** Run one injection experiment from the chosen workload's baseline.
+
+    A target whose address the workload's golden run never reaches
+    (under the current hardening mode) is resolved from the reach map
+    without running, provided the golden run fits the current
+    [max_cycles]: it returns {!Outcome.Not_activated} with
+    {!last_cycles} set to the golden cycle count, {!last_injected_at}
+    [= None] and the trace ring cleared, exactly what the full run would
+    report.  The metrics still see every phase span (near zero) and
+    [inj.count], plus an [inj.skipped] count.
 
     [deadline] is an absolute wall-clock bound on top of the simulated
     watchdog: the run is executed in short cycle slices and abandoned

@@ -81,17 +81,75 @@ let test_campaign_c_reverses_condition () =
 
 (* --- end-to-end outcome tests (share one runner) --- *)
 
+(* sys_pipe never runs under the hanoi workload *)
+let sys_pipe_target r =
+  List.hd (Target.enumerate (Runner.build r) ~campaign:Target.C ~seed:1 [ "sys_pipe" ])
+
+(* run [f] with a fresh metrics registry attached; returns [f]'s result
+   and how many of its injections were resolved from the golden reach
+   map without running *)
+let counting_skips r f =
+  let m = Kfi_obs.Metrics.create () in
+  Runner.set_metrics r (Some m);
+  let v = Fun.protect ~finally:(fun () -> Runner.set_metrics r None) f in
+  (v, Kfi_obs.Metrics.counter (Kfi_obs.Metrics.snapshot m) "inj.skipped")
+
 let test_not_activated () =
   let r = Lazy.force runner in
-  (* sys_pipe never runs under the hanoi workload *)
-  let targets =
-    Target.enumerate (Runner.build r) ~campaign:Target.C ~seed:1 [ "sys_pipe" ]
+  let hanoi = Kfi_workload.Progs.index_of "hanoi" in
+  let o, skipped =
+    counting_skips r (fun () -> Runner.run_one r ~workload:hanoi (sys_pipe_target r))
   in
-  check Alcotest.bool "has targets" true (targets <> []);
-  let outcome =
-    Runner.run_one r ~workload:(Kfi_workload.Progs.index_of "hanoi") (List.hd targets)
+  check Alcotest.string "not activated" "not activated" (Outcome.category o);
+  check int "skipped" 1 skipped;
+  check int "golden cycle count" (Runner.golden r hanoi).Runner.g_cycles
+    (Runner.last_cycles r);
+  check Alcotest.bool "no injection" true (Runner.last_injected_at r = None)
+
+let test_skip_needs_whole_golden () =
+  let r = Lazy.force runner in
+  let hanoi = Kfi_workload.Progs.index_of "hanoi" in
+  let budget = (Runner.golden r hanoi).Runner.g_cycles / 2 in
+  let saved = Runner.max_cycles r in
+  let o, skipped =
+    Fun.protect
+      ~finally:(fun () -> Runner.set_max_cycles r saved)
+      (fun () ->
+        Runner.set_max_cycles r budget;
+        counting_skips r (fun () -> Runner.run_one r ~workload:hanoi (sys_pipe_target r)))
   in
-  check Alcotest.string "not activated" "not activated" (Outcome.category outcome)
+  check Alcotest.string "not activated" "not activated" (Outcome.category o);
+  check int "ran in full" 0 skipped;
+  check int "watchdog-bounded cycles" budget (Runner.last_cycles r)
+
+let test_skip_hardened_map () =
+  let r = Lazy.force runner in
+  let hanoi = Kfi_workload.Progs.index_of "hanoi" in
+  let plain = (Runner.golden r hanoi).Runner.g_cycles in
+  Fun.protect
+    ~finally:(fun () -> Runner.set_hardening r false)
+    (fun () ->
+      Runner.set_hardening r true;
+      (* the reference: the hardened golden run, in full *)
+      let m = Runner.machine r in
+      let cpu = Kfi_isa.Machine.cpu m in
+      Kfi_isa.Machine.restore m (Runner.baselines r).(hanoi);
+      Runner.poke_hardening r;
+      let start = cpu.Kfi_isa.Cpu.cycles in
+      (match Kfi_isa.Machine.run m ~max_cycles:(Runner.max_cycles r) with
+       | Kfi_isa.Machine.Powered_off 0 -> ()
+       | _ -> Alcotest.fail "hardened golden run failed");
+      let hardened = cpu.Kfi_isa.Cpu.cycles - start in
+      check Alcotest.bool "hardening changes the golden run" true (hardened <> plain);
+      let o, skipped =
+        counting_skips r (fun () -> Runner.run_one r ~workload:hanoi (sys_pipe_target r))
+      in
+      check Alcotest.string "not activated" "not activated" (Outcome.category o);
+      check int "skipped" 1 skipped;
+      check int "hardened golden cycle count" hardened (Runner.last_cycles r));
+  (* and the plain map is untouched *)
+  ignore (Runner.run_one r ~workload:hanoi (sys_pipe_target r));
+  check int "plain golden cycle count" plain (Runner.last_cycles r)
 
 let test_golden_reproducible () =
   let r = Lazy.force runner in
@@ -171,6 +229,9 @@ let suite =
     Alcotest.test_case "pseudo bit deterministic" `Quick test_pseudo_bit_deterministic;
     Alcotest.test_case "campaign C reverses condition" `Quick test_campaign_c_reverses_condition;
     Alcotest.test_case "not activated" `Slow test_not_activated;
+    Alcotest.test_case "golden skip: short budget runs in full" `Slow
+      test_skip_needs_whole_golden;
+    Alcotest.test_case "golden skip: hardened map" `Slow test_skip_hardened_map;
     Alcotest.test_case "golden reproducible" `Slow test_golden_reproducible;
     Alcotest.test_case "campaign A outcomes (schedule)" `Slow test_campaign_a_schedule_outcomes;
     Alcotest.test_case "campaign C outcomes (fs)" `Slow test_campaign_c_fs_outcomes;

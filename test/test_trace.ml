@@ -169,7 +169,8 @@ let test_trace_isolation () =
    | o -> Alcotest.fail ("re-run did not crash: " ^ Outcome.category o));
   check int "same instruction count" seen1 (Trace.seen cpu.Cpu.trace);
   check bool "same entries" true (Trace.entries cpu.Cpu.trace = entries1);
-  (* a not-activated run must leave only its own (shorter golden) trace *)
+  (* a never-reached target resolves from the golden reach map without
+     running: nothing of the crash's trace may survive it *)
   let quiet =
     Target.enumerate (Runner.build r) ~campaign:Target.C ~seed:1 [ "sys_pipe" ]
     |> List.hd
@@ -178,8 +179,7 @@ let test_trace_isolation () =
   (match Runner.run_one r ~workload:hanoi quiet with
    | Outcome.Not_activated -> ()
    | o -> Alcotest.fail ("expected not activated, got " ^ Outcome.category o));
-  check bool "fresh trace for fresh run" true
-    (Trace.seen cpu.Cpu.trace <> seen1)
+  check int "trace ring cleared" 0 (Trace.seen cpu.Cpu.trace)
 
 (* ----- forensics ----- *)
 
