@@ -64,6 +64,10 @@ let render ~header (s : Metrics.snap) =
       (Printf.sprintf "               skipped (golden never reaches target): %s\n"
          (fmt_count (c "inj.skipped")));
     Buffer.add_string buf
+      (Printf.sprintf "               started from a golden checkpoint: %s (%s cycles not replayed)\n"
+         (fmt_count (c "inj.ladder"))
+         (fmt_count (c "inj.prefix_skipped_cycles")));
+    Buffer.add_string buf
       (Printf.sprintf "  campaign     %s targets, %s pruned, %s replayed\n"
          (fmt_count (c "campaign.targets"))
          (fmt_count (c "campaign.pruned"))

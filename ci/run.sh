@@ -128,7 +128,17 @@ echo "== backend gate: cached backend byte-identical to the interpreter, -j 1 an
 # pinned-seed stage.)
 dune exec bin/kfi_campaign.exe -- -c A --subsample 60 -q -j 1 --backend cached \
   --csv _artifacts/cached1.csv --jsonl _artifacts/cached1.jsonl \
-  --journal _artifacts/cached1.journal > /dev/null
+  --journal _artifacts/cached1.journal \
+  --metrics _artifacts/cached1.metrics.jsonl > /dev/null
+# the golden checkpoint ladder must actually serve some of these runs: a
+# change that silently turns it off still passes every cmp below
+dune exec bin/kfi_stats.exe -- _artifacts/cached1.metrics.jsonl \
+  > _artifacts/cached1_summary.txt
+grep 'started from a golden checkpoint' _artifacts/cached1_summary.txt
+if ! grep -q 'started from a golden checkpoint: [1-9]' _artifacts/cached1_summary.txt; then
+  echo "backend gate failed: no cached run started from a golden checkpoint" >&2
+  exit 1
+fi
 dune exec bin/kfi_campaign.exe -- -c A --subsample 60 -q -j 4 --backend cached \
   --csv _artifacts/cached4.csv --jsonl _artifacts/cached4.jsonl \
   --journal _artifacts/cached4.journal > /dev/null

@@ -12,11 +12,30 @@ module Build = Kfi_kernel.Build
 
 type golden = { g_exit : int; g_console : string; g_cycles : int }
 
-(* What one fault-free run of a workload executed.  [r_seen] has one
-   byte per kernel-text byte, nonzero at every address the debug compare
-   in [Cpu.step] saw; [r_cycles] is the run's length, [max_int] when it
-   ended without a terminal state (so it never proves anything). *)
-type reach = { r_seen : Bytes.t; r_cycles : int }
+(* What one fault-free run of a workload executed, and the checkpoints
+   kept along it.  [r_first] holds, per kernel-text byte, the cycle
+   offset (4 bytes, little-endian) of the first step on which the debug
+   compare in [Cpu.step] could see that address, [never] if none.
+   [r_cycles] is the run's length, [max_int] when it ended without a
+   terminal state (so it never proves anything); [r_len] is what it
+   recorded either way.  [r_rungs.(j)] is rung [j >= 1] of the
+   checkpoint ladder once captured; rung 0 is the baseline. *)
+type reach = {
+  r_first : Bytes.t;
+  r_cycles : int;
+  r_len : int;
+  r_rungs : Machine.checkpoint option array;
+}
+
+let never = -1l
+
+(* Where an address's first-mark cycle lives in [r_first] (out of range
+   outside the kernel text). *)
+let map_offset addr = 4 * ((Int32.to_int addr land 0xFFFFFFFF) - L.kernel_text_base)
+
+(* Rung [j] is the golden state at the first instruction boundary at or
+   after [rung_spacing * j] cycles past the baseline. *)
+let rung_spacing = 65_536
 
 type t = {
   build : Build.t;
@@ -29,9 +48,9 @@ type t = {
          (the injector never sees the program-load path) *)
   golden : golden array; (* per workload *)
   reach : reach option array array;
-      (* [reach.(h).(w)]: the golden reach map of workload [w] with
-         hardening off ([h = 0], recorded at boot) or on ([h = 1],
-         recorded on first use) *)
+      (* [reach.(h).(w)]: the golden reach map and checkpoint ladder of
+         workload [w] with hardening off ([h = 0], recorded at boot) or
+         on ([h = 1], recorded on first use) *)
   manifest : (string * Digest.t) list;
   mutable max_cycles : int;
   mutable hardening : bool;
@@ -48,6 +67,9 @@ type t = {
   mutable last_cycles : int;      (* simulated cycles of the last run *)
   mutable last_injected_at : int option;
       (* cycle at which the last run's fault was injected *)
+  mutable last_skipped : int;
+      (* golden-prefix cycles the last run did not replay: its rung's
+         offset, 0 when it started from the baseline *)
   mutable metrics : Kfi_obs.Metrics.t option;
       (* observability registry: per-phase latency histograms and
          outcome counters; never feeds back into any outcome *)
@@ -97,19 +119,24 @@ let write_hardening build machine on =
    [Machine.run]'s exit checks, stepped one instruction at a time so the
    reach map can be recorded.  Marking is conservative: the pre-step eip,
    and on a step where the timer IRQ is due the timer gate's handler,
-   which is what the debug compare sees after delivery.  Too many marks
-   only skip less; a missing one would misclassify a target. *)
+   which is what the debug compare sees after delivery.  Each address
+   keeps the cycle offset of its first mark, so no debug compare sees it
+   earlier.  Too many or too early marks only skip less; a missing or
+   late one would misclassify a target. *)
 let golden_run build machine snapshot ~hardening ~max_cycles =
   Machine.restore machine snapshot;
   write_hardening build machine hardening;
   let cpu = Machine.cpu machine in
-  let seen = Bytes.make build.Build.text_size '\000' in
+  let first = Bytes.make (4 * build.Build.text_size) '\255' in
+  let start = cpu.Cpu.cycles in
   let mark a =
-    let off = (Int32.to_int a land 0xFFFFFFFF) - L.kernel_text_base in
-    if off >= 0 && off < Bytes.length seen then Bytes.unsafe_set seen off '\001'
+    let off = map_offset a in
+    (* most steps revisit a marked address: one byte settles that *)
+    if off >= 0 && off < Bytes.length first && Bytes.unsafe_get first off = '\255'
+       && Bytes.get_int32_le first off = never
+    then Bytes.set_int32_le first off (Int32.of_int (min (cpu.Cpu.cycles - start) 0xFFFF_FFFE))
   in
   let timer_gate = cpu.Cpu.idt_base + (Trap.number Trap.Timer_irq * 4) in
-  let start = cpu.Cpu.cycles in
   let limit = start + max_cycles in
   let rec loop () =
     if cpu.Cpu.snapshot_request then Machine.Snapshot_point
@@ -129,12 +156,12 @@ let golden_run build machine snapshot ~hardening ~max_cycles =
     end
   in
   let result = try loop () with Cpu.Triple_fault trap -> Machine.Reset trap in
+  let r_len = cpu.Cpu.cycles - start in
   let r_cycles =
-    match result with
-    | Machine.Watchdog | Machine.Snapshot_point -> max_int
-    | _ -> cpu.Cpu.cycles - start
+    match result with Machine.Watchdog | Machine.Snapshot_point -> max_int | _ -> r_len
   in
-  (result, { r_seen = seen; r_cycles })
+  let r_rungs = Array.make ((r_len / rung_spacing) + 1) None in
+  (result, { r_first = first; r_cycles; r_len; r_rungs })
 
 let create ?(max_cycles = default_max_cycles) () =
   let disk_image = Kfi_fsimage.Mkfs.create (Kfi_workload.Progs.fs_files ()) in
@@ -175,6 +202,7 @@ let create ?(max_cycles = default_max_cycles) () =
     last_classify = 0.;
     last_cycles = 0;
     last_injected_at = None;
+    last_skipped = 0;
     metrics = None;
     backend = Backend.create Backend.Interp machine;
   }
@@ -199,11 +227,15 @@ let set_metrics t m = t.metrics <- m
 (* Swapping detaches the old backend first (hooks and dirty tracking
    off) so the machine is only ever owned by one backend.  The first
    restore after a swap to [Cached] is a full copy that resynchronizes
-   the dirty tracking; every later one is O(dirty pages). *)
+   the dirty tracking; every later one is O(dirty pages).  The checkpoint
+   ladders go with the block cache: a fresh backend starts without. *)
 let set_backend t kind =
   if Backend.kind t.backend <> kind then begin
     Backend.detach t.backend;
-    t.backend <- Backend.create kind t.machine
+    t.backend <- Backend.create kind t.machine;
+    Array.iter
+      (Array.iter (Option.iter (fun r -> Array.fill r.r_rungs 0 (Array.length r.r_rungs) None)))
+      t.reach
   end
 
 let backend_kind t = Backend.kind t.backend
@@ -277,13 +309,50 @@ let reach_for t ~workload =
    target the golden run never fetches is [Not_activated] without
    running, provided the whole golden run fits the watchdog budget (a
    shorter budget cuts the full run short: its cycle count differs). *)
-let never_reached t ~workload (target : Target.t) =
-  let r = reach_for t ~workload in
-  let off = (Int32.to_int target.Target.t_addr land 0xFFFFFFFF) - L.kernel_text_base in
-  if r.r_cycles < t.max_cycles && off >= 0 && off < Bytes.length r.r_seen
-     && Bytes.get r.r_seen off = '\000'
+let never_reached t r (target : Target.t) =
+  let off = map_offset target.Target.t_addr in
+  if r.r_cycles < t.max_cycles && off >= 0 && off < Bytes.length r.r_first
+     && Bytes.get_int32_le r.r_first off = never
   then Some r.r_cycles
   else None
+
+(* The earliest cycle offset at which the debug compare can see the
+   target: its first mark, the recorded length when it has none, 0 when
+   it lies outside the map. *)
+let first_hit r (target : Target.t) =
+  let off = map_offset target.Target.t_addr in
+  if off < 0 || off >= Bytes.length r.r_first then 0
+  else
+    let c = Bytes.get_int32_le r.r_first off in
+    if c = never then r.r_len else Int32.to_int c land 0xFFFF_FFFF
+
+(* The golden checkpoint ladder.  Until DR0 fires an injection is the
+   golden run, so its state at each rung boundary is the rung: runs on
+   the cached backend traced at [Ring] capture the missing rungs below
+   their target's first hit as they pass them, and later runs start from
+   the latest rung at or before theirs.  Rungs carry a [Ring]-level
+   flight recorder, so a [Full] run (which also records events) starts
+   at the baseline, and an [Off] run empties the ring. *)
+let ladder_usable t = Backend.kind t.backend = Backend.Cached && t.trace_level <> Trace.Full
+
+let ladder_capturing t = Backend.kind t.backend = Backend.Cached && t.trace_level = Trace.Ring
+
+(* The latest rung a run may start from: captured, at or before the
+   target's first hit and inside the watchdog budget, both judged by the
+   rung's actual cycle, which a disk transfer can carry past its
+   boundary. *)
+let pick_rung t r ~base_cycles ~first =
+  let rec find j =
+    if j < 1 then None
+    else
+      match r.r_rungs.(j) with
+      | Some k
+        when let off = Machine.checkpoint_cycles k - base_cycles in
+             off <= first && off < t.max_cycles ->
+        Some k
+      | _ -> find (j - 1)
+  in
+  find (min (Array.length r.r_rungs - 1) (first / rung_spacing))
 
 exception Deadline_exceeded of float
 (* the wall-clock budget (seconds) that was exceeded *)
@@ -296,39 +365,81 @@ exception Deadline_exceeded of float
 let deadline_slice = 200_000
 
 (* Run the machine to completion of the *simulated* watchdog budget,
-   checking [deadline] (absolute [gettimeofday] seconds) between slices.
-   Raises [Deadline_exceeded] if the host clock passes it first. *)
-let run_with_deadline t ~deadline =
+   counted from [start], checking [deadline] (absolute [gettimeofday]
+   seconds) between slices ending at multiples of [deadline_slice]
+   cycles past [start].  [stop_at ()] names a further cycle to pause at;
+   [on_stop] runs at every pause.  Raises [Deadline_exceeded] if the host
+   clock passes the deadline first. *)
+let run_with_deadline t ~start ~deadline ~stop_at ~on_stop =
   let cpu = Machine.cpu t.machine in
-  let limit = cpu.Cpu.cycles + t.max_cycles in
+  let limit = start + t.max_cycles in
   let rec go () =
     (match deadline with
      | Some d when Unix.gettimeofday () > d -> raise (Deadline_exceeded d)
      | _ -> ());
-    let budget = min deadline_slice (limit - cpu.Cpu.cycles) in
-    match Backend.run t.backend ~max_cycles:budget with
+    let slice_end = start + ((((cpu.Cpu.cycles - start) / deadline_slice) + 1) * deadline_slice) in
+    let stop = min limit (min slice_end (stop_at ())) in
+    match Backend.run t.backend ~max_cycles:(stop - cpu.Cpu.cycles) with
     | Machine.Watchdog when cpu.Cpu.cycles < limit ->
-      (* only the slice expired, not the real watchdog: keep going *)
+      (* only a pause, not the real watchdog: keep going *)
+      on_stop ();
       go ()
     | r -> r
   in
   go ()
 
+(* While DR0 has not fired, pause at each missing rung boundary at or
+   before the target's first hit and capture the rung there: the first
+   instruction boundary at or after it, since the previous pause was
+   before it. *)
+let rung_capture t r ~base ~first ~injected_at =
+  let cpu = Machine.cpu t.machine in
+  let base_cycles = Machine.snapshot_cycles base in
+  let n = Array.length r.r_rungs in
+  let prev = ref cpu.Cpu.cycles in
+  let stop_at () =
+    let rec next j =
+      if !injected_at <> None || j >= n || j * rung_spacing > first then max_int
+      else if r.r_rungs.(j) = None then base_cycles + (j * rung_spacing)
+      else next (j + 1)
+    in
+    next (((cpu.Cpu.cycles - base_cycles) / rung_spacing) + 1)
+  in
+  let on_stop () =
+    let j = (cpu.Cpu.cycles - base_cycles) / rung_spacing in
+    if !injected_at = None && j >= 1 && j < n && j * rung_spacing <= first
+       && !prev < base_cycles + (j * rung_spacing) && r.r_rungs.(j) = None
+    then r.r_rungs.(j) <- Some (Machine.checkpoint t.machine ~base);
+    prev := cpu.Cpu.cycles
+  in
+  (stop_at, on_stop)
+
 (* Run one injection experiment in full.  [deadline], if given, is an
    absolute wall-clock time past which the run is abandoned with
    [Deadline_exceeded]; the machine is left mid-flight but every
    injection restores a snapshot first, so the runner stays usable. *)
-let run_full ?deadline t ~workload (target : Target.t) ~wall0 =
-  Backend.restore t.backend t.baselines.(workload);
+let run_full ?deadline t ~workload ~reach (target : Target.t) ~wall0 =
+  let base = t.baselines.(workload) in
+  let start_cycles = Machine.snapshot_cycles base in
+  let first = if ladder_usable t then first_hit reach target else 0 in
+  let rung = pick_rung t reach ~base_cycles:start_cycles ~first in
+  (match rung with
+   | None -> Backend.restore t.backend base
+   | Some k -> Machine.restore_checkpoint t.machine ~base k);
   t.last_restore <- Unix.gettimeofday () -. wall0;
   poke_hardening t;
   let cpu = Machine.cpu t.machine in
+  t.last_skipped <- cpu.Cpu.cycles - start_cycles;
   (* the snapshot carries the (empty, Off) boot-time trace state: arm the
-     recorder afresh so each injection's trace is isolated *)
+     recorder afresh so each injection's trace is isolated; a rung
+     carries the ring a [Ring] run has recorded by then *)
   Trace.set_level cpu.Cpu.trace t.trace_level;
-  Trace.clear cpu.Cpu.trace;
-  let start_cycles = cpu.Cpu.cycles in
+  if rung = None || t.trace_level = Trace.Off then Trace.clear cpu.Cpu.trace;
   let injected_at = ref None in
+  let stop_at, on_stop =
+    if ladder_capturing t then rung_capture t reach ~base ~first ~injected_at
+    else ((fun () -> max_int), ignore)
+  in
   cpu.Cpu.dr.(0) <- target.Target.t_addr;
   cpu.Cpu.dr7 <- 1;
   cpu.Cpu.on_debug_hit <-
@@ -365,7 +476,7 @@ let run_full ?deadline t ~workload (target : Target.t) ~wall0 =
            classification below never runs then *)
         t.last_classify <- 0.;
         t.last_injected_at <- !injected_at)
-      (fun () -> run_with_deadline t ~deadline)
+      (fun () -> run_with_deadline t ~start:start_cycles ~deadline ~stop_at ~on_stop)
   in
   let golden = t.golden.(workload) in
   let classify0 = Unix.gettimeofday () in
@@ -453,15 +564,31 @@ let run_full ?deadline t ~workload (target : Target.t) ~wall0 =
   t.last_classify <- Unix.gettimeofday () -. classify0;
   outcome
 
+(* Rungs captured over all ladders, and their approximate footprint. *)
+let ladder_size t =
+  let n = ref 0 and bytes = ref 0 in
+  Array.iter
+    (Array.iter
+       (Option.iter (fun r ->
+            Array.iter
+              (Option.iter (fun k ->
+                   incr n;
+                   bytes := !bytes + Machine.checkpoint_bytes k))
+              r.r_rungs)))
+    t.reach;
+  (!n, !bytes)
+
 (* Resolve a target the golden run never reaches straight from its
    reach map, leaving exactly what a full run would report: the golden
    cycle count, no injection cycle, and a fresh (empty) trace ring. *)
 let run_one ?deadline t ~workload (target : Target.t) =
   let wall0 = Unix.gettimeofday () in
-  let skipped = never_reached t ~workload target in
+  let reach = reach_for t ~workload in
+  let skipped = never_reached t reach target in
+  t.last_skipped <- 0;
   let outcome =
     match skipped with
-    | None -> run_full ?deadline t ~workload target ~wall0
+    | None -> run_full ?deadline t ~workload ~reach target ~wall0
     | Some cycles ->
       let trace = (Machine.cpu t.machine).Cpu.trace in
       Trace.set_level trace t.trace_level;
@@ -486,6 +613,13 @@ let run_one ?deadline t ~workload (target : Target.t) =
      M.observe m "inj.wall" (t.last_wall +. t.last_classify);
      M.incr m "inj.count";
      if skipped <> None then M.incr m "inj.skipped";
+     if t.last_skipped > 0 then begin
+       M.incr m "inj.ladder";
+       M.incr m ~by:t.last_skipped "inj.prefix_skipped_cycles"
+     end;
+     let rungs, bytes = ladder_size t in
+     M.set_gauge m "ladder.rungs" (float_of_int rungs);
+     M.set_gauge m "ladder.bytes" (float_of_int bytes);
      if t.last_injected_at <> None then M.incr m "inj.activated";
      M.incr m ("outcome." ^ Outcome.category outcome));
   outcome

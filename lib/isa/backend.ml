@@ -32,6 +32,7 @@ let create kind machine =
   | Interp -> { machine; bk_kind = Interp; bb = None }
   | Cached ->
     Phys.set_tracking (Machine.phys machine) true;
+    Devices.Disk.set_tracking (Machine.disk machine) true;
     { machine; bk_kind = Cached; bb = Some (Bbexec.create (Machine.cpu machine)) }
 
 let kind t = t.bk_kind
@@ -41,7 +42,8 @@ let detach t =
   match t.bb with
   | Some bb ->
     Bbexec.detach bb;
-    Phys.set_tracking (Machine.phys t.machine) false
+    Phys.set_tracking (Machine.phys t.machine) false;
+    Devices.Disk.set_tracking (Machine.disk t.machine) false
   | None -> ()
 
 let run t ~max_cycles =

@@ -25,8 +25,9 @@ val all_kinds : kind list
 type t
 
 val create : kind -> Machine.t -> t
-(** Attach a backend to a machine.  {!Cached} turns on dirty-page
-    tracking and installs the block cache's invalidation hook. *)
+(** Attach a backend to a machine.  {!Cached} turns on dirty tracking
+    (memory pages and disk blocks) and installs the block cache's
+    invalidation hook. *)
 
 val detach : t -> unit
 (** Undo {!create}: remove hooks and tracking so another backend (or

@@ -34,5 +34,22 @@ module Disk : sig
   val read_block : t -> int -> bytes
   val write_block : t -> int -> bytes -> unit
   val copy : t -> t
+  (** A snapshot of the contents.  Consecutive snapshots of equal
+      contents are one shared value.  Under tracking, the live disk is
+      resynchronized to the snapshot. *)
+
   val restore : t -> from:t -> unit
+  (** Restore the contents from a snapshot taken with {!copy}.  Under
+      tracking, restoring to the snapshot the disk was last synchronized
+      with copies only the blocks written since; otherwise it copies the
+      whole image (and resynchronizes). *)
+
+  val set_tracking : t -> bool -> unit
+  (** Turn written-block tracking on or off ({!Phys.set_tracking}'s
+      protocol at block granularity).  Writes through {!image} bypass
+      it. *)
+
+  val written_blocks : t -> int list
+  (** Blocks written since the last sync point (sorted, deduplicated);
+      empty when tracking is off. *)
 end

@@ -55,3 +55,11 @@ val pin_page : t -> int -> unit
     the snapshot protocol cannot reason about belong here. *)
 
 val pinned_pages : t -> int list
+
+val delta : t -> base:t -> (int * bytes) list
+(** [(page, contents)] for every page written since the last restore to
+    [base], plus every pinned page, whose contents differ from [base]'s:
+    writing them back (with {!blit_in}) after a restore to [base]
+    rebuilds the present contents.
+    @raise Invalid_argument unless tracking is on and the memory was
+    last synchronized to [base]. *)

@@ -216,3 +216,9 @@ let restore t s =
   t.ev_len <- s.s_ev_len;
   t.ev_seen <- s.s_ev_seen;
   t.level <- s.s_level
+
+let snapshot_bytes s =
+  (Sys.word_size / 8)
+  * (Array.length s.s_cycles + Array.length s.s_tws + Array.length s.s_mems
+     + Array.length s.s_ev_cycles + Array.length s.s_ev_kinds
+     + Array.length s.s_ev_as + Array.length s.s_ev_bs)

@@ -88,3 +88,6 @@ type snapshot
 
 val snapshot : t -> snapshot
 val restore : t -> snapshot -> unit
+
+val snapshot_bytes : snapshot -> int
+(** Heap bytes held by a snapshot's arrays. *)

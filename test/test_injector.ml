@@ -86,13 +86,18 @@ let sys_pipe_target r =
   List.hd (Target.enumerate (Runner.build r) ~campaign:Target.C ~seed:1 [ "sys_pipe" ])
 
 (* run [f] with a fresh metrics registry attached; returns [f]'s result
-   and how many of its injections were resolved from the golden reach
-   map without running *)
-let counting_skips r f =
+   and the counter [key] over its injections *)
+let counting key r f =
   let m = Kfi_obs.Metrics.create () in
   Runner.set_metrics r (Some m);
   let v = Fun.protect ~finally:(fun () -> Runner.set_metrics r None) f in
-  (v, Kfi_obs.Metrics.counter (Kfi_obs.Metrics.snapshot m) "inj.skipped")
+  (v, Kfi_obs.Metrics.counter (Kfi_obs.Metrics.snapshot m) key)
+
+(* how many were resolved from the golden reach map without running *)
+let counting_skips = counting "inj.skipped"
+
+(* how many started from a golden checkpoint above the baseline *)
+let counting_rungs = counting "inj.ladder"
 
 let test_not_activated () =
   let r = Lazy.force runner in
@@ -150,6 +155,104 @@ let test_skip_hardened_map () =
   (* and the plain map is untouched *)
   ignore (Runner.run_one r ~workload:hanoi (sys_pipe_target r));
   check int "plain golden cycle count" plain (Runner.last_cycles r)
+
+(* --- the golden checkpoint ladder --- *)
+
+(* free_page first runs ~359k cycles into the pipe workload, past rung 5 *)
+let late_target r =
+  List.hd (Target.enumerate (Runner.build r) ~campaign:Target.C ~seed:1 [ "free_page" ])
+
+(* everything a run reports, flight recorder included *)
+let record r o =
+  let m = Runner.machine r in
+  ( Outcome.category o,
+    o,
+    Runner.last_cycles r,
+    Runner.last_injected_at r,
+    Kfi_isa.Machine.tty_contents m,
+    Kfi_isa.Trace.entries (Kfi_isa.Machine.cpu m).Kfi_isa.Cpu.trace )
+
+let same_record name a b = check Alcotest.bool name true (a = b)
+
+(* run [f] on a cached backend with empty ladders; back to the
+   interpreter (the shared runner's default) afterwards *)
+let on_fresh_ladder r f =
+  Runner.set_backend r Kfi_isa.Backend.Interp;
+  Runner.set_backend r Kfi_isa.Backend.Cached;
+  Fun.protect ~finally:(fun () -> Runner.set_backend r Kfi_isa.Backend.Interp) f
+
+let run_late r =
+  let t = late_target r in
+  let o = Runner.run_one r ~workload:(Kfi_workload.Progs.index_of "pipe") t in
+  record r o
+
+let test_ladder_starts_from_rung () =
+  let r = Lazy.force runner in
+  let plain = run_late r in
+  on_fresh_ladder r (fun () ->
+      let first, n1 = counting_rungs r (fun () -> run_late r) in
+      check int "an empty ladder starts from the baseline" 0 n1;
+      let again, n2 = counting_rungs r (fun () -> run_late r) in
+      let _, skipped = counting "inj.prefix_skipped_cycles" r (fun () -> run_late r) in
+      check int "the rerun starts from a rung" 1 n2;
+      check Alcotest.bool "past rung 5" true (skipped >= 5 * Runner.rung_spacing);
+      same_record "same record as the first cached run" first again;
+      same_record "same record as the interpreter" plain again)
+
+let test_ladder_dropped_on_backend_switch () =
+  let r = Lazy.force runner in
+  on_fresh_ladder r (fun () ->
+      ignore (run_late r);
+      Runner.set_backend r Kfi_isa.Backend.Interp;
+      Runner.set_backend r Kfi_isa.Backend.Cached;
+      let _, n = counting_rungs r (fun () -> run_late r) in
+      check int "a new cached backend starts without rungs" 0 n)
+
+let test_ladder_respects_budget () =
+  let r = Lazy.force runner in
+  let saved = Runner.max_cycles r in
+  on_fresh_ladder r (fun () ->
+      ignore (run_late r);
+      Fun.protect
+        ~finally:(fun () -> Runner.set_max_cycles r saved)
+        (fun () ->
+          List.iter
+            (fun (budget, rungs) ->
+              Runner.set_max_cycles r budget;
+              let (cat, _, cycles, _, _, _), n = counting_rungs r (fun () -> run_late r) in
+              check int (Printf.sprintf "budget %d: rung starts" budget) rungs n;
+              check Alcotest.string "cut before the hit" "not activated" cat;
+              check int "watchdog-bounded cycles" budget cycles)
+            [ (Runner.rung_spacing / 2, 0); ((3 * Runner.rung_spacing) + 1000, 1) ]))
+
+let test_ladder_unused_at_full () =
+  let r = Lazy.force runner in
+  let traced f =
+    Runner.set_trace_level r Kfi_isa.Trace.Full;
+    Fun.protect ~finally:(fun () -> Runner.set_trace_level r Kfi_isa.Trace.Ring) f
+  in
+  let plain = traced (fun () -> run_late r) in
+  on_fresh_ladder r (fun () ->
+      ignore (run_late r);
+      let full, n = counting_rungs r (fun () -> traced (fun () -> run_late r)) in
+      check int "a Full run starts from the baseline" 0 n;
+      same_record "same record as the interpreter" plain full)
+
+let test_ladder_per_hardening () =
+  let r = Lazy.force runner in
+  on_fresh_ladder r (fun () ->
+      ignore (run_late r);
+      Fun.protect
+        ~finally:(fun () -> Runner.set_hardening r false)
+        (fun () ->
+          Runner.set_hardening r true;
+          let first, n1 = counting_rungs r (fun () -> run_late r) in
+          check int "the hardened ladder starts empty" 0 n1;
+          let again, n2 = counting_rungs r (fun () -> run_late r) in
+          check int "and fills like the plain one" 1 n2;
+          same_record "same hardened record" first again);
+      let _, n3 = counting_rungs r (fun () -> run_late r) in
+      check int "the plain ladder is kept" 1 n3)
 
 let test_golden_reproducible () =
   let r = Lazy.force runner in
@@ -232,6 +335,12 @@ let suite =
     Alcotest.test_case "golden skip: short budget runs in full" `Slow
       test_skip_needs_whole_golden;
     Alcotest.test_case "golden skip: hardened map" `Slow test_skip_hardened_map;
+    Alcotest.test_case "ladder: rerun starts from a rung" `Slow test_ladder_starts_from_rung;
+    Alcotest.test_case "ladder: dropped on backend switch" `Slow
+      test_ladder_dropped_on_backend_switch;
+    Alcotest.test_case "ladder: budget below a rung" `Slow test_ladder_respects_budget;
+    Alcotest.test_case "ladder: unused at Full" `Slow test_ladder_unused_at_full;
+    Alcotest.test_case "ladder: one per hardening" `Slow test_ladder_per_hardening;
     Alcotest.test_case "golden reproducible" `Slow test_golden_reproducible;
     Alcotest.test_case "campaign A outcomes (schedule)" `Slow test_campaign_a_schedule_outcomes;
     Alcotest.test_case "campaign C outcomes (fs)" `Slow test_campaign_c_fs_outcomes;
