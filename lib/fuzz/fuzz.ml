@@ -22,12 +22,13 @@ type failure = {
   f_shrink_steps : int;
 }
 
-type run_result = Passed of int | Failed of failure
+type run_result = Passed of { cases : int; note : string option } | Failed of failure
 
 type t = {
   p_name : string;
   p_doc : string;
-  p_run_case : seed:int -> case:int -> failure option;
+  p_counts : string option; (* what a passing case's [Ok true] counts *)
+  p_run_case : seed:int -> case:int -> (bool, failure) result;
 }
 
 let name p = p.p_name
@@ -43,10 +44,7 @@ let case_rng ~name ~seed ~case = Rng.of_seeds [ seed; case; Hashtbl.hash name ]
 (* Exceptions from generation or checking are failures of the property,
    not of the harness: they get the same shrink/replay treatment. *)
 let eval_check check x =
-  match check x with
-  | Ok () -> None
-  | Error msg -> Some msg
-  | exception e -> Some (Printf.sprintf "exception %s" (Printexc.to_string e))
+  try check x with e -> Error (Printf.sprintf "exception %s" (Printexc.to_string e))
 
 let max_shrink_evals = 2000
 
@@ -68,23 +66,23 @@ let shrink_loop a check x0 msg0 =
         | Seq.Cons (cand, rest) -> (
             incr evals;
             match eval_check check cand with
-            | Some msg ->
+            | Error msg ->
                 cur := cand;
                 cur_msg := msg;
                 incr steps;
                 progress := true
-            | None -> scan rest)
+            | Ok _ -> scan rest)
     in
     scan candidates
   done;
   (!cur, !cur_msg, !steps)
 
-let make ~name ~doc a check =
+let make_counting ?counts ~name ~doc a check =
   let run_case ~seed ~case =
     let rng = case_rng ~name ~seed ~case in
     match Gen.run a.gen rng with
     | exception e ->
-        Some
+        Error
           {
             f_prop = name;
             f_seed = seed;
@@ -96,10 +94,10 @@ let make ~name ~doc a check =
           }
     | x -> (
         match eval_check check x with
-        | None -> None
-        | Some msg ->
+        | Ok counted -> Ok counted
+        | Error msg ->
             let shrunk, smsg, steps = shrink_loop a check x msg in
-            Some
+            Error
               {
                 f_prop = name;
                 f_seed = seed;
@@ -110,7 +108,13 @@ let make ~name ~doc a check =
                 f_shrink_steps = steps;
               })
   in
-  { p_name = name; p_doc = doc; p_run_case = run_case }
+  { p_name = name; p_doc = doc; p_counts = counts; p_run_case = run_case }
+
+let make ~name ~doc a check =
+  make_counting ~name ~doc a (fun x -> Result.map (fun () -> false) (check x))
+
+let passed p ~cases ~counted =
+  Passed { cases; note = Option.map (Printf.sprintf "%d %s" counted) p.p_counts }
 
 let now_ms () = Sys.time () *. 1000.0
 
@@ -122,19 +126,20 @@ let run ?cases ?budget_ms ~seed p =
     | None, None -> 200
   in
   let deadline = Option.map (fun b -> now_ms () +. float_of_int b) budget_ms in
-  let rec go case =
-    if case >= max_cases then Passed case
-    else if (match deadline with Some d -> now_ms () >= d | None -> false) then
-      Passed case
+  let rec go case counted =
+    if case >= max_cases || (match deadline with Some d -> now_ms () >= d | None -> false)
+    then passed p ~cases:case ~counted
     else
       match p.p_run_case ~seed ~case with
-      | None -> go (case + 1)
-      | Some f -> Failed f
+      | Ok c -> go (case + 1) (if c then counted + 1 else counted)
+      | Error f -> Failed f
   in
-  go 0
+  go 0 0
 
 let replay ~seed ~case p =
-  match p.p_run_case ~seed ~case with None -> Passed 1 | Some f -> Failed f
+  match p.p_run_case ~seed ~case with
+  | Ok c -> passed p ~cases:1 ~counted:(Bool.to_int c)
+  | Error f -> Failed f
 
 let pp_failure ppf f =
   Format.fprintf ppf "FAIL %s (seed %d, case %d): %s@." f.f_prop f.f_seed f.f_case

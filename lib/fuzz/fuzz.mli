@@ -23,7 +23,10 @@ type failure = {
   f_shrink_steps : int;
 }
 
-type run_result = Passed of int  (** cases executed *) | Failed of failure
+type run_result =
+  | Passed of { cases : int; note : string option }
+      (** [note]: how many cases counted, for a {!make_counting} property *)
+  | Failed of failure
 
 type t
 (** A named property: generator + checker, ready to run under any seed. *)
@@ -31,6 +34,13 @@ type t
 val make : name:string -> doc:string -> 'a arb -> ('a -> (unit, string) result) -> t
 (** Exceptions raised by the checker (or generator) count as failures and
     are shrunk like any other counterexample. *)
+
+val make_counting :
+  ?counts:string -> name:string -> doc:string -> 'a arb -> ('a -> (bool, string) result) -> t
+(** Like {!make}, but a passing case may count ([Ok true]): a passed run
+    notes ["N <counts>"], how many of its cases counted.  A property
+    that can pass without testing anything shows here how often it did
+    test something. *)
 
 val name : t -> string
 val doc : t -> string

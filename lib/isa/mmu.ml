@@ -36,6 +36,23 @@ let flush t =
   Array.fill t.tlb_tag 0 tlb_size (-1);
   t.gen <- t.gen + 1
 
+(* The TLB is state the guest can see: a page-table update takes effect
+   only once its entry is flushed or evicted (the kernel downgrades a
+   fork's PTEs in a loop and flushes once, after it).  A checkpoint taken
+   mid-run keeps a copy. *)
+type tlb = { s_tag : int array; s_frame : int array; s_perm : int array }
+
+let save t =
+  { s_tag = Array.copy t.tlb_tag; s_frame = Array.copy t.tlb_frame; s_perm = Array.copy t.tlb_perm }
+
+let load t s =
+  Array.blit s.s_tag 0 t.tlb_tag 0 tlb_size;
+  Array.blit s.s_frame 0 t.tlb_frame 0 tlb_size;
+  Array.blit s.s_perm 0 t.tlb_perm 0 tlb_size;
+  t.gen <- t.gen + 1
+
+let tlb_bytes = 3 * tlb_size * (Sys.word_size / 8)
+
 (* While [generation] is unchanged no TLB entry has been filled, evicted
    or flushed, so any translation that hit the TLB would hit the same
    entry again.  The block engine uses this to collapse its per-fetch

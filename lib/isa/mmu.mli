@@ -24,6 +24,19 @@ val create : Phys.t -> t
 val flush : t -> unit
 (** Drop every TLB entry (the effect of reloading CR3). *)
 
+type tlb
+(** A copy of the TLB.  Its contents are visible to the guest: a
+    page-table update takes effect only once the entry is flushed or
+    evicted, so a mid-run checkpoint must keep them. *)
+
+val save : t -> tlb
+
+val load : t -> tlb -> unit
+(** Replace the TLB's contents with a saved copy. *)
+
+val tlb_bytes : int
+(** The heap footprint of a {!tlb}. *)
+
 val translate : t -> cr3:int32 -> user:bool -> write:bool -> int32 -> int
 (** Translate a virtual address to a physical one, filling the TLB.
     @raise Page_fault on a missing mapping or permission violation. *)

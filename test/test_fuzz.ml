@@ -127,6 +127,31 @@ let test_checker_exception_is_failure () =
     check int "first case already fails" 0 f.Fuzz.f_case;
     check bool "message names the exception" true (contains f.Fuzz.f_msg "exception")
 
+(* A counting property's passed run notes how many cases counted: the
+   sum of what the cases report one at a time. *)
+let test_counting_note () =
+  let evens =
+    Fuzz.make_counting ~counts:"even" ~name:"engine.counts" ~doc:"counts even draws"
+      (Fuzz.arb ~print:string_of_int (Gen.int_bound 1000))
+      (fun n -> Ok (n mod 2 = 0))
+  in
+  let counted =
+    List.length
+      (List.filter
+         (fun case -> Fuzz.replay ~seed:1 ~case evens = Fuzz.Passed { cases = 1; note = Some "1 even" })
+         (List.init 50 Fun.id))
+  in
+  check bool "some cases count, some do not" true (counted > 0 && counted < 50);
+  check bool "the run notes the count" true
+    (Fuzz.run ~cases:50 ~seed:1 evens
+     = Fuzz.Passed { cases = 50; note = Some (Printf.sprintf "%d even" counted) });
+  let plain =
+    Fuzz.make ~name:"engine.passes" ~doc:"always passes" (Fuzz.arb (Gen.int_bound 10))
+      (fun _ -> Ok ())
+  in
+  check bool "a plain property notes nothing" true
+    (Fuzz.run ~cases:5 ~seed:1 plain = Fuzz.Passed { cases = 5; note = None })
+
 let test_check_prop_raises_with_replay_line () =
   match Fuzz.check_prop ~cases:50 ~seed:1 gt10 with
   | () -> Alcotest.fail "check_prop passed a failing property"
@@ -150,7 +175,7 @@ let broken_decode b off =
 let test_mutation_smoke () =
   let prop = Props.roundtrip_with ~name:"isa.roundtrip_broken" broken_decode in
   match Fuzz.run ~cases:500 ~seed:(Fuzz.default_seed ()) prop with
-  | Fuzz.Passed n -> Alcotest.failf "planted decoder bug survived %d cases" n
+  | Fuzz.Passed { cases; _ } -> Alcotest.failf "planted decoder bug survived %d cases" cases
   | Fuzz.Failed f ->
     check string "shrunk to the minimal stream" "[nop]" f.Fuzz.f_repr;
     check bool "shrinking did real work" true
@@ -211,6 +236,8 @@ let suite =
       test_checker_exception_is_failure;
     Alcotest.test_case "runner: check_prop failure carries replay line" `Quick
       test_check_prop_raises_with_replay_line;
+    Alcotest.test_case "runner: a counting property notes its count" `Quick
+      test_counting_note;
     Alcotest.test_case "mutation smoke: planted decoder bug caught + shrunk"
       `Quick test_mutation_smoke;
     Alcotest.test_case "regression: journal torn-header seed 42/14" `Quick
