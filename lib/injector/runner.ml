@@ -1,10 +1,12 @@
 (* The experiment runner: the analogue of the paper's injection controller
    + crash handler + hardware watchdog loop (Figures 2 and 3).
 
-   One [t] boots the kernel once to its post-boot snapshot; each injection
-   restores the snapshot ("reboots"), pokes the chosen workload id, arms a
-   debug register on the target instruction, flips the chosen bit when the
-   instruction is first reached, and classifies the outcome. *)
+   One [t] boots the kernel once to its post-boot snapshot, the only full
+   machine image it keeps; each workload's start is a checkpoint over it.
+   Each injection restores a start ("reboots" into the running
+   benchmark), arms a debug register on the target instruction, flips the
+   chosen bit when the instruction is first reached, and classifies the
+   outcome. *)
 
 open Kfi_isa
 module L = Kfi_kernel.Layout
@@ -19,7 +21,7 @@ type golden = { g_exit : int; g_console : string; g_cycles : int }
    [r_cycles] is the run's length, [max_int] when it ended without a
    terminal state (so it never proves anything); [r_len] is what it
    recorded either way.  [r_rungs.(j)] is rung [j >= 1] of the
-   checkpoint ladder once captured; rung 0 is the baseline. *)
+   checkpoint ladder once captured; rung 0 is the workload's start. *)
 type reach = {
   r_first : Bytes.t;
   r_cycles : int;
@@ -34,17 +36,18 @@ let never = -1l
 let map_offset addr = 4 * ((Int32.to_int addr land 0xFFFFFFFF) - L.kernel_text_base)
 
 (* Rung [j] is the golden state at the first instruction boundary at or
-   after [rung_spacing * j] cycles past the baseline. *)
+   after [rung_spacing * j] cycles past the workload's start. *)
 let rung_spacing = 65_536
 
 type t = {
   build : Build.t;
   machine : Machine.t;
   baseline : Machine.snapshot;
-      (* pristine post-boot state (pre-init), used by the profiler *)
-  baselines : Machine.snapshot array;
-      (* per-workload snapshots taken at the first user-mode instruction,
-         so experiments inject into a running benchmark, as in the paper
+      (* pristine post-boot state (pre-init): the profiler's start and
+         the base of every checkpoint *)
+  starts : Machine.checkpoint array;
+      (* per-workload states at the first user-mode instruction, so
+         experiments inject into a running benchmark, as in the paper
          (the injector never sees the program-load path) *)
   golden : golden array; (* per workload *)
   reach : reach option array array;
@@ -69,7 +72,7 @@ type t = {
       (* cycle at which the last run's fault was injected *)
   mutable last_skipped : int;
       (* golden-prefix cycles the last run did not replay: its rung's
-         offset, 0 when it started from the baseline *)
+         offset, 0 when it started from rung 0 *)
   mutable metrics : Kfi_obs.Metrics.t option;
       (* observability registry: per-phase latency histograms and
          outcome counters; never feeds back into any outcome *)
@@ -115,7 +118,7 @@ let write_hardening build machine on =
   Phys.write32 (Machine.phys machine) pa (if on then 1l else 0l)
 
 (* The fault-free run of one workload, with exactly [run_one]'s prefix
-   (restore the baseline, write the hardening flag, run) and
+   (restore the start, write the hardening flag, run) and
    [Machine.run]'s exit checks, stepped one instruction at a time so the
    reach map can be recorded.  Marking is conservative: the pre-step eip,
    and on a step where the timer IRQ is due the timer gate's handler,
@@ -123,8 +126,8 @@ let write_hardening build machine on =
    keeps the cycle offset of its first mark, so no debug compare sees it
    earlier.  Too many or too early marks only skip less; a missing or
    late one would misclassify a target. *)
-let golden_run build machine snapshot ~hardening ~max_cycles =
-  Machine.restore machine snapshot;
+let golden_run build machine ~base ~start ~hardening ~max_cycles =
+  Machine.restore_checkpoint machine ~base start;
   write_hardening build machine hardening;
   let cpu = Machine.cpu machine in
   let first = Bytes.make (4 * build.Build.text_size) '\255' in
@@ -169,16 +172,28 @@ let create ?(max_cycles = default_max_cycles) () =
   boot_to_snapshot machine ~max_cycles;
   let baseline = Machine.snapshot machine in
   let nworkloads = List.length Kfi_workload.Progs.names in
-  let baselines =
+  (* A checkpoint needs the writes since the restore of its base, so the
+     starts are taken under dirty tracking, which the interpreter then
+     runs without.  The TLB is flushed first: a start, like a snapshot,
+     begins with an empty one. *)
+  let phys = Machine.phys machine and disk = Machine.disk machine in
+  Phys.set_tracking phys true;
+  Devices.Disk.set_tracking disk true;
+  let starts =
     Array.init nworkloads (fun w ->
         Machine.restore machine baseline;
         Build.set_workload machine w;
         run_to_user machine ~max_cycles;
-        Machine.snapshot machine)
+        Mmu.flush (Machine.cpu machine).Cpu.mmu;
+        Machine.checkpoint machine ~base:baseline)
   in
+  Phys.set_tracking phys false;
+  Devices.Disk.set_tracking disk false;
   let runs =
     Array.init nworkloads (fun w ->
-        match golden_run build machine baselines.(w) ~hardening:false ~max_cycles with
+        match
+          golden_run build machine ~base:baseline ~start:starts.(w) ~hardening:false ~max_cycles
+        with
         | Machine.Powered_off 0, reach ->
           let g_console = Machine.tty_contents machine in
           ({ g_exit = 0; g_console; g_cycles = reach.r_cycles }, Some reach)
@@ -190,7 +205,7 @@ let create ?(max_cycles = default_max_cycles) () =
     build;
     machine;
     baseline;
-    baselines;
+    starts;
     golden = Array.map fst runs;
     reach = [| Array.map snd runs; Array.make nworkloads None |];
     manifest = Kfi_workload.Progs.manifest ();
@@ -227,8 +242,9 @@ let set_metrics t m = t.metrics <- m
 (* Swapping detaches the old backend first (hooks and dirty tracking
    off) so the machine is only ever owned by one backend.  The first
    restore after a swap to [Cached] is a full copy that resynchronizes
-   the dirty tracking; every later one is O(dirty pages).  The checkpoint
-   ladders go with the block cache: a fresh backend starts without. *)
+   the dirty tracking; every later one is O(dirty pages).  The rungs
+   captured by runs go with the block cache: a fresh backend starts with
+   the workloads' starts only. *)
 let set_backend t kind =
   if Backend.kind t.backend <> kind then begin
     Backend.detach t.backend;
@@ -247,7 +263,7 @@ let max_cycles t = t.max_cycles
 let build t = t.build
 let machine t = t.machine
 let baseline t = t.baseline
-let baselines t = t.baselines
+let start t w = t.starts.(w)
 let golden t w = t.golden.(w)
 let hardening t = t.hardening
 let trace_level t = t.trace_level
@@ -299,8 +315,8 @@ let reach_for t ~workload =
   | Some r -> r
   | None ->
     let _, r =
-      golden_run t.build t.machine t.baselines.(workload) ~hardening:t.hardening
-        ~max_cycles:(max t.max_cycles default_max_cycles)
+      golden_run t.build t.machine ~base:t.baseline ~start:t.starts.(workload)
+        ~hardening:t.hardening ~max_cycles:(max t.max_cycles default_max_cycles)
     in
     t.reach.(h).(workload) <- Some r;
     r
@@ -332,24 +348,24 @@ let first_hit r (target : Target.t) =
    their target's first hit as they pass them, and later runs start from
    the latest rung at or before theirs.  Rungs carry a [Ring]-level
    flight recorder, so a [Full] run (which also records events) starts
-   at the baseline, and an [Off] run empties the ring. *)
+   at rung 0, and an [Off] run empties the ring. *)
 let ladder_usable t = Backend.kind t.backend = Backend.Cached && t.trace_level <> Trace.Full
 
 let ladder_capturing t = Backend.kind t.backend = Backend.Cached && t.trace_level = Trace.Ring
 
-(* The latest rung a run may start from: captured, at or before the
-   target's first hit and inside the watchdog budget, both judged by the
-   rung's actual cycle, which a disk transfer can carry past its
-   boundary. *)
-let pick_rung t r ~base_cycles ~first =
+(* The latest rung a run may start from: rung 0, or one captured, at or
+   before the target's first hit and inside the watchdog budget, both
+   judged by the rung's actual cycle, which a disk transfer can carry
+   past its boundary. *)
+let pick_rung t r ~start ~first =
   let rec find j =
-    if j < 1 then None
+    if j < 1 then start
     else
       match r.r_rungs.(j) with
       | Some k
-        when let off = Machine.checkpoint_cycles k - base_cycles in
+        when let off = Machine.checkpoint_cycles k - Machine.checkpoint_cycles start in
              off <= first && off < t.max_cycles ->
-        Some k
+        k
       | _ -> find (j - 1)
   in
   find (min (Array.length r.r_rungs - 1) (first / rung_spacing))
@@ -392,24 +408,23 @@ let run_with_deadline t ~start ~deadline ~stop_at ~on_stop =
    before the target's first hit and capture the rung there: the first
    instruction boundary at or after it, since the previous pause was
    before it. *)
-let rung_capture t r ~base ~first ~injected_at =
+let rung_capture t r ~start_cycles ~first ~injected_at =
   let cpu = Machine.cpu t.machine in
-  let base_cycles = Machine.snapshot_cycles base in
   let n = Array.length r.r_rungs in
   let prev = ref cpu.Cpu.cycles in
   let stop_at () =
     let rec next j =
       if !injected_at <> None || j >= n || j * rung_spacing > first then max_int
-      else if r.r_rungs.(j) = None then base_cycles + (j * rung_spacing)
+      else if r.r_rungs.(j) = None then start_cycles + (j * rung_spacing)
       else next (j + 1)
     in
-    next (((cpu.Cpu.cycles - base_cycles) / rung_spacing) + 1)
+    next (((cpu.Cpu.cycles - start_cycles) / rung_spacing) + 1)
   in
   let on_stop () =
-    let j = (cpu.Cpu.cycles - base_cycles) / rung_spacing in
+    let j = (cpu.Cpu.cycles - start_cycles) / rung_spacing in
     if !injected_at = None && j >= 1 && j < n && j * rung_spacing <= first
-       && !prev < base_cycles + (j * rung_spacing) && r.r_rungs.(j) = None
-    then r.r_rungs.(j) <- Some (Machine.checkpoint t.machine ~base);
+       && !prev < start_cycles + (j * rung_spacing) && r.r_rungs.(j) = None
+    then r.r_rungs.(j) <- Some (Machine.checkpoint t.machine ~base:t.baseline);
     prev := cpu.Cpu.cycles
   in
   (stop_at, on_stop)
@@ -417,27 +432,24 @@ let rung_capture t r ~base ~first ~injected_at =
 (* Run one injection experiment in full.  [deadline], if given, is an
    absolute wall-clock time past which the run is abandoned with
    [Deadline_exceeded]; the machine is left mid-flight but every
-   injection restores a snapshot first, so the runner stays usable. *)
+   injection restores a checkpoint first, so the runner stays usable. *)
 let run_full ?deadline t ~workload ~reach (target : Target.t) ~wall0 =
-  let base = t.baselines.(workload) in
-  let start_cycles = Machine.snapshot_cycles base in
+  let start = t.starts.(workload) in
+  let start_cycles = Machine.checkpoint_cycles start in
   let first = if ladder_usable t then first_hit reach target else 0 in
-  let rung = pick_rung t reach ~base_cycles:start_cycles ~first in
-  (match rung with
-   | None -> Backend.restore t.backend base
-   | Some k -> Machine.restore_checkpoint t.machine ~base k);
+  Machine.restore_checkpoint t.machine ~base:t.baseline (pick_rung t reach ~start ~first);
   t.last_restore <- Unix.gettimeofday () -. wall0;
   poke_hardening t;
   let cpu = Machine.cpu t.machine in
   t.last_skipped <- cpu.Cpu.cycles - start_cycles;
-  (* the snapshot carries the (empty, Off) boot-time trace state: arm the
-     recorder afresh so each injection's trace is isolated; a rung
+  (* the start carries the (empty, Off) boot-time trace state: arm the
+     recorder afresh so each injection's trace is isolated; a later rung
      carries the ring a [Ring] run has recorded by then *)
   Trace.set_level cpu.Cpu.trace t.trace_level;
-  if rung = None || t.trace_level = Trace.Off then Trace.clear cpu.Cpu.trace;
+  if t.last_skipped = 0 || t.trace_level = Trace.Off then Trace.clear cpu.Cpu.trace;
   let injected_at = ref None in
   let stop_at, on_stop =
-    if ladder_capturing t then rung_capture t reach ~base ~first ~injected_at
+    if ladder_capturing t then rung_capture t reach ~start_cycles ~first ~injected_at
     else ((fun () -> max_int), ignore)
   in
   cpu.Cpu.dr.(0) <- target.Target.t_addr;

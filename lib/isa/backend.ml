@@ -36,7 +36,6 @@ let create kind machine =
     { machine; bk_kind = Cached; bb = Some (Bbexec.create (Machine.cpu machine)) }
 
 let kind t = t.bk_kind
-let machine t = t.machine
 
 let detach t =
   match t.bb with
@@ -50,10 +49,6 @@ let run t ~max_cycles =
   match t.bb with
   | None -> Machine.run t.machine ~max_cycles
   | Some bb -> Bbexec.run bb ~max_cycles
-
-(* Single-stepping is always the reference path: there is nothing to
-   amortize over one instruction. *)
-let step t = Cpu.step (Machine.cpu t.machine)
 
 let snapshot t = Machine.snapshot t.machine
 let restore t s = Machine.restore t.machine s

@@ -1,4 +1,4 @@
-(** The pluggable execution backend: step, run-until-event and
+(** The pluggable execution backend: run-until-event and
     snapshot/restore behind one interface, with two implementations.
 
     {!Interp} is the reference step interpreter (the pre-existing
@@ -34,13 +34,9 @@ val detach : t -> unit
     none) can take over the machine. *)
 
 val kind : t -> kind
-val machine : t -> Machine.t
 
 val run : t -> max_cycles:int -> Machine.run_result
 (** Run until an event, exactly as {!Machine.run}. *)
-
-val step : t -> unit
-(** Execute a single instruction (always the reference path). *)
 
 val snapshot : t -> Machine.snapshot
 val restore : t -> Machine.snapshot -> unit

@@ -19,9 +19,7 @@ let block_size = 1024
    Under tracking the live disk remembers the snapshot its unwritten
    blocks equal ([synced]) and the blocks written since, so restoring to
    that snapshot copies only those; any other restore is a full copy
-   that resynchronizes.  Snapshots of equal contents share one image,
-   so hopping between per-workload baselines that never wrote the disk
-   stays incremental. *)
+   that resynchronizes. *)
 module Disk = struct
   type t = {
     data : Bytes.t;
@@ -29,12 +27,10 @@ module Disk = struct
     mutable written : Bytes.t; (* block -> '\001' if written since the sync *)
     mutable written_list : int list;
     mutable synced : t option; (* the snapshot the unwritten blocks equal *)
-    mutable last_copy : t option; (* the latest snapshot, for sharing *)
   }
 
   let of_bytes data =
-    { data; track = false; written = Bytes.empty; written_list = [];
-      synced = None; last_copy = None }
+    { data; track = false; written = Bytes.empty; written_list = []; synced = None }
 
   let create ~blocks = of_bytes (Bytes.make (blocks * block_size) '\000')
   let of_image image = of_bytes (Bytes.copy image)
@@ -73,14 +69,7 @@ module Disk = struct
   let is_synced t s = match t.synced with Some s' -> s' == s | None -> false
 
   let copy t =
-    let s =
-      match t.last_copy with
-      | Some s when (is_synced t s && t.written_list = []) || Bytes.equal s.data t.data -> s
-      | _ ->
-        let s = of_bytes (Bytes.copy t.data) in
-        t.last_copy <- Some s;
-        s
-    in
+    let s = of_bytes (Bytes.copy t.data) in
     if t.track then sync t s;
     s
 

@@ -34,8 +34,7 @@ module Disk : sig
   val read_block : t -> int -> bytes
   val write_block : t -> int -> bytes -> unit
   val copy : t -> t
-  (** A snapshot of the contents.  Consecutive snapshots of equal
-      contents are one shared value.  Under tracking, the live disk is
+  (** A snapshot of the contents.  Under tracking, the live disk is
       resynchronized to the snapshot. *)
 
   val restore : t -> from:t -> unit

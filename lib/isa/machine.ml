@@ -127,8 +127,6 @@ let snapshot t =
     s_cpu = save_cpu c;
   }
 
-let snapshot_cycles s = s.s_cpu.s_cycles
-
 (* Memory and disk, with the decoded caches trimmed to match. *)
 let restore_storage c s =
   let restored = Phys.restore c.Cpu.phys ~from:s.s_phys in

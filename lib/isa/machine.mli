@@ -40,9 +40,6 @@ val restore : t -> snapshot -> unit
 (** Restore a snapshot, with an empty TLB: every run from a snapshot
     starts the same way. *)
 
-val snapshot_cycles : snapshot -> int
-(** The cycle counter the snapshot restores. *)
-
 (** {2 Delta checkpoints} *)
 
 type checkpoint
@@ -53,7 +50,8 @@ type checkpoint
 
 val checkpoint : t -> base:snapshot -> checkpoint
 (** Capture the current state against [base], which must be the last
-    snapshot restored.  Needs the dirty tracking of the cached backend.
+    snapshot restored.  Needs dirty tracking on memory and disk, as the
+    cached backend turns on.
     @raise Invalid_argument if memory is not tracked against [base]. *)
 
 val restore_checkpoint : t -> base:snapshot -> checkpoint -> unit

@@ -1,6 +1,8 @@
 (** Physical memory: a flat little-endian byte array, with optional
     dirty-page tracking so a restore touches O(dirty pages) instead of
-    the whole image (the cached execution backend's snapshot protocol). *)
+    the whole image (the cached execution backend's snapshot protocol).
+    Only the snapshot the memory is synchronized to restores
+    incrementally; other states are kept as {!delta}s over it. *)
 
 type t
 
@@ -36,9 +38,11 @@ val copy : t -> t
 val restore : t -> from:t -> int list option
 (** Restore contents from a snapshot taken with {!copy}.  Returns the
     pages that were actually rewritten — [Some pages] when the restore
-    was incremental (tracking on, snapshot known), [None] for a full
-    copy.  Callers use the page list to invalidate derived caches
-    (decoded instructions, basic blocks) with the same granularity. *)
+    was incremental (tracking on, and [from] is the snapshot the memory
+    is synchronized to), [None] for a full copy, which synchronizes a
+    tracked memory to [from].  Callers use the page list to invalidate
+    derived caches (decoded instructions, basic blocks) with the same
+    granularity. *)
 
 val set_tracking : t -> bool -> unit
 (** Turn dirty-page tracking on or off.  Turning it off drops all

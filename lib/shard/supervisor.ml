@@ -36,6 +36,7 @@ module Target = Kfi_injector.Target
 module Outcome = Kfi_injector.Outcome
 module Experiment = Kfi_injector.Experiment
 module M = Kfi_obs.Metrics
+module Tel = Kfi_trace.Telemetry
 
 (* ----- shard + worker-slot state ----- *)
 
@@ -97,21 +98,15 @@ let rec mkdir_p dir =
 
 let now () = Unix.gettimeofday ()
 
-(* One JSONL line per supervisor event — the CI chaos artifact.  Values
-   arrive pre-rendered; keys and string values use OCaml's %S, whose
-   escaping is JSON-compatible for the ASCII content we emit. *)
+(* One JSONL line per supervisor event — the CI chaos artifact. *)
 let log_event t ev kvs =
   match t.ev_oc with
   | None -> ()
   | Some oc ->
-    Printf.fprintf oc "{\"ts\":%.3f,\"ev\":%S" (now () -. t.t0) ev;
-    List.iter (fun (k, v) -> Printf.fprintf oc ",%S:%s" k v) kvs;
-    output_string oc "}\n";
+    output_string oc
+      (Tel.to_string (Tel.Obj (("ts", Tel.Float (now () -. t.t0)) :: ("ev", Tel.Str ev) :: kvs)));
+    output_char oc '\n';
     flush oc
-
-let jstr s = Printf.sprintf "%S" s
-let jint i = string_of_int i
-let jflt f = Printf.sprintf "%.3f" f
 
 let mincr t ?by key = match t.metrics with Some m -> M.incr m ?by key | None -> ()
 let mgauge t key v = match t.metrics with Some m -> M.set_gauge m key v | None -> ()
@@ -177,7 +172,7 @@ let spawn t s =
   mincr t "sup.spawns";
   mgauge t (Printf.sprintf "sup.proc%d.pid" s.idx) (float_of_int pid);
   mgauge t (Printf.sprintf "sup.proc%d.live" s.idx) 1.;
-  log_event t "spawn" [ ("slot", jint s.idx); ("pid", jint pid) ];
+  log_event t "spawn" [ ("slot", Tel.Int s.idx); ("pid", Tel.Int pid) ];
   (* EPIPE here means the child died instantly; reaping handles it *)
   try Proto.send_to_worker s.to_w (Proto.Hello t.hello)
   with Unix.Unix_error (Unix.EPIPE, _, _) -> ()
@@ -218,9 +213,9 @@ let try_assign t s =
         (Printf.sprintf "sup.proc%d.shard" s.idx)
         (float_of_int ss.shard.Proto.sh_index);
       log_event t "assign"
-        [ ("slot", jint s.idx);
-          ("shard", jstr (short_id ss.shard.Proto.sh_id));
-          ("index", jint ss.shard.Proto.sh_index);
+        [ ("slot", Tel.Int s.idx);
+          ("shard", Tel.Str (short_id ss.shard.Proto.sh_id));
+          ("index", Tel.Int ss.shard.Proto.sh_index);
         ];
       (try Proto.send_to_worker s.to_w (Proto.Assign ss.shard)
        with Unix.Unix_error (Unix.EPIPE, _, _) -> ())
@@ -238,8 +233,8 @@ let handle_death t s ~how =
   s.ready <- false;
   mgauge t (Printf.sprintf "sup.proc%d.live" s.idx) 0.;
   log_event t "death"
-    [ ("slot", jint s.idx); ("how", jstr how);
-      ("progress", jint s.progress);
+    [ ("slot", Tel.Int s.idx); ("how", Tel.Str how);
+      ("progress", Tel.Int s.progress);
     ];
   (match s.assigned with
    | None -> ()
@@ -259,10 +254,10 @@ let handle_death t s ~how =
        ss.status <- Quarantined reason;
        mincr t "sup.quarantined";
        log_event t "quarantine"
-         [ ("shard", jstr (short_id ss.shard.Proto.sh_id));
-           ("index", jint ss.shard.Proto.sh_index);
-           ("deaths", jint ss.deaths);
-           ("reason", jstr reason);
+         [ ("shard", Tel.Str (short_id ss.shard.Proto.sh_id));
+           ("index", Tel.Int ss.shard.Proto.sh_index);
+           ("deaths", Tel.Int ss.deaths);
+           ("reason", Tel.Str reason);
          ]
      end
      else begin
@@ -273,16 +268,16 @@ let handle_death t s ~how =
        ss.requeues <- ss.requeues + 1;
        mincr t "sup.requeued";
        log_event t "requeue"
-         [ ("shard", jstr (short_id ss.shard.Proto.sh_id));
-           ("index", jint ss.shard.Proto.sh_index);
-           ("deaths", jint ss.deaths);
+         [ ("shard", Tel.Str (short_id ss.shard.Proto.sh_id));
+           ("index", Tel.Int ss.shard.Proto.sh_index);
+           ("deaths", Tel.Int ss.deaths);
          ]
      end);
   s.restarts <- s.restarts + 1;
   mgauge t (Printf.sprintf "sup.proc%d.restarts" s.idx) (float_of_int s.restarts);
   if s.restarts > t.sup.C.sup_max_restarts then begin
     s.retired <- true;
-    log_event t "retire" [ ("slot", jint s.idx); ("restarts", jint s.restarts) ]
+    log_event t "retire" [ ("slot", Tel.Int s.idx); ("restarts", Tel.Int s.restarts) ]
   end
   else begin
     let delay_ms =
@@ -293,8 +288,8 @@ let handle_death t s ~how =
     mincr t "sup.restarts";
     mobserve t "sup.backoff_s" (delay_ms /. 1000.);
     log_event t "restart_scheduled"
-      [ ("slot", jint s.idx); ("attempt", jint s.restarts);
-        ("delay_ms", jflt delay_ms);
+      [ ("slot", Tel.Int s.idx); ("attempt", Tel.Int s.restarts);
+        ("delay_ms", Tel.Float delay_ms);
       ]
   end
 
@@ -311,10 +306,10 @@ let handle_msg t s (m : Proto.from_worker) =
   match m with
   | Proto.Ready _pid ->
     s.ready <- true;
-    log_event t "ready" [ ("slot", jint s.idx); ("pid", jint s.pid) ];
+    log_event t "ready" [ ("slot", Tel.Int s.idx); ("pid", Tel.Int s.pid) ];
     try_assign t s
   | Proto.Claimed id ->
-    log_event t "claim" [ ("slot", jint s.idx); ("shard", jstr (short_id id)) ]
+    log_event t "claim" [ ("slot", Tel.Int s.idx); ("shard", Tel.Str (short_id id)) ]
   | Proto.Entry { en_restore; en_exec; en_classify; en_wall; _ } ->
     s.progress <- s.progress + 1;
     mincr t "sup.entries";
@@ -335,13 +330,13 @@ let handle_msg t s (m : Proto.from_worker) =
       mgauge t (Printf.sprintf "sup.proc%d.shard" s.idx) (-1.);
       mgauge t "sup.shards_done" (float_of_int (done_count t));
       log_event t "done"
-        [ ("slot", jint s.idx); ("shard", jstr (short_id id));
-          ("index", jint ss.shard.Proto.sh_index); ("fresh", jint fresh);
+        [ ("slot", Tel.Int s.idx); ("shard", Tel.Str (short_id id));
+          ("index", Tel.Int ss.shard.Proto.sh_index); ("fresh", Tel.Int fresh);
         ];
       try_assign t s
     | _ ->
       log_event t "stray_done"
-        [ ("slot", jint s.idx); ("shard", jstr (short_id id)) ])
+        [ ("slot", Tel.Int s.idx); ("shard", Tel.Str (short_id id)) ])
 
 let drain t s =
   match Unix.read s.from_w t.rbuf 0 (Bytes.length t.rbuf) with
@@ -362,7 +357,7 @@ let drain t s =
       | Error e ->
         (* a desynchronized stream cannot be trusted; the shard journal
            is the durable record, so kill and let the death path requeue *)
-        log_event t "protocol_error" [ ("slot", jint s.idx); ("error", jstr e) ];
+        log_event t "protocol_error" [ ("slot", Tel.Int s.idx); ("error", Tel.Str e) ];
         (try Unix.kill s.pid Sys.sigkill with Unix.Unix_error _ -> ())
     in
     frames ()
@@ -386,8 +381,8 @@ let inline_fallback t runner =
     (fun ss ->
       if ss.status = Pending then begin
         log_event t "inline"
-          [ ("shard", jstr (short_id ss.shard.Proto.sh_id));
-            ("index", jint ss.shard.Proto.sh_index);
+          [ ("shard", Tel.Str (short_id ss.shard.Proto.sh_id));
+            ("index", Tel.Int ss.shard.Proto.sh_index);
           ];
         let policy = t.config.C.policy in
         let _fresh =
@@ -456,7 +451,7 @@ let supervise t runner =
           && n -. s.beat > t.sup.C.sup_heartbeat_s
         then begin
           log_event t "wedged"
-            [ ("slot", jint s.idx); ("silent_s", jflt (n -. s.beat)) ];
+            [ ("slot", Tel.Int s.idx); ("silent_s", Tel.Float (n -. s.beat)) ];
           try Unix.kill s.pid Sys.sigkill with Unix.Unix_error _ -> ()
         end)
       t.slots;
@@ -558,7 +553,7 @@ let merge t journal0 =
         ss.shard.Proto.sh_targets)
     t.shards;
   log_event t "merge"
-    [ ("appended", jint !appended); ("synthesized", jint !synthesized) ];
+    [ ("appended", Tel.Int !appended); ("synthesized", Tel.Int !synthesized) ];
   (!appended, !synthesized)
 
 (* ----- the entry point ----- *)
@@ -684,11 +679,11 @@ let run_campaign ~(config : C.t) runner profile campaign =
         mgauge t "sup.workers" (float_of_int nslots);
         mgauge t "sup.shards" (float_of_int (List.length shards));
         log_event t "start"
-          [ ("campaign", jstr (Target.campaign_letter campaign));
-            ("workers", jint nslots);
-            ("shards", jint (List.length shards));
-            ("pending", jint (List.length pending));
-            ("dir", jstr dir);
+          [ ("campaign", Tel.Str (Target.campaign_letter campaign));
+            ("workers", Tel.Int nslots);
+            ("shards", Tel.Int (List.length shards));
+            ("pending", Tel.Int (List.length pending));
+            ("dir", Tel.Str dir);
           ];
         (* SIGPIPE would kill the coordinator on a write to a freshly
            dead worker; convert to EPIPE for the duration *)
@@ -707,10 +702,10 @@ let run_campaign ~(config : C.t) runner profile campaign =
             supervise t runner;
             let appended, synthesized = merge t journal0 in
             log_event t "finish"
-              [ ("appended", jint appended);
-                ("synthesized", jint synthesized);
+              [ ("appended", Tel.Int appended);
+                ("synthesized", Tel.Int synthesized);
                 ("quarantined",
-                 jint
+                 Tel.Int
                    (List.length
                       (List.filter
                          (fun ss ->

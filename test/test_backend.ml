@@ -1,8 +1,9 @@
 (* Execution-backend tests: the Phys dirty-page snapshot protocol
    (write marks its page, restore rewrites exactly the dirty set, pinned
-   pages are always rewritten, cross-snapshot hops land exactly) and the
-   cached backend's block cache (invalidation on self-modifying text,
-   interp/cached agreement, restore undoing text patches). *)
+   pages are always rewritten, a hop to another snapshot is a full copy,
+   checkpoint hops over one base land exactly) and the cached backend's
+   block cache (invalidation on self-modifying text, interp/cached
+   agreement, restore undoing text patches). *)
 
 open Kfi_isa
 
@@ -91,7 +92,8 @@ let test_cross_snapshot_restore () =
   fill_page p 4 0x44;
   ignore (Phys.restore p ~from:snap_a);
   mem_eq "restore to A" bytes_a (contents p);
-  ignore (Phys.restore p ~from:snap_b);
+  check bool "a hop to another snapshot is a full copy" true
+    (Phys.restore p ~from:snap_b = None);
   mem_eq "cross-snapshot hop lands exactly on B" bytes_b (contents p);
   ignore (Phys.restore p ~from:snap_a);
   mem_eq "and back to A" bytes_a (contents p)
@@ -127,7 +129,6 @@ let test_disk_incremental_restore () =
   let ta = D.copy tracked and fa = D.copy full in
   for _ = 1 to 5 do write () done;
   let tb = D.copy tracked and fb = D.copy full in
-  check bool "an unchanged disk shares its last snapshot" true (D.copy tracked == tb);
   for i = 1 to 60 do
     for _ = 1 to Random.State.int rng 4 do write () done;
     check bool "writes are tracked" true
@@ -151,6 +152,44 @@ let test_disk_incremental_restore () =
          | exception Invalid_argument _ -> true);
       check int_list "nothing marked" [] (D.written_blocks tracked))
     [ -1; blocks ]
+
+(* Two checkpoints over one base, taken after random page and disk-block
+   writes, restored in random order with more writes in between: a
+   tracked machine (incremental restores) and an untracked twin (full
+   copies) must hold the same memory and disk after every restore. *)
+let test_checkpoint_hops () =
+  let rng = Random.State.make [| 7 |] in
+  let m = Testbed.make_machine () and twin = Testbed.make_machine () in
+  let b = Backend.create Backend.Cached m in
+  let phys = Machine.phys m and disk = Machine.disk m in
+  let npages = Phys.size phys / psz and nblocks = Devices.Disk.blocks disk in
+  let scribble () =
+    for _ = 0 to Random.State.int rng 6 do
+      let page = Random.State.int rng npages in
+      Phys.write8 phys ((page * psz) + Random.State.int rng psz) (Random.State.int rng 256)
+    done;
+    for _ = 1 to Random.State.int rng 3 do
+      Devices.Disk.write_block disk (Random.State.int rng nblocks)
+        (Bytes.make Devices.block_size (Char.chr (Random.State.int rng 256)))
+    done
+  in
+  let base = Backend.snapshot b in
+  let take () =
+    Backend.restore b base;
+    scribble ();
+    Machine.checkpoint m ~base
+  in
+  let ks = [| take (); take () |] in
+  let same what a b = check bool what true (Bytes.equal a b) in
+  for i = 1 to 30 do
+    scribble ();
+    let k = ks.(Random.State.int rng 2) in
+    Machine.restore_checkpoint m ~base k;
+    Machine.restore_checkpoint twin ~base k;
+    same (Printf.sprintf "hop %d: memory" i) (contents (Machine.phys twin)) (contents phys);
+    same (Printf.sprintf "hop %d: disk" i) (Devices.Disk.image (Machine.disk twin))
+      (Devices.Disk.image disk)
+  done
 
 (* ---------- the last fault's cycle ---------- *)
 
@@ -283,6 +322,7 @@ let test_checkpoint_roundtrip () =
   Phys.blit_in (Machine.phys m) ~dst:Testbed.code_base r.code;
   let b = Backend.create Backend.Cached m in
   let base = Backend.snapshot b in
+  let cycles0 = (Machine.cpu m).Cpu.cycles in
   let regs () = Array.to_list (Array.map Int32.to_int (Machine.cpu m).Cpu.regs) in
   let disk = Machine.disk m in
   for split = 1 to 12 do
@@ -292,7 +332,7 @@ let test_checkpoint_roundtrip () =
     Devices.Disk.write_block disk split (Bytes.make Devices.block_size (Char.chr split));
     let k = Machine.checkpoint m ~base in
     let disk1 = Bytes.copy (Devices.Disk.image disk) in
-    check int "checkpoint cycle" (Machine.snapshot_cycles base + split) (Machine.checkpoint_cycles k);
+    check int "checkpoint cycle" (cycles0 + split) (Machine.checkpoint_cycles k);
     let first = Backend.run b ~max_cycles:100_000 in
     let regs1 = regs () and mem1 = digest (Machine.phys m) in
     Machine.restore_checkpoint m ~base k;
@@ -419,6 +459,7 @@ let suite =
     Alcotest.test_case "snapshot carries the last fault's cycle" `Quick
       test_snapshot_last_fault_cycle;
     Alcotest.test_case "checkpoint roundtrip" `Quick test_checkpoint_roundtrip;
+    Alcotest.test_case "checkpoint hops equal full restores" `Quick test_checkpoint_hops;
     Alcotest.test_case "checkpoint drops stale decoded code" `Quick
       test_checkpoint_drops_stale_code;
     Alcotest.test_case "checkpoint keeps the TLB" `Quick test_checkpoint_keeps_tlb;

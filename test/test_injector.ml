@@ -138,7 +138,7 @@ let test_skip_hardened_map () =
       (* the reference: the hardened golden run, in full *)
       let m = Runner.machine r in
       let cpu = Kfi_isa.Machine.cpu m in
-      Kfi_isa.Machine.restore m (Runner.baselines r).(hanoi);
+      Kfi_isa.Machine.restore_checkpoint m ~base:(Runner.baseline r) (Runner.start r hanoi);
       Runner.poke_hardening r;
       let start = cpu.Kfi_isa.Cpu.cycles in
       (match Kfi_isa.Machine.run m ~max_cycles:(Runner.max_cycles r) with

@@ -20,8 +20,8 @@ let profile = Test_trace.profile
 (* matches test_journal's scale: >40 campaign-A targets, affordable *)
 let subsample = 240
 
-let tmp_dir () =
-  let d = Filename.temp_file "kfi_shard" "" in
+let tmp_dir ?(prefix = "kfi_shard") () =
+  let d = Filename.temp_file prefix "" in
   Sys.remove d;
   Unix.mkdir d 0o755;
   d
@@ -291,10 +291,11 @@ let count_ev dir ev =
    boots a kernel.  The supervisor must quarantine both shards after
    [poison_deaths] consecutive zero-progress deaths each and complete
    the campaign with every record a Harness_abort — no stall, no
-   kernel boots in any worker. *)
+   kernel boots in any worker.  The shard dir's name is not ASCII, and
+   every event line must still be JSON. *)
 let test_poison_shards_quarantined () =
   let r = Lazy.force runner and p = Lazy.force profile in
-  let dir = tmp_dir () in
+  let dir = tmp_dir ~prefix:"kfi_shard_é" () in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
@@ -317,7 +318,17 @@ let test_poison_shards_quarantined () =
       check int "two shards quarantined" 2 (count_ev dir "quarantine");
       (* exactly-once requeue per death, and only non-final deaths requeue *)
       check int "one requeue per shard" 2 (count_ev dir "requeue");
-      check int "four deaths total" 4 (count_ev dir "death"))
+      check int "four deaths total" 4 (count_ev dir "death");
+      let module Tel = Kfi_trace.Telemetry in
+      let events = List.map Tel.parse (read_events dir) in
+      check bool "the start event names the shard dir" true
+        (List.exists
+           (function
+             | Tel.Obj kvs ->
+               List.assoc_opt "ev" kvs = Some (Tel.Str "start")
+               && List.assoc_opt "dir" kvs = Some (Tel.Str dir)
+             | _ -> false)
+           events))
 
 (* A wedged worker (claims, then sleeps forever) must be heartbeat-
    killed; two consecutive wedges quarantine the shard. *)

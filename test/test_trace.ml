@@ -104,7 +104,7 @@ let test_ring_snapshot_restore () =
 let test_machine_snapshot_roundtrip () =
   let r = Lazy.force runner in
   let m = (Runner.machine r) in
-  Machine.restore m (Runner.baselines r).(0);
+  Machine.restore_checkpoint m ~base:(Runner.baseline r) (Runner.start r 0);
   let cpu = Machine.cpu m in
   Trace.set_level cpu.Cpu.trace Trace.Ring;
   Trace.clear cpu.Cpu.trace;
