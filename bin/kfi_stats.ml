@@ -94,19 +94,13 @@ let render ~header (s : Metrics.snap) =
    | Some jobs ->
      Buffer.add_string buf
        (Printf.sprintf
-          "  fleet        jobs %.0f, queue high-water %s, items %s, retries %s, \
-           requeued %s, degraded %s, heartbeat age max %s\n"
+          "  fleet        jobs %.0f, queue depth %s, items %s, retries %s\n"
           jobs
           (match Metrics.gauge s "fleet.queue_depth" with
            | Some g -> fmt_count (int_of_float g)
            | None -> "0")
           (fmt_count (c "fleet.items"))
-          (fmt_count (c "fleet.retries"))
-          (fmt_count (c "fleet.requeued"))
-          (fmt_count (c "fleet.degraded"))
-          (match Metrics.gauge s "fleet.heartbeat_age_max" with
-           | Some g -> fmt_dur g
-           | None -> "0"))
+          (fmt_count (c "fleet.retries")))
    | None -> ());
   (* supervised worker processes (kfi-campaign --workers) *)
   (match Metrics.gauge s "sup.workers" with

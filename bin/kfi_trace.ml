@@ -146,8 +146,7 @@ let dump_journal_file path =
                 (Digest.string (Marshal.to_string e [ Marshal.No_sharing ]))));
     0
 
-let run lint dump_journal fn byte bit addr workload level trace_n backend
-    _seed _subsample _jobs =
+let run lint dump_journal fn byte bit addr workload level trace_n backend =
   match (lint, dump_journal) with
   | Some path, _ -> lint_file path
   | None, Some path -> dump_journal_file path
@@ -294,23 +293,6 @@ let trace_n_arg =
 
 let backend_arg = Kfi_cli.replay_backend ()
 
-let sym_doc what =
-  Printf.sprintf
-    "Accepted for flag symmetry with the other kfi binaries; a \
-     single-injection replay has nothing to %s." what
-
-let seed_arg =
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:(sym_doc "reseed"))
-
-let subsample_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "subsample" ] ~docv:"K" ~doc:(sym_doc "subsample"))
-
-let jobs_arg =
-  Arg.(
-    value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc:(sym_doc "parallelize"))
-
 let cmd =
   Cmd.v
     (Cmd.info "kfi-trace"
@@ -318,6 +300,6 @@ let cmd =
     Term.(
       const run $ lint_arg $ dump_journal_arg $ fn_arg $ byte_arg
       $ bit_arg $ addr_arg $ workload_arg $ level_arg $ trace_n_arg
-      $ backend_arg $ seed_arg $ subsample_arg $ jobs_arg)
+      $ backend_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -14,6 +14,9 @@ dune build @lint
 echo "== tests =="
 if [ "${1:-}" = "quick" ]; then
   dune exec test/test_main.exe -- -q
+  # the ledger's own quick tests (BENCHMARK.json vs spec.ml, the compare
+  # rule); they read ../../BENCHMARK.json, so run them from their build dir
+  ALCOTEST_QUICK_TESTS=1 dune build @benchledger/runtest --force
 else
   dune runtest
 fi

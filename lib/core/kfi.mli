@@ -101,15 +101,17 @@ module Config : sig
         (** fires before every target and once more on completion *)
     jobs : int;
         (** worker domains; above 1 campaigns run on a runner fleet with
-            records and telemetry byte-identical to a serial run *)
+            records and telemetry byte-identical to a serial run.  The
+            fleet stops on the first failure (resume from [journal]);
+            [supervisor] is the mode that survives a lost worker *)
     journal : Kfi_injector.Journal.t option;
         (** crash-safe checkpointing: completed injections are appended
             (fsync'd) as they finish; entries loaded by
             [Journal.open_ ~resume:true] are replayed instead of re-run,
             so a killed campaign resumes with byte-identical output *)
     policy : Kfi_injector.Fleet.policy;
-        (** per-injection wall-clock deadline, retry/backoff/quarantine
-            and fleet degraded-mode knobs *)
+        (** per-injection wall-clock deadline and retry/backoff/
+            quarantine knobs *)
     metrics : Kfi_obs.Metrics.t option;
         (** observability registry threaded to the runner(s), fleet and
             journal (phase spans, throughput counters, fsync stalls).

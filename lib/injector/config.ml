@@ -60,8 +60,7 @@ type t = {
          (fsync'd) as they finish, and entries already present — loaded
          by [Journal.open_ ~resume:true] — are skipped on re-run *)
   policy : Fleet.policy;
-      (* per-injection deadline / retry / quarantine and fleet
-         degraded-mode knobs *)
+      (* per-injection deadline / retry / quarantine knobs *)
   metrics : Kfi_obs.Metrics.t option;
       (* observability registry threaded to the runner(s), fleet and
          journal: phase spans, throughput counters, stall histograms.

@@ -55,7 +55,9 @@ type t = {
   jobs : int;
       (** worker domains; above 1 the campaign runs on a {!Fleet} and the
           records (and telemetry event stream) are byte-identical to a
-          [jobs = 1] run with the same seed *)
+          [jobs = 1] run with the same seed.  The fleet is fail-stop:
+          a worker failure ends the run, which resumes from [journal];
+          surviving lost workers is [supervisor]'s job *)
   journal : Journal.t option;
       (** crash-safe checkpointing: every completed injection is appended
           (fsync'd) to the journal as it finishes, and targets whose
@@ -63,8 +65,8 @@ type t = {
           replayed instead of re-run — a SIGKILL'd campaign restarted
           with the same config produces byte-identical output *)
   policy : Fleet.policy;
-      (** per-injection wall-clock deadline, retry/backoff/quarantine,
-          and fleet heartbeat knobs (see {!Fleet.policy}) *)
+      (** per-injection wall-clock deadline and retry/backoff/quarantine
+          knobs (see {!Fleet.policy}) *)
   metrics : Kfi_obs.Metrics.t option;
       (** observability registry threaded to the runner(s), fleet and
           journal (phase-span histograms, throughput counters, fsync

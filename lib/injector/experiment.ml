@@ -263,35 +263,11 @@ let run_targets ?(config = Config.default) ?fleet runner profile campaign
         }
     | _ -> ()
   in
-  let on_degraded =
-    match telemetry with
-    | None -> None
-    | Some tm ->
-      Some
-        (fun ~reason ~jobs_left ->
-          Telemetry.event tm "fleet_degraded"
-            [ ("campaign", Telemetry.Str letter);
-              ("reason", Telemetry.Str reason);
-              ("jobs_left", Telemetry.Int jobs_left);
-            ])
-  in
   let results =
     if jobs <= 1 then
       Array.mapi
         (fun i it ->
-          let res =
-            try Fleet.run_item_safe ~policy runner it
-            with Fleet.Worker_killed msg ->
-              (* no worker domain to lose on the serial path: quarantine *)
-              {
-                Fleet.res_outcome =
-                  Outcome.Harness_abort
-                    { ha_reason = "worker killed: " ^ msg; ha_retries = 0 };
-                res_cycles = 0;
-                res_predicted = false;
-                res_retries = 0;
-              }
-          in
+          let res = Fleet.run_item_safe ~policy runner it in
           journal_append i it res;
           emit i it res;
           res)
@@ -305,7 +281,7 @@ let run_targets ?(config = Config.default) ?fleet runner profile campaign
         | None -> Fleet.create ~jobs runner
       in
       Fleet.run ~jobs ~policy ?metrics ~on_result:emit
-        ~on_complete:journal_append ?on_degraded pool items
+        ~on_complete:journal_append pool items
     end
   in
   (* completion tick: per-target ticks report the count *before* each

@@ -81,10 +81,12 @@ val run_campaign :
     restarted over a [Journal.open_ ~resume:true] handle produces
     byte-identical records, CSV, progress ticks and telemetry.
     [config.policy] adds per-injection wall-clock deadlines, retry with
-    backoff, quarantine as {!Outcome.Harness_abort}, and
-    fleet degraded mode (see {!Fleet.policy}); progress ticks fire once
-    per target plus a final 100% tick in every path, including when all
-    targets were pruned or journal-skipped. *)
+    backoff and quarantine as {!Outcome.Harness_abort} (see
+    {!Fleet.policy}); progress ticks fire once per target plus a final
+    100% tick in every path, including when all targets were pruned or
+    journal-skipped.  An exception from a worker domain (say, a failed
+    journal append) stops a [jobs > 1] run and is re-raised here; the
+    journal holds every injection completed before it. *)
 
 val run_all :
   ?config:Config.t ->

@@ -2,34 +2,20 @@
 
     A fleet is a pool of {!Runner.t}s — the caller's primary runner plus
     extra ones booted on demand — each owned exclusively by one worker
-    domain during a run.  Workers claim index ranges from a shared chunk
-    queue (mutex + condition, no external dependencies); the calling
+    domain during a run.  Workers claim the next index under the fleet's
+    lock (mutex + condition, no external dependencies); the calling
     domain collects results and surfaces them in serial target order, so
     a consumer that emits telemetry or progress from {!run}'s
     [on_result] sees exactly the event sequence of a single-runner run.
 
-    A {!policy} makes the run survive harness faults the way the paper's
-    hardware-watchdog loop survived losing its test machine (Figures
-    2/3): per-injection wall-clock deadlines, retry with exponential
-    backoff, quarantine of persistent offenders as
-    {!Outcome.Harness_abort}, and fleet degraded mode — dead or wedged
-    worker domains are detected, their unfinished work requeued exactly
-    once, and the run completes at reduced parallelism. *)
-
-(** A concurrent claim-once index queue: [claim] hands out the ranges
-    [[0, chunk)], [[chunk, 2*chunk)], … of [[0, total)] exactly once
-    across any number of domains. *)
-module Chunks : sig
-  type t
-
-  val create : ?chunk:int -> int -> t
-  (** [create ~chunk total]; [chunk] defaults to 1.
-      @raise Invalid_argument if [chunk < 1] or [total < 0]. *)
-
-  val claim : t -> (int * int) option
-  (** The next unclaimed [(lo, hi)] range ([hi] exclusive), or [None]
-      when the queue is drained. *)
-end
+    A {!policy} makes each injection survive harness faults the way the
+    paper's hardware-watchdog loop survived losing its test machine
+    (Figures 2/3): per-injection wall-clock deadlines, retry with
+    exponential backoff, and quarantine of persistent offenders as
+    {!Outcome.Harness_abort}.  The pool itself is fail-stop: the first
+    exception on any domain stops the run.  Surviving a dead or wedged
+    worker is the shard supervisor's job ([kfi-campaign --workers N]),
+    which can kill a process where OCaml cannot kill a domain. *)
 
 (** One unit of planned work.  Planning (workload choice, oracle
     resolution, journal replay) is serial and machine-independent; items
@@ -60,7 +46,6 @@ and result = {
 type chaos =
   | Chaos_raise of string  (** the runner raises mid-injection *)
   | Chaos_wedge_ms of int  (** the worker stalls before the injection *)
-  | Chaos_kill of string  (** the whole worker domain dies *)
 
 type policy = {
   deadline_ms : int option;
@@ -73,16 +58,13 @@ type policy = {
       (** fractional spread of each delay, in [0, 1): a delay lands
           deterministically in [base * (1 ± jitter)] (see
           {!backoff_delay_ms}) so concurrent retries desynchronize *)
-  heartbeat_s : float;
-      (** a worker silent this long while holding a claimed range is
-          declared wedged and its work requeued *)
   chaos : (attempt:int -> Target.t -> chaos option) option;
       (** fault-injection hook consulted before every attempt *)
 }
 
 val default_policy : policy
 (** No deadline, 1 retry, 10 ms backoff base (10 s cap, 0.1 jitter),
-    30 s heartbeat, no chaos. *)
+    no chaos. *)
 
 val backoff_delay_ms : policy:policy -> attempt:int -> salt:int -> float
 (** The delay before retry [attempt] (1-based; [attempt < 1] is 0):
@@ -93,23 +75,16 @@ val backoff_delay_ms : policy:policy -> attempt:int -> salt:int -> float
     between attempts (salted by the target) and by the shard
     supervisor between worker restarts (salted by the worker slot). *)
 
-exception Worker_killed of string
-(** Raised by {!Chaos_kill}: kills the worker domain (its work is
-    requeued) rather than being retried. *)
-
-val run_item : Runner.t -> item -> result
-(** Execute one item on the given runner (or resolve it statically /
-    from the journal), capturing the runner's cycle count.  No retry
-    policy: runner exceptions propagate. *)
-
 val run_item_safe : ?policy:policy -> Runner.t -> item -> result
-(** {!run_item} under a {!policy}: each attempt gets a fresh wall-clock
-    deadline; a deadline miss or runner exception is retried with
-    exponential backoff (the second and later retries boot a fresh
-    runner); a target still failing after [policy.retries] retries is
-    quarantined as {!Outcome.Harness_abort} with the last failure
-    reason.  Only {!Worker_killed} escapes.  The serial campaign path
-    and the fleet's workers share this. *)
+(** Execute one item on the given runner under a {!policy}, or resolve
+    it statically / from the journal without touching a machine.  Each
+    attempt gets a fresh wall-clock deadline; a deadline miss or runner
+    exception is retried with exponential backoff (the second and later
+    retries boot a fresh runner); a target still failing after
+    [policy.retries] retries is quarantined as {!Outcome.Harness_abort}
+    with the last failure reason; a failed attempt never escapes as an
+    exception.  The serial campaign path, the fleet's workers and the
+    shard workers share this. *)
 
 val ran_on_given_runner : result -> bool
 (** For a result of [run_item_safe r it] that ran a machine: whether [r]
@@ -126,53 +101,46 @@ val create : ?jobs:int -> Runner.t -> t
     booted runners (created concurrently, one domain each). *)
 
 val ensure : t -> jobs:int -> unit
-(** Grow the pool to at least [jobs] runners (no-op if already there).
-    Also how a pool shrunk by degraded mode is respawned. *)
+(** Grow the pool to at least [jobs] runners (no-op if already there). *)
 
 val size : t -> int
 val primary : t -> Runner.t
 
 val run :
   ?jobs:int ->
-  ?chunk:int ->
   ?policy:policy ->
   ?metrics:Kfi_obs.Metrics.t ->
   ?on_result:(int -> item -> result -> unit) ->
   ?on_complete:(int -> item -> result -> unit) ->
-  ?on_degraded:(reason:string -> jobs_left:int -> unit) ->
   t ->
   item array ->
   result array
-(** Execute every item, using up to [jobs] runners (default: the whole
-    pool), claiming [chunk]-sized ranges (default 1) from a shared
-    queue.  Every worker first inherits the primary runner's hardening
-    and trace level.
+(** Execute every item with {!run_item_safe} on [jobs] worker domains
+    (default: the whole pool; clamped to [1 .. size]), each claiming the
+    next index in turn.  Every runner in the pool first takes the
+    primary's hardening, trace level and backend, even for an empty
+    [items].
 
-    [on_result] is invoked on the calling domain, in strict index order
-    (0, 1, 2, …) — not completion order — and outside the fleet's lock.
     [on_complete] is invoked on the {e worker} domain the moment an item
-    finishes, in completion order — this is the journal's append hook,
-    so completed work is durable before the (ordered) collector gets to
-    it.  The returned array is indexed like [items].
+    finishes, in completion order and before the result is stored —
+    this is the journal's append hook, so completed work is durable
+    before the (ordered) collector gets to it.  [on_result] is invoked
+    on the calling domain, in strict index order (0, 1, 2, …) — not
+    completion order — and outside the fleet's lock.  The returned
+    array is indexed like [items].
 
-    Outcomes are independent of [jobs], [chunk] and scheduling: runners
-    boot deterministically and each injection restores a snapshot.
+    Outcomes are independent of [jobs] and scheduling: runners boot
+    deterministically and each injection restores a snapshot.
+
+    Fail-stop: the first exception on any domain ([on_complete] on a
+    worker, [on_result] on the collector) stops further claims; every
+    worker domain is joined and the exception is re-raised with its
+    backtrace.  Items whose [on_complete] already returned are in the
+    journal, so a journaled campaign resumes from them.
 
     [metrics] attaches an observability registry for the run: each
     worker gets a forked child (fed its runner's phase spans plus
     [fleet.items] / [fleet.workerN.items] / [fleet.retries] counters),
-    and the fleet itself maintains the [fleet.jobs] /
-    [fleet.queue_depth] / [fleet.heartbeat_age_max] gauges and the
-    [fleet.requeued] / [fleet.degraded] counters.  Pure observation:
-    results are byte-identical with or without it.
-
-    Degraded mode: a worker that dies ({!Worker_killed}, or any
-    exception escaping {!run_item_safe}) or stops heartbeating for
-    [policy.heartbeat_s] has its claimed-but-unfinished range requeued
-    exactly once (a second death on the same range quarantines the
-    remainder), the pool shrinks, and [on_degraded] fires on the calling
-    domain with a reason and the remaining worker count.  If every
-    worker is lost, the collector finishes the remaining items inline.
-    An exception in [on_result]/[on_degraded] (collector side) still
-    stops the fleet and is re-raised after the worker domains are
-    joined. *)
+    and the fleet itself maintains the [fleet.jobs] and
+    [fleet.queue_depth] (unclaimed items) gauges.  Pure observation:
+    results are byte-identical with or without it. *)

@@ -375,8 +375,7 @@ let update_gauges t =
 
 let inline_fallback t runner =
   (* every worker slot is dead and out of restart budget, but shards
-     remain: finish them in-process rather than stall the campaign —
-     the same degraded-mode philosophy as the domain fleet *)
+     remain: finish them in-process rather than stall the campaign *)
   List.iter
     (fun ss ->
       if ss.status = Pending then begin

@@ -25,7 +25,6 @@ module J = Kfi_injector.Journal
 module Fleet = Kfi_injector.Fleet
 module Runner = Kfi_injector.Runner
 module Target = Kfi_injector.Target
-module Outcome = Kfi_injector.Outcome
 
 type chaos = { poison : int list; wedge : int list; die_after : int option }
 
@@ -70,20 +69,7 @@ let run_shard ~runner ~policy ~fingerprint ~dir ~campaign
                 it_done = None;
               }
             in
-            let res =
-              try Fleet.run_item_safe ~policy runner item
-              with Fleet.Worker_killed msg ->
-                (* a worker process has no sibling domain to sacrifice:
-                   quarantine the injection and keep the shard going *)
-                {
-                  Fleet.res_outcome =
-                    Outcome.Harness_abort
-                      { ha_reason = "worker killed: " ^ msg; ha_retries = 0 };
-                  res_cycles = 0;
-                  res_predicted = false;
-                  res_retries = 0;
-                }
-            in
+            let res = Fleet.run_item_safe ~policy runner item in
             let entry =
               {
                 J.e_campaign = campaign;

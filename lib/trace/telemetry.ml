@@ -211,7 +211,6 @@ let schema =
       ] );
     ( "campaign_end",
       [ "campaign"; "targets"; "run"; "pruned"; "activated"; "aborted" ] );
-    ("fleet_degraded", [ "campaign"; "reason"; "jobs_left" ]);
   ]
 
 let field obj k = match obj with Obj fs -> List.assoc_opt k fs | _ -> None

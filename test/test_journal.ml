@@ -1,6 +1,6 @@
 (* Crash-safe campaign tests: the CRC-framed journal (round trip, torn
-   tails, fingerprints), the retry/quarantine policy, degraded fleet
-   mode, and the headline robustness property: a campaign killed
+   tails, fingerprints), the retry/quarantine policy, the fail-stop
+   fleet, and the headline robustness property: a campaign killed
    mid-run and resumed from its journal produces records, CSV, JSONL
    and progress ticks identical to an uninterrupted run. *)
 
@@ -415,74 +415,40 @@ let test_kill_resume_determinism () =
   Journal.close j3;
   Sys.remove path
 
-(* ----- degraded fleet mode ----- *)
+(* ----- the fail-stop fleet ----- *)
 
-(* One worker domain is killed mid-campaign; the fleet must requeue its
-   work, finish at reduced parallelism, surface a degradation event and
-   lose zero records. *)
-let test_degraded_fleet_loses_nothing () =
-  let base_records, _, base_ticks = run_a () in
-  let killed = Atomic.make false in
-  let policy =
-    {
-      Fleet.default_policy with
-      Fleet.chaos =
-        Some
-          (fun ~attempt:_ _ ->
-            if Atomic.compare_and_set killed false true then
-              Some (Fleet.Chaos_kill "chaos: worker domain shot")
-            else None);
-    }
-  in
-  let records, jsonl, ticks = run_a ~policy ~jobs:2 () in
-  check bool "one worker was killed" true (Atomic.get killed);
-  check bool "records identical despite a dead worker" true
-    (base_records = records);
-  check bool "CSV identical despite a dead worker" true
-    (String.equal (Experiment.to_csv base_records) (Experiment.to_csv records));
-  check (Alcotest.list (Alcotest.pair int int)) "ticks identical" base_ticks
-    ticks;
-  check bool "degradation event emitted" true
-    (Test_analysis.contains jsonl "fleet_degraded");
-  check bool "event names the death" true
-    (Test_analysis.contains jsonl "worker domain shot");
-  (* a wedged worker is declared lost after [heartbeat_s] of silence; the
-     reason names that budget, never the measured silence, since it can
-     reach a quarantined record's CSV row *)
+(* A worker whose journal append fails stops the whole run: the
+   exception reaches the caller once every domain is joined, nothing is
+   requeued, and the pool stays usable — a second run over the same
+   items gives the serial results. *)
+let test_fleet_stops_on_worker_failure () =
   let r = Lazy.force runner in
-  let real = first_real_item () in
+  let targets =
+    Target.enumerate (Runner.build r) ~campaign:Target.A ~seed:1 [ "schedule" ]
+  in
   let items =
-    Array.init 4 (fun i ->
-        if i = 0 then real
-        else { real with Fleet.it_predicted = Some Outcome.Not_manifested })
+    Array.init 12 (fun i ->
+        {
+          Fleet.it_target = List.nth targets i;
+          it_workload = 0;
+          it_predicted =
+            (if i mod 4 = 0 then None else Some Outcome.Not_manifested);
+          it_done = None;
+        })
   in
-  let wedged = Atomic.make false and item0_runs = Atomic.make 0 in
-  let policy =
-    {
-      Fleet.default_policy with
-      Fleet.heartbeat_s = 0.2;
-      chaos =
-        Some
-          (fun ~attempt:_ _ ->
-            if Atomic.compare_and_set wedged false true then
-              Some (Fleet.Chaos_wedge_ms 1000)
-            else None);
-    }
+  let pool = Fleet.create ~jobs:2 r in
+  let calls = Atomic.make 0 and completed = Atomic.make 0 in
+  let on_complete _ _ _ =
+    if Atomic.fetch_and_add calls 1 = 4 then failwith "journal: disk full";
+    Atomic.incr completed
   in
-  let reasons = ref [] in
-  let results =
-    Fleet.run ~policy
-      ~on_complete:(fun i _ _ -> if i = 0 then Atomic.incr item0_runs)
-      ~on_degraded:(fun ~reason ~jobs_left:_ -> reasons := reason :: !reasons)
-      (Fleet.create ~jobs:2 r) items
-  in
-  (* the wedged domain is left unjoined: let it finish its late run of
-     item 0 before its runner is used again *)
-  while !reasons <> [] && Atomic.get item0_runs < 2 do Unix.sleepf 0.01 done;
-  check (Alcotest.list string) "wedge reason names the budget"
-    [ "worker wedged: no heartbeat for 0.20s" ] !reasons;
-  check bool "rescued outcome is the real one" true
-    (results.(0).Fleet.res_outcome = (Fleet.run_item r real).Fleet.res_outcome)
+  Alcotest.check_raises "the worker's exception reaches the caller"
+    (Failure "journal: disk full") (fun () ->
+      ignore (Fleet.run ~on_complete pool items));
+  check bool "the run stopped early" true
+    (Atomic.get completed < Array.length items);
+  check bool "same pool, second run = serial results" true
+    (Fleet.run pool items = Array.map (Fleet.run_item_safe r) items)
 
 (* ----- harness abort, end to end -----
 
@@ -568,6 +534,6 @@ let suite =
       test_deadline_quarantines_wedge;
     Alcotest.test_case "kill/resume determinism (records, CSV, JSONL, ticks)"
       `Slow test_kill_resume_determinism;
-    Alcotest.test_case "degraded fleet loses nothing" `Slow
-      test_degraded_fleet_loses_nothing;
+    Alcotest.test_case "fleet stops on a worker failure" `Slow
+      test_fleet_stops_on_worker_failure;
   ]

@@ -1,8 +1,7 @@
-(* Parallel-fleet tests: the claim-once chunk queue under concurrent
-   domains, the Config record defaults, ordered collection through
-   Fleet.run, and the headline determinism property: a jobs:4 campaign
-   produces records, CSV, telemetry JSONL (timing fields aside) and
-   progress ticks identical to the serial run. *)
+(* Parallel-fleet tests: the Config record defaults, ordered collection
+   through Fleet.run, and the headline determinism property: a jobs:4
+   campaign produces records, CSV, telemetry JSONL and progress ticks
+   identical to the serial run. *)
 
 open Kfi_injector
 module Telemetry = Kfi_trace.Telemetry
@@ -14,57 +13,6 @@ let bool = Alcotest.bool
 (* share the booted runner and profile with the other test modules *)
 let runner = Test_injector.runner
 let profile = Test_trace.profile
-
-(* ----- the chunk queue ----- *)
-
-let test_chunks_shapes () =
-  let q = Fleet.Chunks.create ~chunk:4 10 in
-  check (Alcotest.option (Alcotest.pair int int)) "first" (Some (0, 4))
-    (Fleet.Chunks.claim q);
-  check (Alcotest.option (Alcotest.pair int int)) "second" (Some (4, 8))
-    (Fleet.Chunks.claim q);
-  check (Alcotest.option (Alcotest.pair int int)) "ragged tail" (Some (8, 10))
-    (Fleet.Chunks.claim q);
-  check (Alcotest.option (Alcotest.pair int int)) "drained" None
-    (Fleet.Chunks.claim q);
-  check (Alcotest.option (Alcotest.pair int int)) "stays drained" None
-    (Fleet.Chunks.claim q);
-  (* empty queue and bad arguments *)
-  check (Alcotest.option (Alcotest.pair int int)) "empty" None
-    (Fleet.Chunks.claim (Fleet.Chunks.create 0));
-  Alcotest.check_raises "chunk 0 rejected"
-    (Invalid_argument "Fleet.Chunks.create: chunk must be >= 1") (fun () ->
-      ignore (Fleet.Chunks.create ~chunk:0 5));
-  Alcotest.check_raises "negative total rejected"
-    (Invalid_argument "Fleet.Chunks.create: negative total") (fun () ->
-      ignore (Fleet.Chunks.create (-1)))
-
-(* four domains hammering one queue: every index claimed exactly once *)
-let test_chunks_claimed_exactly_once () =
-  let n = 4096 in
-  let q = Fleet.Chunks.create ~chunk:3 n in
-  let claimer () =
-    let rec loop acc =
-      match Fleet.Chunks.claim q with
-      | None -> acc
-      | Some r -> loop (r :: acc)
-    in
-    loop []
-  in
-  let domains = Array.init 4 (fun _ -> Domain.spawn claimer) in
-  let ranges = Array.to_list domains |> List.concat_map Domain.join in
-  let covered = Array.make n 0 in
-  List.iter
-    (fun (lo, hi) ->
-      check bool "range in bounds" true (0 <= lo && lo < hi && hi <= n);
-      for i = lo to hi - 1 do
-        covered.(i) <- covered.(i) + 1
-      done)
-    ranges;
-  Array.iteri
-    (fun i c ->
-      if c <> 1 then Alcotest.failf "index %d claimed %d times" i c)
-    covered
 
 (* ----- Config ----- *)
 
@@ -109,7 +57,7 @@ let test_facade_resolves_oracle () =
 
 (* ----- Fleet.run collection order ----- *)
 
-(* An all-predicted plan needs no machine, so this exercises the queue +
+(* An all-predicted plan needs no machine, so this exercises the claim +
    collector machinery in isolation: results arrive via on_result in
    strict index order, with zero timing and res_predicted set. *)
 let test_fleet_ordered_collection () =
@@ -133,7 +81,7 @@ let test_fleet_ordered_collection () =
   let seen = ref [] in
   let results =
     (* jobs above the pool size must clamp, not crash *)
-    Fleet.run ~jobs:5 ~chunk:7
+    Fleet.run ~jobs:5
       ~on_result:(fun i _ res ->
         seen := i :: !seen;
         check bool "predicted" true res.Fleet.res_predicted;
@@ -189,9 +137,6 @@ let test_jobs4_identical_to_serial () =
 
 let suite =
   [
-    Alcotest.test_case "chunk queue shapes" `Quick test_chunks_shapes;
-    Alcotest.test_case "chunk queue: claimed exactly once (4 domains)" `Quick
-      test_chunks_claimed_exactly_once;
     Alcotest.test_case "Config.default fields" `Quick test_config_default_fields;
     Alcotest.test_case "facade resolves oracle once" `Quick
       test_facade_resolves_oracle;
