@@ -1,141 +1,60 @@
-(* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation from a fresh fault-injection study, and runs a
-   Bechamel micro-benchmark suite for the simulator substrate.
+(* The paper's evaluation: regenerates every table and figure from a
+   fresh fault-injection study, plus the extension experiments that vary
+   what the injection ledger (benchledger/) keeps fixed: the interface
+   assertions, the fault model, the static oracle, the trace level and
+   the metrics plane.  The study's speed is measured by the ledger.
 
    Usage:
      bench/main.exe                 # everything, scaled-down campaigns
      bench/main.exe table1 fig4     # selected experiments
      bench/main.exe --subsample 3   # denser sweep
-     bench/main.exe perf            # simulator micro-benchmarks only
+     bench/main.exe obs --max-overhead-pct 5   # exit 1 above 5% overhead
 
    Experiment ids: table1 fig1 table4 fig4 table5 fig6 fig7 fig8 ablation regcmp
-   oracle trace parallel journal obs backend perf *)
+   oracle trace obs.  Any other argument exits 2. *)
+
+let ids =
+  [ "table1"; "fig1"; "table4"; "fig4"; "table5"; "fig6"; "fig7"; "fig8"; "ablation";
+    "regcmp"; "oracle"; "trace"; "obs" ]
 
 let header title =
   Printf.printf "\n%s\n%s\n%s\n\n" (String.make 78 '=') title (String.make 78 '=')
 
-(* ---------- Bechamel micro-benchmarks of the substrate ---------- *)
-
-let bechamel_suite () =
-  let open Bechamel in
-  let open Toolkit in
-  let disk_image = lazy (Kfi.Fsimage.Mkfs.create (Kfi.Workload.Progs.fs_files ())) in
-  (* boot once, snapshot; measure restore+run-to-completion of a workload *)
-  let boot_test =
-    Test.make ~name:"boot-to-snapshot"
-      (Staged.stage (fun () ->
-           let m, _ =
-             Kfi.Kernel.Build.boot_machine ~disk_image:(Lazy.force disk_image) ()
-           in
-           match Kfi.Isa.Machine.run m ~max_cycles:10_000_000 with
-           | Kfi.Isa.Machine.Snapshot_point -> ()
-           | _ -> failwith "boot failed"))
+(* The wanted ids (all of them when none is given), --subsample and
+   --max-overhead-pct; any other argument is a usage error. *)
+let parse_args args =
+  let usage bad =
+    Printf.eprintf
+      "bench: bad argument %S\n\
+       usage: main.exe [ID...] [--subsample N] [--max-overhead-pct P]\n\
+       ids: %s\n"
+      bad (String.concat " " ids);
+    exit 2
   in
-  let mkfs_test =
-    Test.make ~name:"mkfs"
-      (Staged.stage (fun () -> ignore (Kfi.Fsimage.Mkfs.create (Kfi.Workload.Progs.fs_files ()))))
+  let rec go wanted subsample cap = function
+    | [] -> ((if wanted = [] then ids else wanted), subsample, cap)
+    | ("--subsample" as flag) :: v :: tl -> (
+      match int_of_string_opt v with
+      | Some n when n > 0 -> go wanted n cap tl
+      | _ -> usage (flag ^ " " ^ v))
+    | ("--max-overhead-pct" as flag) :: v :: tl -> (
+      match float_of_string_opt v with
+      | Some p -> go wanted subsample (Some p) tl
+      | None -> usage (flag ^ " " ^ v))
+    | id :: tl when List.mem id ids -> go (id :: wanted) subsample cap tl
+    | bad :: _ -> usage bad
   in
-  let fsck_test =
-    let img = Kfi.Fsimage.Mkfs.create (Kfi.Workload.Progs.fs_files ()) in
-    Test.make ~name:"fsck"
-      (Staged.stage (fun () -> ignore (Kfi.Fsimage.Fsck.check img)))
-  in
-  let kernel_build_test =
-    Test.make ~name:"assemble-kernel"
-      (Staged.stage (fun () -> ignore (Kfi.Kernel.Build.build_fresh ())))
-  in
-  let exec_test =
-    (* raw interpreter speed: a tight arithmetic loop on the bare machine *)
-    Test.make ~name:"interpret-100k-insns"
-      (Staged.stage (fun () ->
-           let open Kfi.Isa in
-           let disk = Devices.Disk.create ~blocks:4 in
-           let m = Machine.create ~phys_size:(1024 * 1024) ~idt_base:0x2000 ~disk () in
-           let phys = Machine.phys m in
-           (* identity page table for the first 4 MB *)
-           Phys.write32 phys 0x1000 (Int32.of_int (0x3000 lor 0x3));
-           for i = 0 to 1023 do
-             Phys.write32 phys (0x3000 + (i * 4)) (Int32.of_int ((i * 4096) lor 0x3))
-           done;
-           let code =
-             Kfi.Asm.Assembler.assemble ~base:0x10000l
-               [
-                 Kfi.Asm.Assembler.Ins (Insn.Mov_ri (Insn.ecx, 25000l));
-                 Kfi.Asm.Assembler.Label "loop";
-                 Kfi.Asm.Assembler.Ins (Insn.Alu_rm_i8 (Insn.Add, Insn.Reg Insn.eax, 1l));
-                 Kfi.Asm.Assembler.Ins (Insn.Dec_r Insn.ecx);
-                 Kfi.Asm.Assembler.Ins (Insn.Test_rm_r (Insn.Reg Insn.ecx, Insn.ecx));
-                 Kfi.Asm.Assembler.Jcc_sym (Insn.NE, "loop");
-                 Kfi.Asm.Assembler.Ins Insn.Hlt;
-               ]
-           in
-           Phys.blit_in phys ~dst:0x10000 code.Kfi.Asm.Assembler.code;
-           let cpu = Machine.cpu m in
-           cpu.Cpu.cr3 <- 0x1000l;
-           cpu.Cpu.eip <- 0x10000l;
-           cpu.Cpu.regs.(Insn.esp) <- 0x80000l;
-           ignore (Machine.run m ~max_cycles:200_000)))
-  in
-  let tests =
-    Test.make_grouped ~name:"kfi"
-      [ exec_test; mkfs_test; fsck_test; kernel_build_test; boot_test ]
-  in
-  let benchmark () =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-    in
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 100) () in
-    let raw = Benchmark.all cfg instances tests in
-    let results =
-      List.map (fun instance -> Analyze.all ols instance raw) instances
-    in
-    Analyze.merge ols instances results
-  in
-  let results = benchmark () in
-  Hashtbl.iter
-    (fun _clock tbl ->
-      Hashtbl.iter
-        (fun name res ->
-          match Bechamel.Analyze.OLS.estimates res with
-          | Some [ est ] -> Printf.printf "  %-28s %12.0f ns/run\n" name est
-          | _ -> Printf.printf "  %-28s (no estimate)\n" name)
-        tbl)
-    results
-
-(* ---------- the study ---------- *)
+  go [] 12 None args
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let subsample =
-    let rec find = function
-      | "--subsample" :: v :: _ -> int_of_string v
-      | _ :: tl -> find tl
-      | [] -> 12
-    in
-    find args
-  in
-  let wanted =
-    List.filter (fun a -> String.length a > 0 && a.[0] <> '-') args
-    |> function
-    | [] ->
-      [ "table1"; "fig1"; "table4"; "fig4"; "table5"; "fig6"; "fig7"; "fig8"; "ablation";
-        "regcmp"; "oracle"; "trace"; "parallel"; "journal"; "obs"; "backend"; "perf" ]
-    | l -> l
+  let wanted, subsample, max_overhead_pct =
+    parse_args (List.tl (Array.to_list Sys.argv))
   in
   let want x = List.mem x wanted in
-  let max_overhead_pct =
-    let rec find = function
-      | "--max-overhead-pct" :: v :: _ -> Some (float_of_string v)
-      | _ :: tl -> find tl
-      | [] -> None
-    in
-    find args
-  in
   let need_study =
     List.exists want
       [ "table1"; "fig4"; "table5"; "fig6"; "fig7"; "fig8"; "ablation"; "regcmp"; "oracle";
-        "trace"; "parallel"; "journal"; "obs"; "backend" ]
+        "trace"; "obs" ]
   in
   if need_study then begin
     Printf.eprintf "bench: booting kernel, golden runs, profiling...\n%!";
@@ -426,94 +345,6 @@ let () =
         \ the ring level buys every crash a propagation path, full adds machine\n\
         \ events — the price of always-on forensics)\n"
     end;
-    if want "parallel" then begin
-      header "Extension — parallel campaign fleet (campaign A, j worker domains)";
-      (* wall-clock, not Sys.time: domains burn CPU seconds in parallel *)
-      let now () = Unix.gettimeofday () in
-      let sub = subsample * 5 in
-      let js = [ 1; 2; 4; 8 ] in
-      Printf.eprintf "bench: booting a fleet of %d runners...\n%!"
-        (List.fold_left max 1 js);
-      let t0 = now () in
-      ignore (Kfi.Study.fleet study ~jobs:(List.fold_left max 1 js));
-      Printf.printf "fleet boot (%d extra runners)        %6.2f s\n"
-        (List.fold_left max 1 js - 1)
-        (now () -. t0);
-      let baseline = ref None in
-      List.iter
-        (fun jobs ->
-          Printf.eprintf "bench: campaign A at -j %d...\n%!" jobs;
-          let t0 = now () in
-          let records =
-            Kfi.Study.run_campaign
-              ~config:(Kfi.Config.make ~subsample:sub ~jobs ())
-              study Kfi.Campaign.A
-          in
-          let dt = now () -. t0 in
-          let csv = Kfi.Study.to_csv records in
-          let t1, identical =
-            match !baseline with
-            | None ->
-              baseline := Some (dt, csv);
-              (dt, true)
-            | Some (t1, c1) -> (t1, String.equal csv c1)
-          in
-          Printf.printf
-            "-j %d  %6d experiments in %6.2f s  (%4.2fx vs -j 1, CSV %s)\n" jobs
-            (List.length records) dt (t1 /. dt)
-            (if identical then "byte-identical" else "DIFFERS"))
-        js;
-      Printf.printf
-        "(host has %d cores; speedup saturates at the hardware — the records and\n\
-        \ CSV are byte-identical at every j by construction: planning is serial,\n\
-        \ runners boot deterministically, results merge in serial order)\n"
-        (Domain.recommended_domain_count ())
-    end;
-    if want "journal" then begin
-      header
-        "Extension — crash-safe campaign journal (campaign A: off / on / resume)";
-      let module Journal = Kfi.Injector.Journal in
-      let now () = Unix.gettimeofday () in
-      let path = Filename.temp_file "kfi_bench_journal" ".kj" in
-      let sweep ?journal tag =
-        Printf.eprintf "bench: campaign A, journal %s...\n%!" tag;
-        let t0 = now () in
-        let records =
-          Kfi.Study.run_campaign
-            ~config:(Kfi.Config.make ~subsample ?journal ())
-            study Kfi.Campaign.A
-        in
-        (records, now () -. t0)
-      in
-      let base, t_off = sweep "off" in
-      let j = Journal.open_ path in
-      let on_, t_on = sweep ~journal:j "on" in
-      Journal.close j;
-      let j2 = Journal.open_ ~resume:true path in
-      let skipped = Journal.loaded j2 in
-      let replay, t_replay = sweep ~journal:j2 "resume (full replay)" in
-      let reran = Journal.appended j2 in
-      Journal.close j2;
-      Sys.remove path;
-      let n = List.length base in
-      Printf.printf "journal off     %6d experiments in %6.2f s\n" n t_off;
-      Printf.printf
-        "journal on      %6d experiments in %6.2f s  (%+5.1f%% — one fsync per \
-         injection)\n"
-        (List.length on_) t_on
-        (100. *. (t_on -. t_off) /. t_off);
-      Printf.printf
-        "resume replay   %6d experiments in %6.2f s  (%d skipped from the \
-         journal, %d re-run)\n"
-        (List.length replay) t_replay skipped reran;
-      let same = Kfi.Study.to_csv base in
-      Printf.printf
-        "CSV %s across off / on / resume\n"
-        (if String.equal same (Kfi.Study.to_csv on_)
-            && String.equal same (Kfi.Study.to_csv replay)
-         then "byte-identical"
-         else "DIFFERS (BUG)")
-    end;
     if want "obs" then begin
       header
         "Extension — observability plane (campaign A: metrics off / on, phase \
@@ -618,81 +449,6 @@ let () =
       | Some cap ->
         Printf.printf "overhead %.1f%% within the %.1f%% cap\n" overhead_pct cap
       | None -> ()
-    end;
-    if want "backend" then begin
-      header
-        "Extension — execution backends (campaign A: interp vs dirty-page + \
-         block-cache)";
-      let min_speedup =
-        let rec find = function
-          | "--min-speedup" :: v :: _ -> Some (float_of_string v)
-          | _ :: tl -> find tl
-          | [] -> None
-        in
-        find args
-      in
-      let now () = Unix.gettimeofday () in
-      (* min of two runs each: the first pays warm-up (and, for cached,
-         the one-time block decode of hot kernel text) *)
-      let sweep backend tag =
-        let run i =
-          Printf.eprintf "bench: campaign A, backend %s (run %d)...\n%!" tag i;
-          let t0 = now () in
-          let r =
-            Kfi.Study.run_campaign
-              ~config:(Kfi.Config.make ~subsample ~backend ())
-              study Kfi.Campaign.A
-          in
-          (r, now () -. t0)
-        in
-        let r1, t1 = run 1 in
-        let _, t2 = run 2 in
-        (r1, Float.min t1 t2)
-      in
-      let interp, t_interp = sweep Kfi.Backend.Interp "interp" in
-      let cached, t_cached = sweep Kfi.Backend.Cached "cached" in
-      Kfi.Injector.Runner.set_backend study.Kfi.Study.runner Kfi.Backend.Interp;
-      let n = List.length interp in
-      let per t = 1000. *. t /. float_of_int (max 1 n) in
-      let speedup = t_interp /. t_cached in
-      let csv_same =
-        String.equal (Kfi.Study.to_csv interp) (Kfi.Study.to_csv cached)
-      in
-      Printf.printf "backend interp  %6d experiments in %6.2f s  (%6.2f ms/injection)\n"
-        n t_interp (per t_interp);
-      Printf.printf
-        "backend cached  %6d experiments in %6.2f s  (%6.2f ms/injection, %.2fx)\n"
-        (List.length cached) t_cached (per t_cached) speedup;
-      Printf.printf "CSV %s across interp / cached\n"
-        (if csv_same then "byte-identical" else "DIFFERS (BUG)");
-      let json =
-        Kfi.Trace.Telemetry.(
-          Obj
-            [
-              ("experiment", Str "backend");
-              ("campaign", Str "A");
-              ("subsample", Int subsample);
-              ("experiments", Int n);
-              ("campaign_s_interp", Float t_interp);
-              ("campaign_s_cached", Float t_cached);
-              ("ms_per_injection_interp", Float (per t_interp));
-              ("ms_per_injection_cached", Float (per t_cached));
-              ("speedup", Float speedup);
-              ("csv_identical", Bool csv_same);
-            ])
-      in
-      let oc = open_out "BENCH_backend.json" in
-      output_string oc (Kfi.Trace.Telemetry.to_string json ^ "\n");
-      close_out oc;
-      Printf.printf "wrote BENCH_backend.json\n";
-      match min_speedup with
-      | Some floor when speedup < floor ->
-        Printf.eprintf "bench: cached speedup %.2fx below the %.2fx floor\n"
-          speedup floor;
-        exit 1
-      | Some floor ->
-        Printf.printf "speedup %.2fx clears the %.2fx floor\n" speedup floor
-      | None -> ()
     end
   end;
   if want "fig1" && not need_study then begin
@@ -702,8 +458,4 @@ let () =
   if want "table4" && not need_study then begin
     header "Table 4 — Fault Injection Campaigns";
     print_string Kfi.Analysis.Report.table4
-  end;
-  if want "perf" then begin
-    header "Simulator micro-benchmarks (bechamel)";
-    bechamel_suite ()
   end

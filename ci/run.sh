@@ -17,6 +17,8 @@ if [ "${1:-}" = "quick" ]; then
   # the ledger's own quick tests (BENCHMARK.json vs spec.ml, the compare
   # rule); they read ../../BENCHMARK.json, so run them from their build dir
   ALCOTEST_QUICK_TESTS=1 dune build @benchledger/runtest --force
+  # bench/main.exe's argument parsing (Table 4 prints without booting)
+  dune build @bench/runtest --force
 else
   dune runtest
 fi

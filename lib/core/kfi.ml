@@ -98,17 +98,8 @@ module Study = struct
       Kfi_injector.Experiment.run_campaign ~config ?fleet t.runner t.profile
         campaign
 
-  let run_campaigns ?(config = Config.default) t () =
-    match config.Config.supervisor with
-    | Some _ ->
-      List.concat_map (run_campaign ~config t)
-        [ Campaign.A; Campaign.B; Campaign.C ]
-    | None ->
-      let fleet =
-        if config.Config.jobs > 1 then Some (fleet t ~jobs:config.Config.jobs)
-        else None
-      in
-      Kfi_injector.Experiment.run_all ~config ?fleet t.runner t.profile
+  let run_campaigns ?config t () =
+    List.concat_map (run_campaign ?config t) [ Campaign.A; Campaign.B; Campaign.C ]
 
   let report ?oracle ?telemetry t records =
     Kfi_analysis.Report.full ?oracle ?telemetry ~build:(build t) ~profile:t.profile

@@ -53,89 +53,15 @@ end
 module Backend = Kfi_isa.Backend
 
 (** Campaign run configuration — the single [?config] argument taken by
-    every run entry point.  Build one with {!Config.make}, or update
+    every run entry point.  Its types and values are
+    {!Kfi_injector.Config}'s, documented there, except {!make}, which
+    takes the oracle itself.  Build one with {!Config.make}, or update
     {!Config.default} with record syntax:
     [{ Kfi.Config.default with subsample = 10; jobs = 4 }]. *)
 module Config : sig
-  type supervisor = Kfi_injector.Config.supervisor = {
-    sup_workers : int;  (** kfi-worker processes to keep alive *)
-    sup_shard_dir : string option;
-        (** directory for per-shard journals; [None] = a fresh temp dir *)
-    sup_worker_exe : string option;
-        (** path to the kfi-worker binary; [None] = [$KFI_WORKER_EXE],
-            then next to the running executable *)
-    sup_worker_env : (string * string) list;
-        (** extra environment for workers (chaos knobs in tests/CI) *)
-    sup_max_restarts : int;
-        (** per-slot restart budget before the slot is retired *)
-    sup_poison_deaths : int;
-        (** consecutive zero-progress worker deaths before a shard is
-            quarantined as [Harness_abort] *)
-    sup_heartbeat_s : float;
-        (** a worker owning a shard and silent this long is SIGKILLed *)
-    sup_event_log : string option;
-        (** JSONL supervisor event log (spawns, deaths, requeues,
-            quarantines) — volatile, never determinism-gated *)
-    sup_on_pulse : (unit -> unit) option;
-        (** fires every supervision-loop turn; the CLI's streaming
-            metrics {!Kfi_obs.Writer.maybe_tick} rides during the worker
-            phase *)
-  }
-
-  val default_supervisor : supervisor
-  (** [2 workers, temp shard dir, auto-discovered worker exe, no extra
-      env, 10 restarts/slot, 3 poison deaths, 120 s heartbeat, no event
-      log, no pulse]. *)
-
-  type t = Kfi_injector.Config.t = {
-    subsample : int;
-        (** keep every k-th target (1 = the full enumeration) *)
-    seed : int;  (** fixes the per-byte bit choice *)
-    hardening : bool;  (** the Section-7.4 interface assertions *)
-    oracle :
-      (Kfi_injector.Target.t -> Kfi_injector.Outcome.t option) option;
-        (** resolved static-oracle pruning hook; see {!make} *)
-    telemetry : Kfi_trace.Telemetry.t option;
-        (** receives one JSONL event per target plus campaign markers *)
-    on_progress : (done_:int -> total:int -> unit) option;
-        (** fires before every target and once more on completion *)
-    jobs : int;
-        (** worker domains; above 1 campaigns run on a runner fleet with
-            records and telemetry byte-identical to a serial run.  The
-            fleet stops on the first failure (resume from [journal]);
-            [supervisor] is the mode that survives a lost worker *)
-    journal : Kfi_injector.Journal.t option;
-        (** crash-safe checkpointing: completed injections are appended
-            (fsync'd) as they finish; entries loaded by
-            [Journal.open_ ~resume:true] are replayed instead of re-run,
-            so a killed campaign resumes with byte-identical output *)
-    policy : Kfi_injector.Fleet.policy;
-        (** per-injection wall-clock deadline and retry/backoff/
-            quarantine knobs *)
-    metrics : Kfi_obs.Metrics.t option;
-        (** observability registry threaded to the runner(s), fleet and
-            journal (phase spans, throughput counters, fsync stalls).
-            Pure observation: records, CSV, telemetry JSONL and journal
-            bytes are identical with or without it, at any job count *)
-    backend : Kfi_isa.Backend.kind;
-        (** execution backend for the runner(s) ({!Backend.Interp} by
-            default); {!Backend.Cached} is byte-identical in every
-            outcome and artifact, only faster *)
-    shards : int;
-        (** shard count for supervised runs (0 = [4 * sup_workers]);
-            ignored without [supervisor] *)
-    supervisor : supervisor option;
-        (** run campaigns as process-isolated shards executed by
-            kfi-worker processes under a supervising coordinator
-            ({!Shard.Supervisor}): worker death is survived by
-            restart-with-backoff and exactly-once shard requeue, and the
-            merged output is byte-identical to a serial run *)
-  }
-
-  val default : t
-  (** [subsample 1, seed 42, no hardening/oracle/telemetry/progress/
-      journal, jobs 1, Fleet.default_policy, backend Interp, shards 0,
-      no supervisor]. *)
+  include module type of struct
+    include Kfi_injector.Config
+  end
 
   val make :
     ?subsample:int ->
@@ -196,7 +122,9 @@ module Study : sig
 
   val run_campaigns :
     ?config:Config.t -> t -> unit -> Kfi_injector.Experiment.record list
-  (** Campaigns A, B and C in sequence. *)
+  (** Campaigns A, B and C in sequence, each through {!run_campaign}.
+      A shared [config.journal] keeps the three campaigns' entries apart
+      by campaign letter. *)
 
   val report :
     ?oracle:Kfi_staticoracle.Oracle.t ->

@@ -1,7 +1,7 @@
 (* One record for every knob a campaign run accepts.  The run entry
-   points (Experiment.run_campaign/run_all and the Kfi.Study facade)
-   take a single [?config]; the pre-Config optional-argument spellings
-   are gone.
+   points (Experiment.run_campaign and the Kfi.Study facade) take a
+   single [?config]; the pre-Config optional-argument spellings are
+   gone.
 
    The [oracle] field holds the *resolved* pruning hook (a plain
    function), not the oracle value itself: the facade resolves

@@ -1,7 +1,7 @@
 (** Campaign run configuration: one record for every knob accepted by
-    {!Experiment.run_campaign}, {!Experiment.run_all} and the [Kfi.Study]
-    facade, replacing the optional-argument lists that used to be
-    copy-pasted across all four entry points. *)
+    {!Experiment.run_campaign} and the [Kfi.Study] facade, replacing the
+    optional-argument lists that used to be copy-pasted across every
+    entry point. *)
 
 (** How the [lib/shard] coordinator spawns, monitors and restarts
     [kfi-worker] processes.  Declared here (not in [lib/shard]) so it

@@ -337,12 +337,6 @@ let run_campaign ?(config = Config.default) ?fleet runner profile campaign =
   run_targets ~config ?fleet runner profile campaign
     (plan ~config runner profile campaign)
 
-(* Full study: all three campaigns. *)
-let run_all ?config ?fleet runner profile =
-  List.concat_map
-    (fun c -> run_campaign ?config ?fleet runner profile c)
-    [ Target.A; Target.B; Target.C ]
-
 (* RFC 4180 field quoting: fields holding a comma, quote or line break
    are double-quoted, with embedded quotes doubled. *)
 let csv_field s =

@@ -88,15 +88,6 @@ val run_campaign :
     journal append) stops a [jobs > 1] run and is re-raised here; the
     journal holds every injection completed before it. *)
 
-val run_all :
-  ?config:Config.t ->
-  ?fleet:Fleet.t ->
-  Runner.t ->
-  Kfi_profiler.Sampler.profile ->
-  record list
-(** Campaigns A, B and C in sequence.  A shared [config.journal] keeps
-    all three campaigns' entries apart by campaign letter. *)
-
 val csv_field : string -> string
 (** RFC 4180 quoting: fields holding a comma, quote or line break are
     double-quoted with embedded quotes doubled; others pass through. *)

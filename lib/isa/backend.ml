@@ -53,7 +53,7 @@ let run t ~max_cycles =
 let snapshot t = Machine.snapshot t.machine
 let restore t s = Machine.restore t.machine s
 
-let trace t = (Machine.cpu t.machine).Cpu.trace
-let set_trace_level t level = Trace.set_level (trace t) level
+let set_trace_level t level =
+  Trace.set_level (Machine.cpu t.machine).Cpu.trace level
 
 let stats t = Option.map Bbexec.stats t.bb

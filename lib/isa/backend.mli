@@ -41,10 +41,9 @@ val run : t -> max_cycles:int -> Machine.run_result
 val snapshot : t -> Machine.snapshot
 val restore : t -> Machine.snapshot -> unit
 
-val trace : t -> Trace.t
-(** The machine's flight recorder (both backends feed it identically). *)
-
 val set_trace_level : t -> Trace.level -> unit
+(** Set the machine's flight-recorder level (both backends feed the
+    recorder identically). *)
 
 val stats : t -> Bbexec.stats option
 (** Block-cache statistics; [None] for the interpreter. *)

@@ -44,9 +44,9 @@ val restore : t -> snapshot -> unit
 
 type checkpoint
 (** The state of a run that began by restoring a snapshot, kept as a
-    delta against it: the memory pages (written or pinned) and the disk
-    blocks (written) that differ from it, plus the TLB and the full CPU
-    state except the debug registers, which are the snapshot's. *)
+    delta against it: the memory pages and disk blocks written since
+    that differ from it, plus the TLB and the full CPU state except the
+    debug registers, which are the snapshot's. *)
 
 val checkpoint : t -> base:snapshot -> checkpoint
 (** Capture the current state against [base], which must be the last

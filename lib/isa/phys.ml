@@ -5,11 +5,10 @@
    Tracking model: the live memory remembers which snapshot its clean
    pages equal ([synced_to]) and which pages have been written since
    ([dirty]).  Restoring to that same snapshot copies only the dirty
-   pages, plus the pinned ones — device/MMIO-like frames whose content
-   the guest does not own, restored unconditionally.  Restoring any
-   other snapshot is a full copy that resynchronizes to it, so states
-   that a runner hops between are kept as deltas over one snapshot
-   ([delta]) rather than as snapshots of their own. *)
+   pages.  Restoring any other snapshot is a full copy that
+   resynchronizes to it, so states that a runner hops between are kept
+   as deltas over one snapshot ([delta]) rather than as snapshots of
+   their own. *)
 
 let page_size = 4096
 let page_shift = 12
@@ -22,7 +21,6 @@ type t = {
   mutable dirty : Bytes.t; (* page -> '\001' if written since the last sync *)
   mutable dirty_list : int list;
   mutable synced_to : int; (* snapshot id the clean pages equal; -1 = unknown *)
-  mutable pinned : int list; (* device pages: always restored *)
 }
 
 exception Bad_physical_address of int
@@ -39,7 +37,6 @@ let make_raw data =
     dirty = Bytes.empty;
     dirty_list = [];
     synced_to = -1;
-    pinned = [];
   }
 
 let create size = make_raw (Bytes.make size '\000')
@@ -76,12 +73,6 @@ let set_tracking t on =
 
 let tracking t = t.track
 let dirty_pages t = List.sort_uniq compare t.dirty_list
-
-let pin_page t p =
-  if p < 0 || p >= t.npages then invalid_arg "Phys.pin_page";
-  if not (List.mem p t.pinned) then t.pinned <- p :: t.pinned
-
-let pinned_pages t = List.sort_uniq compare t.pinned
 
 (* ----- accesses ----- *)
 
@@ -145,16 +136,11 @@ let page_equal a b off len =
   in
   words 0 && tail (len land lnot 7)
 
-(* To the synced snapshot: the dirty pages, then the pinned ones the
-   guest left clean (the dirty bitmap dedups the two before it is
-   cleared).  Anything else is a full copy. *)
+(* To the synced snapshot: the dirty pages.  Anything else is a full
+   copy. *)
 let restore t ~from =
   if t.track && t.synced_to = from.id then begin
-    let pages =
-      List.fold_left
-        (fun acc p -> if Bytes.unsafe_get t.dirty p = '\000' then p :: acc else acc)
-        t.dirty_list t.pinned
-    in
+    let pages = t.dirty_list in
     List.iter (copy_page t ~from) pages;
     clear_dirty t;
     Some pages
@@ -168,13 +154,13 @@ let restore t ~from =
     None
   end
 
-(* The pages written since the restore to [base], plus the pinned ones,
-   whose contents differ from [base]: what a delta checkpoint needs to
-   rebuild the live memory on top of [base]. *)
+(* The pages written since the restore to [base] whose contents differ
+   from [base]: what a delta checkpoint needs to rebuild the live memory
+   on top of [base]. *)
 let delta t ~base =
   if not t.track || t.synced_to <> base.id then
     invalid_arg "Phys.delta: memory not synchronized to the base";
-  List.sort_uniq compare (List.rev_append t.dirty_list t.pinned)
+  dirty_pages t
   |> List.filter_map (fun p ->
          let off = p lsl page_shift and len = page_span t p in
          if page_equal t.data base.data off len then None

@@ -53,17 +53,9 @@ val tracking : t -> bool
 val dirty_pages : t -> int list
 (** Pages written since the last sync point (sorted, deduplicated). *)
 
-val pin_page : t -> int -> unit
-(** Mark a page as device-owned: it is rewritten on {e every} restore,
-    whether or not the guest dirtied it.  MMIO-like frames whose content
-    the snapshot protocol cannot reason about belong here. *)
-
-val pinned_pages : t -> int list
-
 val delta : t -> base:t -> (int * bytes) list
 (** [(page, contents)] for every page written since the last restore to
-    [base], plus every pinned page, whose contents differ from [base]'s:
-    writing them back (with {!blit_in}) after a restore to [base]
-    rebuilds the present contents.
+    [base] whose contents differ from [base]'s: writing them back (with
+    {!blit_in}) after a restore to [base] rebuilds the present contents.
     @raise Invalid_argument unless tracking is on and the memory was
     last synchronized to [base]. *)

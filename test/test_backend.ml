@@ -1,9 +1,9 @@
 (* Execution-backend tests: the Phys dirty-page snapshot protocol
-   (write marks its page, restore rewrites exactly the dirty set, pinned
-   pages are always rewritten, a hop to another snapshot is a full copy,
-   checkpoint hops over one base land exactly) and the cached backend's
-   block cache (invalidation on self-modifying text, interp/cached
-   agreement, restore undoing text patches). *)
+   (write marks its page, restore rewrites exactly the dirty set, a hop
+   to another snapshot is a full copy, checkpoint hops over one base
+   land exactly) and the cached backend's block cache (invalidation on
+   self-modifying text, interp/cached agreement, restore undoing text
+   patches). *)
 
 open Kfi_isa
 
@@ -61,23 +61,6 @@ let test_restore_exact_dirty_set () =
   match Phys.restore p ~from:snap with
   | None -> Alcotest.fail "expected an incremental restore"
   | Some pages -> check int_list "clean restore rewrites nothing" [] pages
-
-let test_pinned_always_restored () =
-  let p = Phys.create (8 * psz) in
-  Phys.set_tracking p true;
-  Phys.pin_page p 6;
-  check int_list "pinned set" [ 6 ] (Phys.pinned_pages p);
-  let snap = Phys.copy p in
-  (match Phys.restore p ~from:snap with
-   | None -> Alcotest.fail "expected an incremental restore"
-   | Some pages ->
-     check bool "pinned page rewritten with no guest write" true (List.mem 6 pages));
-  Phys.write8 p (2 * psz) 1;
-  match Phys.restore p ~from:snap with
-  | None -> Alcotest.fail "expected an incremental restore"
-  | Some pages ->
-    check bool "dirty page in the set" true (List.mem 2 pages);
-    check bool "pinned page still in the set" true (List.mem 6 pages)
 
 let test_cross_snapshot_restore () =
   let p = Phys.create (8 * psz) in
@@ -442,8 +425,6 @@ let suite =
     Alcotest.test_case "dirty marking" `Quick test_dirty_marking;
     Alcotest.test_case "restore rewrites exactly the dirty set" `Quick
       test_restore_exact_dirty_set;
-    Alcotest.test_case "pinned pages always restored" `Quick
-      test_pinned_always_restored;
     Alcotest.test_case "cross-snapshot restore" `Quick test_cross_snapshot_restore;
     Alcotest.test_case "tracking off means full restore" `Quick
       test_tracking_off_full_restore;
