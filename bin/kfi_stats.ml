@@ -39,7 +39,7 @@ let bar width pct =
 
 let hist_line buf name (h : Metrics.hsnap) =
   Buffer.add_string buf
-    (Printf.sprintf "  %-22s %8s  mean %8s  p50 %8s  p90 %8s  p99 %8s  max %8s\n"
+    (Printf.sprintf "  %-31s %8s  mean %8s  p50 %8s  p90 %8s  p99 %8s  max %8s\n"
        name (fmt_count h.Metrics.hs_count)
        (fmt_dur (Metrics.mean h))
        (fmt_dur (Metrics.quantile h 0.5))
@@ -67,6 +67,10 @@ let render ~header (s : Metrics.snap) =
       (Printf.sprintf "               started from a golden checkpoint: %s (%s cycles not replayed)\n"
          (fmt_count (c "inj.ladder"))
          (fmt_count (c "inj.prefix_skipped_cycles")));
+    Buffer.add_string buf
+      (Printf.sprintf "               hangs proven by state recurrence: %s (%s cycles not executed)\n"
+         (fmt_count (c "inj.hang_proven"))
+         (fmt_count (c "inj.hang_skipped_cycles")));
     Buffer.add_string buf
       (Printf.sprintf "  campaign     %s targets, %s pruned, %s replayed\n"
          (fmt_count (c "campaign.targets"))

@@ -4,6 +4,8 @@
 
      kfi-trace --fn clear_page --byte 2 --bit 4
      kfi-trace --fn do_page_fault --addr 0xc0100f30 --byte 1 --bit 7
+     kfi-trace --fn schedule --addr 0xc0105545 --byte 2 --bit 6 \
+       --level ring --backend cached    # a hang proven by its recurring state
      kfi-trace --lint campaign.jsonl     # schema-lint a telemetry log
      kfi-trace --dump-journal run.kj     # canonical text dump of a campaign journal
 
@@ -117,6 +119,24 @@ let outcome_lines outcome =
       (Outcome.severity_name c.Outcome.severity)
       (Forensics.path_to_string c.Outcome.propagation)
 
+(* "1,234,567" *)
+let with_commas n =
+  let s = string_of_int n in
+  let len = String.length s in
+  String.concat ""
+    (List.init len (fun i ->
+         (if i > 0 && (len - i) mod 3 = 0 then "," else "") ^ String.make 1 s.[i]))
+
+(* Where a hang's machine state recurred, when the run proved it. *)
+let proof_line build (p : Runner.proof) =
+  Printf.sprintf "state recurs every %s cycles in %s from cycle %s; %.1fM cycles not executed\n"
+    (with_commas p.Runner.pr_period)
+    (match Build.find_function build p.Runner.pr_eip with
+     | Some f -> f.Asm.f_name
+     | None -> Printf.sprintf "0x%08lx" p.Runner.pr_eip)
+    (with_commas p.Runner.pr_cycle)
+    (float_of_int p.Runner.pr_skipped /. 1e6)
+
 (* Canonical text dump of a campaign journal: entries sorted by target
    key, one line each with a digest of the full entry.  Raw journal bytes
    differ between runs that complete in different orders (-j 1 vs -j 4,
@@ -213,6 +233,7 @@ let run lint dump_journal fn byte bit addr workload level trace_n backend =
            print_string "backends agree: interp and cached outcomes identical\n"
          | None -> ());
         print_string (outcome_lines outcome);
+        Option.iter (fun p -> print_string (proof_line build p)) (Runner.last_proof runner);
         print_newline ();
         (match outcome with
          | Outcome.Crash _ | Outcome.Hang _ ->

@@ -144,6 +144,14 @@ if ! grep -q 'started from a golden checkpoint: [1-9]' _artifacts/cached1_summar
   echo "backend gate failed: no cached run started from a golden checkpoint" >&2
   exit 1
 fi
+# likewise the hang proof: this population has three hangs whose machine
+# state recurs (schedule, wake_up and pipe_write), so the cmps below
+# check skipped hangs against full interpreter runs
+grep 'hangs proven by state recurrence' _artifacts/cached1_summary.txt
+if ! grep -q 'hangs proven by state recurrence: [1-9]' _artifacts/cached1_summary.txt; then
+  echo "backend gate failed: no hang proven by state recurrence" >&2
+  exit 1
+fi
 dune exec bin/kfi_campaign.exe -- -c A --subsample 60 -q -j 4 --backend cached \
   --csv _artifacts/cached4.csv --jsonl _artifacts/cached4.jsonl \
   --journal _artifacts/cached4.journal > /dev/null

@@ -731,8 +731,8 @@ let runner_fastforward_equiv =
    levels and watchdog budgets, and the last one again on the
    interpreter, which always starts at rung 0: both must agree on the
    outcome, the cycle counts, the tty, the flight recorder and the final
-   registers, last fault cycle, memory and disk.  The last target is
-   often a neighbour of an earlier one, so a captured rung can serve
+   registers, last fault cycle, timer, memory and disk.  The last target
+   is often a neighbour of an earlier one, so a captured rung can serve
    it. *)
 
 type ladder_step = {
@@ -746,16 +746,19 @@ type ladder_step = {
 
 type ladder_case = { lc_hardening : bool; lc_steps : ladder_step list }
 
+let shared_profile =
+  lazy
+    (let runner = Lazy.force shared_runner in
+     Kfi_profiler.Sampler.profile_all ~build:(Kfi_injector.Runner.build runner)
+       ~machine:(Kfi_injector.Runner.machine runner)
+       ~baseline:(Kfi_injector.Runner.baseline runner) ())
+
 (* Targets in the functions some workload executes at all: a golden run
    reaches far more of them than of the whole text, many only late. *)
 let run_targets =
   lazy
-    (let runner = Lazy.force shared_runner in
-     let build = Kfi_injector.Runner.build runner in
-     let profile =
-       Kfi_profiler.Sampler.profile_all ~build ~machine:(Kfi_injector.Runner.machine runner)
-         ~baseline:(Kfi_injector.Runner.baseline runner) ()
-     in
+    (let build = Kfi_injector.Runner.build (Lazy.force shared_runner) in
+     let profile = Lazy.force shared_profile in
      let fns = List.map fst (Kfi_profiler.Sampler.top_functions profile ~coverage:1.0) in
      Array.map
        (fun campaign -> Array.of_list (Kfi_injector.Target.enumerate build ~campaign ~seed:7 fns))
@@ -835,6 +838,7 @@ type ladder_run = {
   lr_ring : int * Trace.entry list * Trace.event list;
   lr_regs : int32 list * int32;
   lr_fault : int;  (** last fault cycle *)
+  lr_timer : int;  (** next timer tick *)
   lr_mem : bytes;
   lr_disk : bytes;
 }
@@ -858,9 +862,30 @@ let ladder_difference a b =
       (a.lr_regs = b.lr_regs, lazy "final registers differ");
       ( a.lr_fault = b.lr_fault,
         lazy (spf "last fault cycle: cached %d, interp %d" a.lr_fault b.lr_fault) );
+      (a.lr_timer = b.lr_timer, lazy (spf "next timer: cached %d, interp %d" a.lr_timer b.lr_timer));
       (Bytes.equal a.lr_mem b.lr_mem, lazy "final memory differs");
       (Bytes.equal a.lr_disk b.lr_disk, lazy "final disk differs");
     ]
+
+(* Run one target and record what it reports and leaves. *)
+let ladder_record runner ~workload target =
+  let open Kfi_injector in
+  let lr_outcome = Runner.run_one runner ~workload target in
+  let m = Runner.machine runner in
+  let cpu = Machine.cpu m in
+  let tr = cpu.Cpu.trace in
+  {
+    lr_outcome;
+    lr_cycles = Runner.last_cycles runner;
+    lr_at = Runner.last_injected_at runner;
+    lr_tty = Machine.tty_contents m;
+    lr_ring = (Trace.seen tr, Trace.entries tr, Trace.events tr);
+    lr_regs = (Array.to_list cpu.Cpu.regs, cpu.Cpu.eip);
+    lr_fault = cpu.Cpu.last_fault_cycle;
+    lr_timer = cpu.Cpu.next_timer;
+    lr_mem = Phys.blit_out (Machine.phys m) ~src:0 ~len:(Phys.size (Machine.phys m));
+    lr_disk = Bytes.copy (Devices.Disk.image (Machine.disk m));
+  }
 
 let runner_ladder_equiv =
   Fuzz.make_counting ~counts:"started from a checkpoint" ~name:"runner.ladder_equiv"
@@ -881,21 +906,7 @@ let runner_ladder_equiv =
       let run s =
         Runner.set_trace_level runner s.ls_level;
         Runner.set_max_cycles runner (Option.value s.ls_budget ~default:saved_cycles);
-        let lr_outcome = Runner.run_one runner ~workload:s.ls_workload (target s) in
-        let m = Runner.machine runner in
-        let cpu = Machine.cpu m in
-        let tr = cpu.Cpu.trace in
-        {
-          lr_outcome;
-          lr_cycles = Runner.last_cycles runner;
-          lr_at = Runner.last_injected_at runner;
-          lr_tty = Machine.tty_contents m;
-          lr_ring = (Trace.seen tr, Trace.entries tr, Trace.events tr);
-          lr_regs = (Array.to_list cpu.Cpu.regs, cpu.Cpu.eip);
-          lr_fault = cpu.Cpu.last_fault_cycle;
-          lr_mem = Phys.blit_out (Machine.phys m) ~src:0 ~len:(Phys.size (Machine.phys m));
-          lr_disk = Bytes.copy (Devices.Disk.image (Machine.disk m));
-        }
+        ladder_record runner ~workload:s.ls_workload (target s)
       in
       Fun.protect
         ~finally:(fun () ->
@@ -925,6 +936,77 @@ let runner_ladder_equiv =
           Runner.set_backend runner Backend.Interp;
           match ladder_difference cached (run last) with
           | None -> Ok (Kfi_obs.Metrics.(counter (snapshot m) "inj.ladder") > 0)
+          | Some msg -> Error msg))
+
+(* ---------- runner.hang_equiv ---------- *)
+
+(* On the cached backend, a hang whose machine state recurs skips whole
+   periods to the watchdog ([Runner.skip_recurrence]).  A case runs one
+   A/B/C flip in a function where the reference sweep's recurring hangs
+   sit, on the workload a campaign gives it, at a random trace level and
+   watchdog budget, and then again on the interpreter, which never
+   skips: both must agree in everything [ladder_difference] compares.
+   Budgets run from just past the first possible attempt (the 400,000-
+   cycle pause) to 3,000,000 cycles; a quarter end at most 3,000 cycles
+   after a pause, which can leave a proof made there less than a tail. *)
+
+let hang_fns = [ "schedule"; "wake_up"; "pipe_write"; "sys_waitpid"; "do_exit" ]
+let hang_campaigns = Kfi_injector.Target.[| A; B; C |]
+
+let hang_targets =
+  lazy
+    (let build = Kfi_injector.Runner.build (Lazy.force shared_runner) in
+     Array.map
+       (fun campaign -> Array.of_list (Kfi_injector.Target.enumerate build ~campaign ~seed:42 hang_fns))
+       hang_campaigns)
+
+type hang_case = { hc_campaign : int; hc_index : int; hc_level : Trace.level; hc_budget : int }
+
+let gen_hang_case rng =
+  let module R = Kfi_fuzz.Rng in
+  let hc_campaign = R.int rng (Array.length hang_campaigns) in
+  let hc_index = R.int rng 1_000_000 in
+  let hc_level = match R.int rng 3 with 0 -> Trace.Off | 1 -> Trace.Ring | _ -> Trace.Full in
+  let hc_budget =
+    if R.int rng 4 = 0 then (R.int_range rng 3 14 * 200_000) + R.int_range rng 1 3_000
+    else R.int_range rng 450_000 3_000_000
+  in
+  { hc_campaign; hc_index; hc_level; hc_budget }
+
+let runner_hang_equiv =
+  Fuzz.make_counting ~counts:"proven by state recurrence" ~name:"runner.hang_equiv"
+    ~doc:
+      "a hang proven by its recurring machine state reports and leaves exactly \
+       what the interpreter's full run does"
+    (Fuzz.arb ~shrink:Shrink.nil
+       ~print:(fun c ->
+         spf "campaign %s target#%d %s budget %d"
+           (Kfi_injector.Target.campaign_letter hang_campaigns.(c.hc_campaign))
+           c.hc_index (Trace.level_name c.hc_level) c.hc_budget)
+       gen_hang_case)
+    (fun c ->
+      let open Kfi_injector in
+      let runner = Lazy.force shared_runner in
+      let targets = (Lazy.force hang_targets).(c.hc_campaign) in
+      let target = targets.(c.hc_index mod Array.length targets) in
+      let workload = Experiment.workload_for (Lazy.force shared_profile) target in
+      let saved_cycles = Runner.max_cycles runner
+      and saved_backend = Runner.backend_kind runner
+      and saved_level = Runner.trace_level runner in
+      Fun.protect
+        ~finally:(fun () ->
+          Runner.set_max_cycles runner saved_cycles;
+          Runner.set_trace_level runner saved_level;
+          Runner.set_backend runner saved_backend)
+        (fun () ->
+          Runner.set_trace_level runner c.hc_level;
+          Runner.set_max_cycles runner c.hc_budget;
+          Runner.set_backend runner Backend.Cached;
+          let cached = ladder_record runner ~workload target in
+          let proven = Runner.last_proof runner <> None in
+          Runner.set_backend runner Backend.Interp;
+          match ladder_difference cached (ladder_record runner ~workload target) with
+          | None -> Ok proven
           | Some msg -> Error msg))
 
 (* ---------- fs.fsck_total ---------- *)
@@ -1508,6 +1590,7 @@ let all =
     slice_sound;
     runner_fastforward_equiv;
     runner_ladder_equiv;
+    runner_hang_equiv;
     fs_fsck_total;
     journal_torn_resume;
     shard_merge_deterministic;

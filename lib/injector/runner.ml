@@ -14,6 +14,11 @@ module Build = Kfi_kernel.Build
 
 type golden = { g_exit : int; g_console : string; g_cycles : int }
 
+(* A run's state seen twice, [pr_period] cycles apart, first at cycle
+   [pr_cycle] with eip [pr_eip]; [pr_skipped] cycles of the periods that
+   followed were not executed. *)
+type proof = { pr_cycle : int; pr_period : int; pr_eip : int32; pr_skipped : int }
+
 (* What one fault-free run of a workload executed, and the checkpoints
    kept along it.  [r_first] holds, per kernel-text byte, the cycle
    offset (4 bytes, little-endian) of the first step on which the debug
@@ -73,6 +78,8 @@ type t = {
   mutable last_skipped : int;
       (* golden-prefix cycles the last run did not replay: its rung's
          offset, 0 when it started from rung 0 *)
+  mutable last_proof : proof option;
+      (* the last run's proof that its state recurs, if it had one *)
   mutable metrics : Kfi_obs.Metrics.t option;
       (* observability registry: per-phase latency histograms and
          outcome counters; never feeds back into any outcome *)
@@ -218,6 +225,7 @@ let create ?(max_cycles = default_max_cycles) () =
     last_cycles = 0;
     last_injected_at = None;
     last_skipped = 0;
+    last_proof = None;
     metrics = None;
     backend = Backend.create Backend.Interp machine;
   }
@@ -272,6 +280,7 @@ let last_restore t = t.last_restore
 let last_classify t = t.last_classify
 let last_cycles t = t.last_cycles
 let last_injected_at t = t.last_injected_at
+let last_proof t = t.last_proof
 
 (* The full corruption-site -> crash-site path from the flight recorder.
    A bounded ring can lose the earliest hops and the crash handler's own
@@ -380,15 +389,105 @@ exception Deadline_exceeded of float
    this safe.  ~200k cycles is a few milliseconds of host time. *)
 let deadline_slice = 200_000
 
+(* ----- provable hangs -----
+
+   A run that keeps the timer tick masked is often a kernel loop whose
+   whole machine state repeats.  The machine is deterministic and, short
+   of [rdtsc], blind to the cycle counter, so a state seen twice with no
+   counter read in between repeats that period until the watchdog.  Whole
+   periods can then be added to the counter instead of executed. *)
+
+type recurrence = Proven of proof | Unproven | Reset of Trap.t
+
+(* Steps one search for a recurring register state may take; the loops
+   seen in hangs repeat every 41 to 341 cycles. *)
+let recurrence_steps = 4096
+
+(* Remember the registers, eip, eflags and mode, and step the reference
+   interpreter under [Machine.run]'s stop checks until they recur.  Take
+   a checkpoint there, step until they recur again, and compare the whole
+   state (memory, disk, devices, TLB: [Machine.same_state]).  If the two
+   match and no [rdtsc] ran between them, skip whole periods, leaving a
+   tail of at least one period that also refills the flight recorder,
+   and advance the recorder's count by the records skipped.  The tail
+   re-executes every write of a period, so what the run leaves at the
+   watchdog is what the full run leaves.  A timer not yet due keeps its
+   distance; one already due stays due.  Nothing is tried with a debug
+   register armed (its hook is host code) or at trace level [Full],
+   whose event ring a tail cannot be trusted to refill. *)
+let skip_recurrence machine ~base ~limit =
+  let cpu = Machine.cpu machine in
+  let regs = Array.copy cpu.Cpu.regs
+  and eip = cpu.Cpu.eip
+  and eflags = cpu.Cpu.eflags
+  and mode = cpu.Cpu.mode in
+  let rec search n =
+    n > 0 && (not cpu.Cpu.halted) && (not cpu.Cpu.snapshot_request) && cpu.Cpu.cycles < limit
+    && begin
+      Cpu.step cpu;
+      (Int32.equal cpu.Cpu.eip eip && cpu.Cpu.eflags = eflags && cpu.Cpu.mode = mode
+       && cpu.Cpu.regs = regs)
+      || search (n - 1)
+    end
+  in
+  let trace = cpu.Cpu.trace in
+  match
+    if cpu.Cpu.dr7 <> 0 || Trace.level trace = Trace.Full || not (search recurrence_steps)
+    then None
+    else begin
+      let k = Machine.checkpoint machine ~base in
+      let c1 = cpu.Cpu.cycles and seen = Trace.seen trace and reads = cpu.Cpu.cycle_reads in
+      if search recurrence_steps && cpu.Cpu.cycle_reads = reads
+         && Machine.same_state ~base k (Machine.checkpoint machine ~base)
+      then Some (c1, Trace.seen trace - seen)
+      else None
+    end
+  with
+  | exception Cpu.Triple_fault trap -> Reset trap
+  | None -> Unproven
+  | Some (c1, records) ->
+    let period = cpu.Cpu.cycles - c1 in
+    let tail = if records = 0 then 1 else max 1 ((Trace.capacity trace + records - 1) / records) in
+    let n = max 0 (((limit - cpu.Cpu.cycles) / period) - tail) in
+    let skipped = n * period in
+    if cpu.Cpu.next_timer <> max_int && cpu.Cpu.next_timer > cpu.Cpu.cycles then
+      cpu.Cpu.next_timer <- cpu.Cpu.next_timer + skipped;
+    cpu.Cpu.cycles <- cpu.Cpu.cycles + skipped;
+    Trace.advance trace (n * records);
+    Proven { pr_cycle = c1; pr_period = period; pr_eip = eip; pr_skipped = skipped }
+
 (* Run the machine to completion of the *simulated* watchdog budget,
    counted from [start], checking [deadline] (absolute [gettimeofday]
    seconds) between slices ending at multiples of [deadline_slice]
    cycles past [start].  [stop_at ()] names a further cycle to pause at;
    [on_stop] runs at every pause.  Raises [Deadline_exceeded] if the host
-   clock passes the deadline first. *)
-let run_with_deadline t ~start ~deadline ~stop_at ~on_stop =
+   clock passes the deadline first.
+
+   On the cached backend, a pause after the injection ([injected ()])
+   at which the timer tick has been due, and masked, for at least a
+   whole slice is a hang candidate: the 1st, 2nd, 4th, 8th, ... such
+   pause tries [skip_recurrence], until one proof succeeds. *)
+let run_with_deadline t ~start ~deadline ~stop_at ~on_stop ~injected =
   let cpu = Machine.cpu t.machine in
   let limit = start + t.max_cycles in
+  let masked = ref 0 in
+  let try_proof () =
+    if t.last_proof = None && Backend.kind t.backend = Backend.Cached && injected ()
+       && (not (Flags.get cpu.Cpu.eflags Flags.if_))
+       && cpu.Cpu.next_timer <= cpu.Cpu.cycles - deadline_slice
+    then begin
+      incr masked;
+      if !masked land (!masked - 1) <> 0 then None
+      else
+        match skip_recurrence t.machine ~base:t.baseline ~limit with
+        | Proven p ->
+          t.last_proof <- Some { p with pr_cycle = p.pr_cycle - start };
+          None
+        | Unproven -> None
+        | Reset trap -> Some (Machine.Reset trap)
+    end
+    else None
+  in
   let rec go () =
     (match deadline with
      | Some d when Unix.gettimeofday () > d -> raise (Deadline_exceeded d)
@@ -399,7 +498,7 @@ let run_with_deadline t ~start ~deadline ~stop_at ~on_stop =
     | Machine.Watchdog when cpu.Cpu.cycles < limit ->
       (* only a pause, not the real watchdog: keep going *)
       on_stop ();
-      go ()
+      (match try_proof () with Some r -> r | None -> go ())
     | r -> r
   in
   go ()
@@ -488,7 +587,9 @@ let run_full ?deadline t ~workload ~reach (target : Target.t) ~wall0 =
            classification below never runs then *)
         t.last_classify <- 0.;
         t.last_injected_at <- !injected_at)
-      (fun () -> run_with_deadline t ~start:start_cycles ~deadline ~stop_at ~on_stop)
+      (fun () ->
+        run_with_deadline t ~start:start_cycles ~deadline ~stop_at ~on_stop
+          ~injected:(fun () -> !injected_at <> None))
   in
   let golden = t.golden.(workload) in
   let classify0 = Unix.gettimeofday () in
@@ -598,6 +699,7 @@ let run_one ?deadline t ~workload (target : Target.t) =
   let reach = reach_for t ~workload in
   let skipped = never_reached t reach target in
   t.last_skipped <- 0;
+  t.last_proof <- None;
   let outcome =
     match skipped with
     | None -> run_full ?deadline t ~workload ~reach target ~wall0
@@ -623,12 +725,18 @@ let run_one ?deadline t ~workload (target : Target.t) =
        (Float.max 0. (t.last_wall -. t.last_restore));
      M.observe m "phase.classify" t.last_classify;
      M.observe m "inj.wall" (t.last_wall +. t.last_classify);
+     M.observe m ("inj.wall." ^ Outcome.category outcome) (t.last_wall +. t.last_classify);
      M.incr m "inj.count";
      if skipped <> None then M.incr m "inj.skipped";
      if t.last_skipped > 0 then begin
        M.incr m "inj.ladder";
        M.incr m ~by:t.last_skipped "inj.prefix_skipped_cycles"
      end;
+     Option.iter
+       (fun p ->
+         M.incr m "inj.hang_proven";
+         M.incr m ~by:p.pr_skipped "inj.hang_skipped_cycles")
+       t.last_proof;
      let rungs, bytes = ladder_size t in
      M.set_gauge m "ladder.rungs" (float_of_int rungs);
      M.set_gauge m "ladder.bytes" (float_of_int bytes);

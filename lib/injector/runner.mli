@@ -17,6 +17,16 @@ type golden = { g_exit : int; g_console : string; g_cycles : int }
 (** Exit code, tty output and length in simulated cycles of a
     fault-free run (hardening off). *)
 
+type proof = {
+  pr_cycle : int;  (** where the state was first seen: cycles past the start *)
+  pr_period : int;  (** cycles until it was seen again *)
+  pr_eip : int32;  (** eip in that state *)
+  pr_skipped : int;  (** cycles of later periods not executed *)
+}
+(** A run's proof that its machine state recurs, so the run repeats one
+    period until the watchdog (see {!run_one}).  {!skip_recurrence}
+    reports [pr_cycle] as an absolute cycle count. *)
+
 type t
 
 val default_max_cycles : int
@@ -109,6 +119,9 @@ val last_cycles : t -> int
 val last_injected_at : t -> int option
 (** Cycle at which the last run's fault was injected. *)
 
+val last_proof : t -> proof option
+(** The last run's proof that its state recurs, when it found one. *)
+
 (** {2 Running} *)
 
 val poke_hardening : t -> unit
@@ -156,4 +169,40 @@ val run_one : ?deadline:float -> t -> workload:int -> Target.t -> Outcome.t
     watchdog: the run is executed in short cycle slices and abandoned
     with {!Deadline_exceeded} once the host clock passes it.  The
     runner remains usable — injection hooks are cleared on every exit
-    path and the next experiment restores a checkpoint anyway. *)
+    path and the next experiment restores a checkpoint anyway.
+
+    A hang costs the whole watchdog budget, so on the cached backend a
+    run that the injection has left with the timer tick masked tries to
+    prove it cannot end before the watchdog.  The trigger is a
+    deadline-slice pause after DR0 fired at which the tick has been due
+    for at least a whole slice with interrupts masked; the 1st, 2nd,
+    4th, ... such pause tries {!skip_recurrence} until one succeeds.  A
+    proven run skips whole periods and runs a short tail into the
+    watchdog, so its outcome, cycle count, flight recorder and final
+    machine state are the full run's; {!last_proof} keeps the proof.
+    Interpreter runs, and runs traced at [Full], never skip.  The metrics
+    count proven runs in [inj.hang_proven] and the cycles not executed
+    in [inj.hang_skipped_cycles], and time every run in
+    [inj.wall.<category>] besides [inj.wall]. *)
+
+(** {2 Provable hangs} *)
+
+type recurrence =
+  | Proven of proof  (** whole periods were skipped *)
+  | Unproven  (** no recurrence found; the machine ran on normally *)
+  | Reset of Trap.t  (** a triple fault during the search ended the run *)
+
+val skip_recurrence : Machine.t -> base:Machine.snapshot -> limit:int -> recurrence
+(** Remember the registers, eip, eflags and mode, and step the reference
+    interpreter (under [Machine.run]'s stop checks and the absolute
+    cycle [limit]) until they recur, at most a few thousand steps.  Take
+    a checkpoint over [base] there, step until they recur again, and
+    compare the two states with {!Kfi_isa.Machine.same_state}.  When
+    they match and no [rdtsc] ran in the period, the run repeats that
+    period until [limit]: add whole periods to the cycle counter (and to
+    a timer not yet due), leaving a tail of at least one period that
+    also refills the flight recorder, and advance the recorder's count
+    by the records skipped.  Running the machine on to [limit] then
+    leaves exactly the state the full run leaves.  Needs dirty tracking
+    synchronized to [base] (the cached backend after restoring it);
+    never tries with a debug register armed or at trace level [Full]. *)

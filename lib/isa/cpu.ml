@@ -57,6 +57,7 @@ type t = {
          (-1 = everything); fired whenever a marked frame is written *)
   scratch : int32 array;          (* register snapshot for faulting restarts *)
   mutable last_fault_cycle : int; (* cycle count at the most recent exception *)
+  mutable cycle_reads : int;      (* rdtsc instructions executed, ever *)
   trace : Trace.t;                (* flight recorder, fed from [step] *)
 }
 
@@ -92,6 +93,7 @@ let create ~phys ~disk ~idt_base =
     on_code_invalidate = None;
     scratch = Array.make 8 0l;
     last_fault_cycle = 0;
+    cycle_reads = 0;
     trace = Trace.create ();
   }
 
@@ -571,6 +573,7 @@ let execute cpu insn =
     require_kernel cpu;
     cpu.regs.(r) <- read_cr cpu cr
   | Rdtsc ->
+    cpu.cycle_reads <- cpu.cycle_reads + 1;
     cpu.regs.(eax) <- i32 (cpu.cycles land 0xFFFFFFFF);
     cpu.regs.(edx) <- i32 (cpu.cycles lsr 32)
   | Diskrd -> disk_transfer cpu ~write:false

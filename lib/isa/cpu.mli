@@ -58,6 +58,10 @@ type t = {
   mutable last_fault_cycle : int;
       (** cycle count at the most recent exception — the crash-latency
           endpoint for faults *)
+  mutable cycle_reads : int;
+      (** [rdtsc] instructions executed so far on this CPU (both backends
+          run them through {!execute}): a run that leaves it unchanged
+          never read the cycle counter *)
   trace : Trace.t;
       (** the flight recorder, fed from {!step}; level {!Trace.Off}
           (the default) costs one compare per instruction *)

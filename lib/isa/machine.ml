@@ -183,6 +183,34 @@ let restore_checkpoint t ~base k =
 
 let checkpoint_cycles k = k.k_cpu.s_cycles
 
+(* Whether two checkpoints over [base] hold states the guest cannot tell
+   apart: everything a checkpoint keeps except the cycle counter, the
+   flight recorder and the last fault's cycle, which no instruction
+   reads, and the debug registers, which are [base]'s in both.  The
+   timer is compared by the cycles left until it is due (0 once due; an
+   idle timer never is).  A checkpoint's pages are exactly those that
+   differ from [base]; its blocks are those written since [base], so a
+   block only one of them lists must equal [base]'s. *)
+let same_state ~base a b =
+  let x = a.k_cpu and y = b.k_cpu in
+  let due s = if s.s_next_timer = max_int then max_int else max 0 (s.s_next_timer - s.s_cycles) in
+  let block_in k blk =
+    match List.assoc_opt blk k.k_blocks with
+    | Some data -> data
+    | None -> Devices.Disk.read_block base.s_disk blk
+  in
+  let same_blocks k k' =
+    List.for_all (fun (blk, data) -> Bytes.equal data (block_in k' blk)) k.k_blocks
+  in
+  x.s_regs = y.s_regs && Int32.equal x.s_eip y.s_eip && x.s_eflags = y.s_eflags
+  && x.s_mode = y.s_mode && x.s_cr0 = y.s_cr0 && x.s_cr2 = y.s_cr2 && x.s_cr3 = y.s_cr3
+  && x.s_esp0 = y.s_esp0 && x.s_halted = y.s_halted && x.s_exit_code = y.s_exit_code
+  && x.s_timer_period = y.s_timer_period && due x = due y
+  && String.equal x.s_console y.s_console && String.equal x.s_tty y.s_tty
+  && a.k_tlb = b.k_tlb
+  && List.equal (fun (p, d) (q, e) -> p = q && Bytes.equal d e) a.k_pages b.k_pages
+  && same_blocks a b && same_blocks b a
+
 let checkpoint_bytes k =
   let sum f l = List.fold_left (fun n x -> n + Bytes.length (f x)) 0 l in
   sum snd k.k_pages + sum snd k.k_blocks + Mmu.tlb_bytes

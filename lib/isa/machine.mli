@@ -62,5 +62,16 @@ val restore_checkpoint : t -> base:snapshot -> checkpoint -> unit
 val checkpoint_cycles : checkpoint -> int
 (** The cycle counter at capture. *)
 
+val same_state : base:snapshot -> checkpoint -> checkpoint -> bool
+(** Whether two checkpoints over [base] hold the same state as far as the
+    guest can tell: registers, eip, eflags and mode, the control
+    registers, halt and exit code, the timer period and the cycles left
+    until the timer is due (0 once it is), console and tty, the TLB,
+    every memory page and every disk block.  The cycle counter, the
+    flight recorder and the last fault's cycle are left out: no
+    instruction reads them, except the cycle counter through [rdtsc],
+    which the caller must rule out.  So are the debug registers, which a
+    checkpoint takes from [base] and no instruction writes. *)
+
 val checkpoint_bytes : checkpoint -> int
 (** Approximate heap footprint: pages, blocks, TLB, console and ring. *)

@@ -101,6 +101,15 @@ let clear t =
 
 let length t = if t.seen < t.capacity then t.seen else t.capacity
 let seen t = t.seen
+let capacity t = t.capacity
+
+(* Count [n] instruction records as written without writing them: the
+   total and the write slot move on as if they had been.  The slots keep
+   their old contents, so the caller records at least [capacity] more
+   entries before anything reads the ring. *)
+let advance t n =
+  t.seen <- t.seen + n;
+  t.pos <- (t.pos + n) mod t.capacity
 
 (* Record one retired instruction from its precomputed trace word (see
    the [tws] layout above).  Callers guard on [enabled].  This is the

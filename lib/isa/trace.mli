@@ -59,6 +59,16 @@ val seen : t -> int
 (** Total instructions recorded since the last {!clear}, including those
     already overwritten. *)
 
+val capacity : t -> int
+(** Instruction entries the ring retains. *)
+
+val advance : t -> int -> unit
+(** [advance t n] counts [n] instruction records as written without
+    writing them: {!seen} and the write position move on by [n], the
+    slots keep their contents.  For a run that skips [n] instructions it
+    has proven to repeat; it must record at least {!capacity} more
+    entries before the ring is read. *)
+
 val record : t -> cycle:int -> eip:int32 -> op:int -> user:bool -> mem:int -> unit
 (** Record one retired instruction ([mem] < 0 = no memory operand).
     Callers guard on {!enabled}. *)

@@ -409,6 +409,112 @@ let test_checkpoint_keeps_tlb () =
   check Alcotest.string "the run writes through the stale entry" "exit 2"
     (result_name (Backend.run b ~max_cycles:1000))
 
+(* ---------- provable hangs ---------- *)
+
+(* [items] with the timer tick due and masked (IF starts clear) and the
+   flight recorder at [Ring]: on the cached backend, paused at cycle
+   [at] for one [Runner.skip_recurrence] attempt and run on to [limit];
+   on the interpreter, run plainly to [limit].  Both runs must end in
+   the same result, cycle count, registers, flight recorder, memory and
+   console; the attempt's verdict is returned. *)
+let recurrence_case ?(at = 5_000) ?(limit = 200_000) items =
+  let code = (Testbed.assemble_items items).code in
+  let setup kind =
+    let m = Testbed.make_machine () in
+    Phys.blit_in (Machine.phys m) ~dst:Testbed.code_base code;
+    let cpu = Machine.cpu m in
+    Cpu.set_timer cpu 1_000;
+    Trace.set_level cpu.Cpu.trace Trace.Ring;
+    (m, Backend.create kind m)
+  in
+  let m, b = setup Backend.Cached in
+  let base = Backend.snapshot b in
+  check Alcotest.string "paused before the attempt" "watchdog"
+    (result_name (Backend.run b ~max_cycles:at));
+  let verdict = Kfi_injector.Runner.skip_recurrence m ~base ~limit in
+  let cpu = Machine.cpu m in
+  let result =
+    match verdict with
+    | Kfi_injector.Runner.Reset trap -> Machine.Reset trap
+    | _ -> Backend.run b ~max_cycles:(limit - cpu.Cpu.cycles)
+  in
+  let m', b' = setup Backend.Interp in
+  let cpu' = Machine.cpu m' in
+  check Alcotest.string "same result" (result_name (Backend.run b' ~max_cycles:limit))
+    (result_name result);
+  check int "same cycles" cpu'.Cpu.cycles cpu.Cpu.cycles;
+  let regs c = List.map Int32.to_int (c.Cpu.eip :: Array.to_list c.Cpu.regs) in
+  check int_list "same eip and registers" (regs cpu') (regs cpu);
+  check int "same eflags" cpu'.Cpu.eflags cpu.Cpu.eflags;
+  check int "same records seen" (Trace.seen cpu'.Cpu.trace) (Trace.seen cpu.Cpu.trace);
+  check bool "same flight recorder" true
+    (Trace.entries cpu'.Cpu.trace = Trace.entries cpu.Cpu.trace);
+  check Alcotest.string "same memory" (digest (Machine.phys m')) (digest (Machine.phys m));
+  check Alcotest.string "same console" (Machine.console_contents m') (Machine.console_contents m);
+  verdict
+
+let proven = function
+  | Kfi_injector.Runner.Proven p -> Some p
+  | Kfi_injector.Runner.Unproven | Kfi_injector.Runner.Reset _ -> None
+
+let test_masked_spin_proven () =
+  match
+    proven
+      (recurrence_case
+         [
+           Ins (Mov_ri (ebx, Int32.of_int data_page));
+           Label "spin";
+           Ins (Mov_r_rm (eax, Mem (mb ebx 0)));
+           Ins (Test_rm_r (Reg eax, eax));
+           Jcc_sym (E, "spin");
+         ])
+  with
+  | None -> Alcotest.fail "a masked spin on a memory load is not proven"
+  | Some p ->
+    check int "one iteration per period" 3 p.Kfi_injector.Runner.pr_period;
+    check bool "whole periods skipped" true (p.Kfi_injector.Runner.pr_skipped > 150_000)
+
+(* The registers and memory recur on every pass, yet the loop exits once
+   the cycle counter passes 50,000: skipping periods would exit it late. *)
+let test_rdtsc_loop_unproven () =
+  check bool "a loop that reads the cycle counter is not proven" true
+    (proven
+       (recurrence_case
+          ([
+             Label "wait";
+             Ins Rdtsc;
+             Ins (Alu_eax_i (Cmp, 50_000l));
+             Ins (Mov_ri (eax, 0l));
+             Jcc_sym (B, "wait");
+           ]
+          @ exit_with_al))
+    = None)
+
+let test_counting_loop_unproven () =
+  check bool "a loop that increments a memory word is not proven" true
+    (proven
+       (recurrence_case
+          [
+            Ins (Mov_ri (ebx, Int32.of_int data_page));
+            Label "count";
+            Ins (Inc_rm (Mem (mb ebx 0)));
+            Jmp_sym "count";
+          ])
+    = None)
+
+let test_console_loop_unproven () =
+  check bool "a loop that writes the console is not proven" true
+    (proven
+       (recurrence_case
+          [
+            Ins (Mov_ri (edx, Int32.of_int Devices.console_port));
+            Ins (Mov_ri (eax, Int32.of_int (Char.code 'x')));
+            Label "print";
+            Ins Out_al;
+            Jmp_sym "print";
+          ])
+    = None)
+
 let test_detach_hands_machine_back () =
   let r = Testbed.assemble_items selfmod_items in
   let m = Testbed.make_machine () in
@@ -444,6 +550,10 @@ let suite =
     Alcotest.test_case "checkpoint drops stale decoded code" `Quick
       test_checkpoint_drops_stale_code;
     Alcotest.test_case "checkpoint keeps the TLB" `Quick test_checkpoint_keeps_tlb;
+    Alcotest.test_case "recurring masked spin is proven" `Quick test_masked_spin_proven;
+    Alcotest.test_case "rdtsc-guarded loop is not proven" `Quick test_rdtsc_loop_unproven;
+    Alcotest.test_case "counting loop is not proven" `Quick test_counting_loop_unproven;
+    Alcotest.test_case "console loop is not proven" `Quick test_console_loop_unproven;
     Alcotest.test_case "record independent of the previous target" `Slow
       test_record_independent_of_order;
   ]

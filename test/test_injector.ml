@@ -254,6 +254,83 @@ let test_ladder_per_hardening () =
       let _, n3 = counting_rungs r (fun () -> run_late r) in
       check int "the plain ladder is kept" 1 n3)
 
+(* --- provable hangs --- *)
+
+(* The CI population's three hangs whose machine state recurs (campaign
+   A, seed 42, all on context1). *)
+let recurring_hangs r =
+  List.map
+    (fun (fn, addr, byte) ->
+      List.find
+        (fun t -> t.Target.t_addr = addr && t.Target.t_byte = byte)
+        (Target.enumerate (Runner.build r) ~campaign:Target.A ~seed:42 [ fn ]))
+    [ ("schedule", 0xc0105545l, 2); ("wake_up", 0xc0105359l, 3); ("pipe_write", 0xc0104e2dl, 2) ]
+
+(* A small cached campaign: the recurring hangs and a spread of other
+   scheduler targets.  Each class's wall-time histogram counts its
+   runs, and the proven hangs cost a fraction of one full-budget run of
+   the same hang (traced at [Full], which never skips). *)
+let test_proven_hang_wall () =
+  let r = Lazy.force runner in
+  let context1 = Kfi_workload.Progs.index_of "context1" in
+  let hangs = recurring_hangs r in
+  let others =
+    Target.enumerate (Runner.build r) ~campaign:Target.A ~seed:42 [ "schedule" ]
+    |> List.filteri (fun i _ -> i mod 16 = 0)
+  in
+  on_fresh_ladder r (fun () ->
+      Runner.set_trace_level r Kfi_isa.Trace.Full;
+      let t0 = Unix.gettimeofday () in
+      let o =
+        Fun.protect
+          ~finally:(fun () -> Runner.set_trace_level r Kfi_isa.Trace.Ring)
+          (fun () -> Runner.run_one r ~workload:context1 (List.hd hangs))
+      in
+      let full = Unix.gettimeofday () -. t0 in
+      check Alcotest.string "a hang at Full" "hang" (Outcome.category o);
+      check Alcotest.bool "nothing proven at Full" true (Runner.last_proof r = None);
+      let m = Kfi_obs.Metrics.create () in
+      Runner.set_metrics r (Some m);
+      let outcomes =
+        Fun.protect
+          ~finally:(fun () -> Runner.set_metrics r None)
+          (fun () ->
+            List.map
+              (fun t ->
+                let o = Runner.run_one r ~workload:context1 t in
+                (o, Runner.last_proof r))
+              (hangs @ others))
+      in
+      List.iteri
+        (fun i (o, proof) ->
+          if i < List.length hangs then begin
+            check Alcotest.string "a recurring hang" "hang" (Outcome.category o);
+            check Alcotest.bool "proven" true (proof <> None)
+          end)
+        outcomes;
+      let s = Kfi_obs.Metrics.snapshot m in
+      let counter = Kfi_obs.Metrics.counter s in
+      let per_class =
+        List.fold_left
+          (fun n (k, h) ->
+            if String.starts_with ~prefix:"inj.wall." k then n + h.Kfi_obs.Metrics.hs_count else n)
+          0 s.Kfi_obs.Metrics.sn_hists
+      in
+      check int "per-class counts sum to inj.count" (counter "inj.count") per_class;
+      let hang_runs =
+        List.length (List.filter (fun (o, _) -> Outcome.category o = "hang") outcomes)
+      in
+      check int "every hang proven" hang_runs (counter "inj.hang_proven");
+      check Alcotest.bool "cycles not executed" true
+        (counter "inj.hang_skipped_cycles" > 3 * 7_000_000);
+      match Kfi_obs.Metrics.hist s "inj.wall.hang" with
+      | None -> Alcotest.fail "no inj.wall.hang histogram"
+      | Some h ->
+        check int "every hang timed as a hang" hang_runs h.Kfi_obs.Metrics.hs_count;
+        if h.Kfi_obs.Metrics.hs_max *. 3. > full then
+          Alcotest.failf "slowest proven hang %.3fs, full-budget run %.3fs"
+            h.Kfi_obs.Metrics.hs_max full)
+
 let test_golden_reproducible () =
   let r = Lazy.force runner in
   (* a run without injection must match golden exactly: use a target in a
@@ -341,6 +418,7 @@ let suite =
     Alcotest.test_case "ladder: budget below a rung" `Slow test_ladder_respects_budget;
     Alcotest.test_case "ladder: unused at Full" `Slow test_ladder_unused_at_full;
     Alcotest.test_case "ladder: one per hardening" `Slow test_ladder_per_hardening;
+    Alcotest.test_case "proven hangs: wall time per outcome class" `Slow test_proven_hang_wall;
     Alcotest.test_case "golden reproducible" `Slow test_golden_reproducible;
     Alcotest.test_case "campaign A outcomes (schedule)" `Slow test_campaign_a_schedule_outcomes;
     Alcotest.test_case "campaign C outcomes (fs)" `Slow test_campaign_c_fs_outcomes;
