@@ -149,6 +149,19 @@ let render ~header (s : Metrics.snap) =
                | None -> "?"))
      done
    | None -> ());
+  (* the cached backend's block cache; interpreter runs publish none *)
+  if c "bb.built" + c "bb.reverified" > 0 then
+    Buffer.add_string buf
+      (Printf.sprintf
+         "  block cache  built: %s, re-verified after a page write: %s, page invalidations: %s; \
+          fallbacks to Cpu.step: timer %s, debug address %s, fetch %s, undecodable entry %s\n"
+         (fmt_count (c "bb.built"))
+         (fmt_count (c "bb.reverified"))
+         (fmt_count (c "bb.invalidated_pages"))
+         (fmt_count (c "bb.fallback.timer"))
+         (fmt_count (c "bb.fallback.debug"))
+         (fmt_count (c "bb.fallback.fetch"))
+         (fmt_count (c "bb.fallback.undecodable")));
   if c "journal.appends" > 0 then
     Buffer.add_string buf
       (Printf.sprintf "  journal      %s appends\n" (fmt_count (c "journal.appends")));

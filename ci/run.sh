@@ -152,6 +152,14 @@ if ! grep -q 'hangs proven by state recurrence: [1-9]' _artifacts/cached1_summar
   echo "backend gate failed: no hang proven by state recurrence" >&2
   exit 1
 fi
+# and the block cache: restores and stores to pages holding decoded code
+# must leave blocks whose bytes still match in place, re-checked rather
+# than rebuilt, so the cmps below check kept blocks too
+grep 'block cache' _artifacts/cached1_summary.txt
+if ! grep -q 're-verified after a page write: [1-9]' _artifacts/cached1_summary.txt; then
+  echo "backend gate failed: no block re-verified after a page write" >&2
+  exit 1
+fi
 dune exec bin/kfi_campaign.exe -- -c A --subsample 60 -q -j 4 --backend cached \
   --csv _artifacts/cached4.csv --jsonl _artifacts/cached4.jsonl \
   --journal _artifacts/cached4.journal > /dev/null

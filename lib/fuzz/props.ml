@@ -327,7 +327,10 @@ let cpu_trace_transparent =
    outcome, registers, memory digest, trace entries and events — on the
    clean run, across an incremental snapshot restore, and on the
    injected replay.  The injection uses the runner's own mechanism: a
-   debug-register hit that pokes kernel text through [Cpu.poke_phys]. *)
+   debug-register hit that pokes kernel text through [Cpu.poke_phys].
+   A third leg restores the snapshot once more and runs clean again: on
+   each backend it must repeat the first clean leg exactly, so blocks
+   kept across the injected bytes' restore run the bytes restored. *)
 
 let result_name = function
   | Machine.Powered_off n -> spf "exit:%d" n
@@ -411,18 +414,31 @@ let backend_equiv =
         let injected = fingerprint m (result_name r2) in
         let injected_mem = mem_digest m in
         let injected_trace = trace_repr cpu.Cpu.trace in
+        Backend.restore b snap;
+        let r3 = Backend.run b ~max_cycles:steps in
+        let again = fingerprint m (result_name r3) in
+        let again_mem = mem_digest m in
+        let again_trace = trace_repr cpu.Cpu.trace in
         Backend.detach b;
-        String.concat "\n"
-          [
-            "clean " ^ clean; "clean-mem " ^ clean_mem;
-            "clean-trace " ^ clean_trace; "injected " ^ injected;
-            "injected-mem " ^ injected_mem; "injected-trace " ^ injected_trace;
-          ]
+        let legs =
+          String.concat "\n"
+            [
+              "clean " ^ clean; "clean-mem " ^ clean_mem;
+              "clean-trace " ^ clean_trace; "injected " ^ injected;
+              "injected-mem " ^ injected_mem; "injected-trace " ^ injected_trace;
+            ]
+        in
+        if again = clean && again_mem = clean_mem && again_trace = clean_trace then Ok legs
+        else
+          Error
+            (spf "%s: the clean rerun after the injected run differs:\n%s\nagain %s\nagain-mem %s\nagain-trace %s"
+               (Backend.kind_name kind) legs again again_mem again_trace)
       in
-      let reference = exec Backend.Interp in
-      let cached = exec Backend.Cached in
-      if String.equal reference cached then Ok ()
-      else Error (spf "backends diverged:\n-- interp --\n%s\n-- cached --\n%s" reference cached))
+      match (exec Backend.Interp, exec Backend.Cached) with
+      | Error e, _ | _, Error e -> Error e
+      | Ok reference, Ok cached ->
+        if String.equal reference cached then Ok ()
+        else Error (spf "backends diverged:\n-- interp --\n%s\n-- cached --\n%s" reference cached))
 
 (* ---------- mmu.translate_ref ---------- *)
 

@@ -691,11 +691,26 @@ let ladder_size t =
     t.reach;
   (!n, !bytes)
 
+(* The block cache's counters published per injection, as metric name
+   and [Bbexec.stats] field. *)
+let bb_counters =
+  Bbexec.
+    [
+      ("bb.built", fun s -> s.st_built);
+      ("bb.reverified", fun s -> s.st_reverified);
+      ("bb.invalidated_pages", fun s -> s.st_invalidated_pages);
+      ("bb.fallback.timer", fun s -> s.st_fallback_timer);
+      ("bb.fallback.debug", fun s -> s.st_fallback_debug);
+      ("bb.fallback.fetch", fun s -> s.st_fallback_fetch);
+      ("bb.fallback.undecodable", fun s -> s.st_fallback_undecodable);
+    ]
+
 (* Resolve a target the golden run never reaches straight from its
    reach map, leaving exactly what a full run would report: the golden
    cycle count, no injection cycle, and a fresh (empty) trace ring. *)
 let run_one ?deadline t ~workload (target : Target.t) =
   let wall0 = Unix.gettimeofday () in
+  let bb0 = match t.metrics with None -> None | Some _ -> Backend.stats t.backend in
   let reach = reach_for t ~workload in
   let skipped = never_reached t reach target in
   t.last_skipped <- 0;
@@ -741,5 +756,14 @@ let run_one ?deadline t ~workload (target : Target.t) =
      M.set_gauge m "ladder.rungs" (float_of_int rungs);
      M.set_gauge m "ladder.bytes" (float_of_int bytes);
      if t.last_injected_at <> None then M.incr m "inj.activated";
-     M.incr m ("outcome." ^ Outcome.category outcome));
+     M.incr m ("outcome." ^ Outcome.category outcome);
+     (* the interpreter has no block cache, so its runs add nothing *)
+     match (bb0, Backend.stats t.backend) with
+     | Some s0, Some s1 ->
+       List.iter
+         (fun (name, field) ->
+           let d = field s1 - field s0 in
+           if d > 0 then M.incr m ~by:d name)
+         bb_counters
+     | _ -> ());
   outcome

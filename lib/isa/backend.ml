@@ -5,10 +5,10 @@
    - [Interp]: the reference step interpreter, exactly the pre-existing
      [Machine.run] path.  Slow, simple, and the semantic ground truth.
    - [Cached]: dirty-page tracked restore ([Phys.set_tracking]) plus the
-     pre-decoded basic-block engine ([Bbexec]), invalidated per page on
-     text writes.  Byte-identical outcomes, traces and telemetry — the
-     fuzz property [backend.equiv] and the CI byte-identity gates hold
-     it to that. *)
+     pre-decoded basic-block engine ([Bbexec]), whose blocks re-check
+     their bytes after a write to their page.  Byte-identical outcomes,
+     traces and telemetry — the fuzz property [backend.equiv] and the CI
+     byte-identity gates hold it to that. *)
 
 type kind = Interp | Cached
 

@@ -6,8 +6,9 @@
     is differentially checked against.  {!Cached} layers two caches on
     the same machine: dirty-page tracked restore (O(dirty pages) instead
     of a full-image copy) and a pre-decoded basic-block engine keyed by
-    physical page, invalidated on text writes — so both caches survive
-    across experiments, which touch only a few pages each.  Outcomes,
+    physical address, whose blocks re-check the bytes they were decoded
+    from after a write to their page — so both caches survive across
+    experiments, which touch only a few pages each.  Outcomes,
     registers, traces and telemetry are byte-identical between the two;
     the [backend.equiv] fuzz property and the CI byte-identity gates
     enforce it. *)
@@ -27,7 +28,7 @@ type t
 val create : kind -> Machine.t -> t
 (** Attach a backend to a machine.  {!Cached} turns on dirty tracking
     (memory pages and disk blocks) and installs the block cache's
-    invalidation hook. *)
+    page-write hook. *)
 
 val detach : t -> unit
 (** Undo {!create}: remove hooks and tracking so another backend (or

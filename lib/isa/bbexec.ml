@@ -6,8 +6,13 @@
    else that can move eip, change paging, or touch a device port), at a
    page boundary, or after [max_block] instructions.  Blocks never span
    pages, so coherence is per physical page: the CPU's write guard and
-   the incremental-restore path report page invalidations through
-   [Cpu.on_code_invalidate], and this cache drops exactly those blocks.
+   the incremental-restore path report writes to a page holding decoded
+   code through [Cpu.on_code_invalidate], which bumps that page's epoch.
+   A block keeps every byte its decoder read and the epoch at which they
+   last matched memory; dispatching it after its page's epoch moved
+   compares those bytes with memory again and rebuilds the block only if
+   they differ.  Most such writes touch data sharing a page with code,
+   or restore the bytes a run changed, so the block survives them.
 
    Per-instruction semantics are the interpreter's own: the machine-run
    checks (snapshot request, halt, watchdog limit), the timer-IRQ and
@@ -48,6 +53,11 @@ type block = {
   b_offs : int array;             (* byte offset of each insn in the block *)
   b_len : int;                    (* total bytes *)
   b_n : int;
+  b_bytes : Bytes.t;
+      (* every byte the decoder read from the entry on: the block's
+         instructions and whatever ended it (an undecodable or
+         page-crossing instruction) *)
+  mutable b_epoch : int;          (* page epoch at which [b_bytes] last matched *)
   mutable b_eip0 : int32;         (* entry eip the memoized eips were built for *)
   mutable b_eips : int32 array;   (* pre-boxed eips, [b_n + 1] entries; [||] = unset *)
   mutable b_user : bool;          (* mode the memoized trace words encode *)
@@ -62,6 +72,8 @@ let empty_block =
     b_offs = [||];
     b_len = 0;
     b_n = 0;
+    b_bytes = Bytes.empty;
+    b_epoch = 0;
     b_eip0 = 0l;
     b_eips = [||];
     b_user = false;
@@ -75,7 +87,7 @@ let d_size = 8192
 type t = {
   cpu : Cpu.t;
   cache : (int, block) Hashtbl.t; (* physical address of first insn -> block *)
-  page_blocks : (int, int list) Hashtbl.t; (* page -> block keys in it *)
+  epochs : int array;             (* per physical page: writes reported by the hook *)
   d_keys : int array;             (* pa0 per slot, -1 = empty *)
   d_vals : block array;
   save : int array;               (* rollback register save, native ints *)
@@ -86,46 +98,64 @@ type t = {
   mutable st : int;               (* 0 = running, 1 = stop, 2 = stop + step fallback *)
   mutable mgen : int;             (* TLB generation the block was verified against *)
   mutable sv_efl : int;           (* eflags save for full-rollback instructions *)
-  mutable gen : int; (* bumped on any invalidation: executing blocks re-check *)
+  mutable gen : int; (* bumped on any page write: executing blocks re-check *)
   mutable built : int;
   mutable hits : int;
+  mutable reverified : int;
   mutable invalidated_pages : int;
+  (* dispatches handed to the reference [Cpu.step], by reason *)
+  mutable fb_timer : int;
+  mutable fb_debug : int;
+  mutable fb_fetch : int;
+  mutable fb_undecodable : int;
 }
 
-type stats = { st_blocks : int; st_built : int; st_hits : int; st_invalidated_pages : int }
+type stats = {
+  st_blocks : int;
+  st_built : int;
+  st_hits : int;
+  st_reverified : int;
+  st_invalidated_pages : int;
+  st_fallback_timer : int;
+  st_fallback_debug : int;
+  st_fallback_fetch : int;
+  st_fallback_undecodable : int;
+}
 
 let stats t =
   {
     st_blocks = Hashtbl.length t.cache;
     st_built = t.built;
     st_hits = t.hits;
+    st_reverified = t.reverified;
     st_invalidated_pages = t.invalidated_pages;
+    st_fallback_timer = t.fb_timer;
+    st_fallback_debug = t.fb_debug;
+    st_fallback_fetch = t.fb_fetch;
+    st_fallback_undecodable = t.fb_undecodable;
   }
 
 let flush t =
   Hashtbl.reset t.cache;
-  Hashtbl.reset t.page_blocks;
   Array.fill t.d_keys 0 d_size (-1);
   t.gen <- t.gen + 1
 
+(* The hook clears the page's mark, so later writes stay silent until a
+   build or a re-check marks it again; both record the epoch they saw. *)
 let invalidate_page t page =
   if page < 0 then flush t
-  else
-    match Hashtbl.find_opt t.page_blocks page with
-    | None -> ()
-    | Some keys ->
-      List.iter (Hashtbl.remove t.cache) keys;
-      Hashtbl.remove t.page_blocks page;
-      Array.fill t.d_keys 0 d_size (-1);
-      t.invalidated_pages <- t.invalidated_pages + 1;
-      t.gen <- t.gen + 1
+  else begin
+    t.epochs.(page) <- t.epochs.(page) + 1;
+    t.invalidated_pages <- t.invalidated_pages + 1;
+    t.gen <- t.gen + 1
+  end
 
 let create cpu =
   let t =
     {
       cpu;
       cache = Hashtbl.create 4096;
-      page_blocks = Hashtbl.create 256;
+      epochs = Array.make ((Phys.size cpu.Cpu.phys + Mmu.page_size - 1) lsr Mmu.page_shift) 0;
       d_keys = Array.make d_size (-1);
       d_vals = Array.make d_size empty_block;
       save = Array.make 8 0;
@@ -136,7 +166,12 @@ let create cpu =
       gen = 0;
       built = 0;
       hits = 0;
+      reverified = 0;
       invalidated_pages = 0;
+      fb_timer = 0;
+      fb_debug = 0;
+      fb_fetch = 0;
+      fb_undecodable = 0;
     }
   in
   cpu.Cpu.on_code_invalidate <- Some (invalidate_page t);
@@ -171,7 +206,9 @@ exception Page_end
    page.  An instruction that crosses the page edge, fails to decode, or
    runs off physical memory is left out: the dispatcher re-executes from
    that point through the reference [Cpu.step], which re-derives the
-   exact fault or cross-page fetch the interpreter would. *)
+   exact fault or cross-page fetch the interpreter would.  The bytes of
+   such an instruction are kept with the block all the same: they decide
+   where it ends. *)
 let build t pa0 =
   let cpu = t.cpu in
   let phys = cpu.Cpu.phys in
@@ -180,10 +217,14 @@ let build t pa0 =
   let n = ref 0 in
   let off = ref 0 in
   let stop = ref false in
+  let read_end = ref pa0 in
   while (not !stop) && !n < max_block && pa0 + !off < page_lim do
     let base = pa0 + !off in
     let fetch i =
-      if base + i < page_lim then Phys.read8 phys (base + i) else raise Page_end
+      let a = base + i in
+      if a >= page_lim then raise Page_end;
+      if a >= !read_end then read_end := a + 1;
+      Phys.read8 phys a
     in
     match Decode.decode fetch with
     | exception Page_end -> stop := true
@@ -196,6 +237,7 @@ let build t pa0 =
   done;
   let items = Array.of_list (List.rev !rev) in
   let n = Array.length items in
+  let page = pa0 lsr Mmu.page_shift in
   let mems = Array.map (fun (insn, _, _) -> Cpu.mem_thunk insn) items in
   let b =
     {
@@ -217,6 +259,8 @@ let build t pa0 =
       b_offs = Array.map (fun (_, _, off) -> off) items;
       b_len = !off;
       b_n = n;
+      b_bytes = Phys.blit_out phys ~src:pa0 ~len:(!read_end - pa0);
+      b_epoch = t.epochs.(page);
       b_eip0 = 0l;
       b_eips = [||];
       b_user = false;
@@ -224,13 +268,6 @@ let build t pa0 =
     }
   in
   Hashtbl.replace t.cache pa0 b;
-  let page = pa0 lsr Mmu.page_shift in
-  Hashtbl.replace t.page_blocks page
-    (pa0
-     ::
-     (match Hashtbl.find_opt t.page_blocks page with
-      | Some keys -> keys
-      | None -> []));
   Cpu.mark_code_page cpu page;
   t.built <- t.built + 1;
   b
@@ -291,7 +328,10 @@ let exec_block t b pa0 limit =
       done;
       !hit
   in
-  if dbg then Cpu.step cpu
+  if dbg then begin
+    t.fb_debug <- t.fb_debug + 1;
+    Cpu.step cpu
+  end
   else begin
     (* Pre-boxed eip for every instruction boundary plus the packed trace
        word per instruction, memoized on the entry address and mode:
@@ -330,20 +370,6 @@ let exec_block t b pa0 limit =
     let gen0 = t.gen in
     let regs = cpu.Cpu.regs in
     let save = t.save in
-    (* [st]: 0 = running; 1 = stop; 2 = stop, then one reference
-       [Cpu.step].  The fallback step runs after the loops: the
-       reference step handles its own faults, and anything it lets
-       escape (a failing trap delivery) must not be caught here.
-
-       The outer loop is the chain: when an iteration ends with eip back
-       at this block's entry and nothing the dispatcher would act on has
-       changed (below), re-enter the instruction loop directly.  Spin
-       loops — the watchdog-bound hangs that dominate campaign wall
-       time — are one- or two-instruction blocks, so for them this turns
-       the whole run/translate/dispatch/entry path into a dozen
-       compares per iteration. *)
-    t.st <- 0;
-    while t.st = 0 do
     let c0 = cpu.Cpu.cycles in
     (* Within a block, the cycle counter advances by exactly one per
        retired instruction (IF writers, cycle readers and the disk ops
@@ -351,8 +377,7 @@ let exec_block t b pa0 limit =
        and the per-instruction timer/watchdog compares collapse into one
        entry-time bound: the index of the first instruction that may NOT
        run.  [Machine.run] checks the limit and [exec_some] the timer
-       before dispatching (and the chain check below re-checks both), so
-       [k >= 1]. *)
+       before dispatching, so [k >= 1]. *)
     let k =
       let f = limit - c0 in
       let f =
@@ -363,6 +388,11 @@ let exec_block t b pa0 limit =
       in
       if f < n then f else n
     in
+    (* [st]: 0 = running; 1 = stop; 2 = stop, then one reference
+       [Cpu.step].  The fallback step runs after the loop: the
+       reference step handles its own faults, and anything it lets
+       escape (a failing trap delivery) must not be caught here. *)
+    t.st <- 0;
     t.cur <- 0;
     (* [cpu.eip] and [cpu.cycles] are maintained lazily inside the loop:
        no straight-line closure reads either, so the stores are skipped
@@ -423,11 +453,12 @@ let exec_block t b pa0 limit =
            if meta land meta_eip = 0 then begin
              (Array.unsafe_get b.b_exec idx) cpu;
              t.cur <- idx + 1;
-             (* Self-modifying text (including the injector's own bit
-                flip) invalidates through the page hook; re-enter the
-                dispatcher so the next instruction is decoded from the
-                new bytes.  [idx + 1 >= k] covers both the block end and
-                the timer/watchdog bound. *)
+             (* A write to a page holding decoded code (self-modifying
+                text, the injector's own bit flip, or data sharing a page
+                with code) bumps [gen] through the page hook; re-enter the
+                dispatcher, which re-checks the next block against the
+                bytes now in memory.  [idx + 1 >= k] covers both the block
+                end and the timer/watchdog bound. *)
              if idx + 1 >= k || t.gen <> gen0 then begin
                cpu.Cpu.eip <- Array.unsafe_get eips (idx + 1);
                cpu.Cpu.cycles <- c0 + idx + 1;
@@ -475,62 +506,75 @@ let exec_block t b pa0 limit =
        Trace.record_event tr ~cycle:cpu.Cpu.cycles ~kind:Trace.ev_triple_fault
          ~a:(Trap.number Trap.General_protection) ~b:0;
        raise (Cpu.Triple_fault { vector = Trap.General_protection; error = 0l }));
-    (* Chain check.  Re-entering the instruction loop is exactly what a
-       trip through [run]/[exec_some]/[dispatch] would do iff every
-       condition one of them tests (or relies on) still holds: execution
-       is back at this block's entry in an un-faulted stop state (a
-       delivered trap also lands here at a clean boundary; [st] = 2
-       means the fetch needs the reference path), the machine has not
-       halted or requested a snapshot, neither the watchdog limit nor an
-       enabled timer is due (this also re-establishes [k >= 1]), no
-       block was invalidated, the TLB generation still matches (at an
-       unchanged generation the entry still translates to [pa0]: the
-       per-page verifications above cover the whole page), and the mode
-       still matches the memoized trace words and translation. *)
-    if
-      t.st = 1
-      && Int32.equal cpu.Cpu.eip eip0
-      && (not cpu.Cpu.halted)
-      && (not cpu.Cpu.snapshot_request)
-      && cpu.Cpu.cycles < limit
-      && (cpu.Cpu.eflags land Flags.if_ = 0
-          || cpu.Cpu.cycles < cpu.Cpu.next_timer)
-      && t.gen = gen0
-      && Mmu.generation mmu = t.mgen
-      && (match cpu.Cpu.mode with Cpu.User -> user | Cpu.Kernel -> not user)
-    then t.st <- 0
-    done;
-    if t.st = 2 then Cpu.step cpu
+    if t.st = 2 then begin
+      t.fb_fetch <- t.fb_fetch + 1;
+      Cpu.step cpu
+    end
+  end
+
+(* [b]'s page was written since its bytes last matched: keep it if they
+   still do, otherwise decode the entry again. *)
+let recheck t b pa0 slot =
+  let page = pa0 lsr Mmu.page_shift in
+  if Phys.holds t.cpu.Cpu.phys pa0 b.b_bytes then begin
+    b.b_epoch <- t.epochs.(page);
+    Cpu.mark_code_page t.cpu page;
+    t.reverified <- t.reverified + 1;
+    b
+  end
+  else begin
+    let b = build t pa0 in
+    t.d_vals.(slot) <- b;
+    b
   end
 
 let dispatch t pa0 limit =
-  let slot = pa0 land (d_size - 1) in
-  let b =
-    if Array.unsafe_get t.d_keys slot = pa0 then begin
-      t.hits <- t.hits + 1;
-      Array.unsafe_get t.d_vals slot
+  if pa0 >= Phys.size t.cpu.Cpu.phys then begin
+    (* A mapping points outside physical memory: the reference step
+       raises the interpreter's machine check. *)
+    t.fb_fetch <- t.fb_fetch + 1;
+    Cpu.step t.cpu
+  end
+  else begin
+    let slot = pa0 land (d_size - 1) in
+    let b =
+      if Array.unsafe_get t.d_keys slot = pa0 then begin
+        t.hits <- t.hits + 1;
+        Array.unsafe_get t.d_vals slot
+      end
+      else begin
+        let b =
+          match Hashtbl.find_opt t.cache pa0 with
+          | Some b ->
+            t.hits <- t.hits + 1;
+            b
+          | None -> build t pa0
+        in
+        t.d_keys.(slot) <- pa0;
+        t.d_vals.(slot) <- b;
+        b
+      end
+    in
+    let b =
+      if b.b_epoch = Array.unsafe_get t.epochs (pa0 lsr Mmu.page_shift) then b
+      else recheck t b pa0 slot
+    in
+    if b.b_n = 0 then begin
+      t.fb_undecodable <- t.fb_undecodable + 1;
+      Cpu.step t.cpu
     end
-    else begin
-      let b =
-        match Hashtbl.find_opt t.cache pa0 with
-        | Some b ->
-          t.hits <- t.hits + 1;
-          b
-        | None -> build t pa0
-      in
-      t.d_keys.(slot) <- pa0;
-      t.d_vals.(slot) <- b;
-      b
-    end
-  in
-  if b.b_n = 0 then Cpu.step t.cpu else exec_block t b pa0 limit
+    else exec_block t b pa0 limit
+  end
 
 (* Make some forward progress (at least one instruction or event).  The
    machine-level stop conditions are re-checked by the caller. *)
 let exec_some t limit =
   let cpu = t.cpu in
   if cpu.Cpu.cycles >= cpu.Cpu.next_timer && cpu.Cpu.eflags land Flags.if_ <> 0
-  then Cpu.step cpu
+  then begin
+    t.fb_timer <- t.fb_timer + 1;
+    Cpu.step cpu
+  end
   else
     (* No debug pre-check: an armed address can only hit inside the block
        containing it, and [exec_block] routes such blocks through the
@@ -541,6 +585,7 @@ let exec_some t limit =
       match Cpu.translate cpu ~write:false cpu.Cpu.eip with
       | exception (Mmu.Page_fault _ | Phys.Bad_physical_address _) ->
         (* Fetch faults: deliver through the reference path. *)
+        t.fb_fetch <- t.fb_fetch + 1;
         Cpu.step cpu
       | pa0 -> dispatch t pa0 limit)
     | pa0 -> dispatch t pa0 limit

@@ -1,32 +1,50 @@
 (** The cached backend's execution core: basic blocks of pre-decoded,
-    pre-compiled instructions keyed by physical address, invalidated per
-    page through {!Cpu.t.on_code_invalidate}.  Per-instruction semantics
-    are bit-for-bit the interpreter's; anything the fast path cannot
-    prove identical falls back to a literal {!Cpu.step}. *)
+    pre-compiled instructions keyed by physical address.  A write to a
+    page that holds decoded code (reported through
+    {!Cpu.t.on_code_invalidate}) bumps that page's epoch; a block
+    dispatched after its page's epoch moved is re-checked against the
+    bytes it was decoded from, kept on a match and rebuilt otherwise.
+    Per-instruction semantics are bit-for-bit the interpreter's; anything
+    the fast path cannot prove identical falls back to a literal
+    {!Cpu.step}. *)
 
 type t
 
 val create : Cpu.t -> t
-(** Attach a block cache to the CPU: installs the page-invalidation hook
+(** Attach a block cache to the CPU: installs the page-write hook
     (replacing any previous one). *)
 
 val detach : t -> unit
 (** Remove the hook and drop every block. *)
 
 val flush : t -> unit
-(** Drop every block (the hook's [-1] path). *)
+(** Drop every block (the hook's [-1] path: a full restore). *)
 
 val invalidate_page : t -> int -> unit
-(** Drop the blocks decoded from one physical page ([-1] = all). *)
+(** A physical page's bytes may have changed: its blocks are re-checked
+    before they next run ([-1] = drop every block). *)
 
 val run : t -> max_cycles:int -> Machine.run_result
 (** The {!Machine.run} contract, a block at a time. *)
 
 type stats = {
-  st_blocks : int;            (** blocks currently cached *)
-  st_built : int;             (** blocks decoded since creation *)
-  st_hits : int;              (** dispatches served from the cache *)
-  st_invalidated_pages : int; (** page invalidations that dropped blocks *)
+  st_blocks : int;               (** blocks currently cached *)
+  st_built : int;                (** blocks decoded since creation *)
+  st_hits : int;                 (** dispatches that found a cached block *)
+  st_reverified : int;
+      (** blocks kept after a write to their page: their bytes still
+          matched memory *)
+  st_invalidated_pages : int;    (** page writes reported by the hook *)
+  st_fallback_timer : int;
+      (** dispatches handed to {!Cpu.step} because the timer IRQ was due *)
+  st_fallback_debug : int;
+      (** ... because the block holds an armed debug address *)
+  st_fallback_fetch : int;
+      (** ... because the fetch faulted, its mapping moved, or it points
+          past physical memory *)
+  st_fallback_undecodable : int;
+      (** ... because the entry instruction does not decode within its
+          page *)
 }
 
 val stats : t -> stats

@@ -81,7 +81,9 @@ val invalidate_code_page : t -> int -> unit
 
 val mark_code_page : t -> int -> unit
 (** Declare that an execution backend holds decoded state for this
-    frame, so guest writes to it reach {!field-on_code_invalidate}. *)
+    frame, so the next write to it reaches {!field-on_code_invalidate}.
+    That clears the mark: a backend that keeps its state past the write
+    marks the frame again. *)
 
 val poke_phys : t -> int -> int -> unit
 (** Write one byte of physical memory from outside the guest (the

@@ -110,6 +110,23 @@ let blit_out t ~src ~len =
   Bytes.blit t.data src b 0 len;
   b
 
+(* Whether [len] bytes of [a] from [ao] on equal those of [b] from [bo]
+   on, a word at a time.  Loops, not local functions, which would
+   allocate a closure per call. *)
+let sub_equal a ao b bo len =
+  let i = ref 0 in
+  while !i + 8 <= len && Bytes.get_int64_le a (ao + !i) = Bytes.get_int64_le b (bo + !i) do
+    i := !i + 8
+  done;
+  while !i < len && Bytes.get a (ao + !i) = Bytes.get b (bo + !i) do
+    incr i
+  done;
+  !i = len
+
+let holds t addr b =
+  let len = Bytes.length b in
+  addr >= 0 && addr + len <= Bytes.length t.data && sub_equal t.data addr b 0 len
+
 (* ----- snapshot / restore ----- *)
 
 let copy t =
@@ -126,15 +143,6 @@ let page_span t p = min page_size (Bytes.length t.data - (p lsl page_shift))
 let copy_page t ~from p =
   let off = p lsl page_shift in
   Bytes.blit from.data off t.data off (page_span t p)
-
-let page_equal a b off len =
-  let rec words i =
-    i + 8 > len || (Int64.equal (Bytes.get_int64_le a (off + i)) (Bytes.get_int64_le b (off + i)) && words (i + 8))
-  in
-  let rec tail i =
-    i >= len || (Bytes.get a (off + i) = Bytes.get b (off + i) && tail (i + 1))
-  in
-  words 0 && tail (len land lnot 7)
 
 (* To the synced snapshot: the dirty pages.  Anything else is a full
    copy. *)
@@ -163,5 +171,5 @@ let delta t ~base =
   dirty_pages t
   |> List.filter_map (fun p ->
          let off = p lsl page_shift and len = page_span t p in
-         if page_equal t.data base.data off len then None
+         if sub_equal t.data off base.data off len then None
          else Some (p, Bytes.sub t.data off len))

@@ -30,6 +30,11 @@ val blit_in : t -> dst:int -> bytes -> unit
 val blit_out : t -> src:int -> len:int -> bytes
 (** Copy a region out of memory. *)
 
+val holds : t -> int -> bytes -> bool
+(** [holds t addr b]: memory from [addr] on holds exactly the bytes of
+    [b] ([false] when they would run past the end).  Allocates nothing:
+    the block cache re-checks its decoded bytes with it on a hot path. *)
+
 val copy : t -> t
 (** Snapshot of the full contents.  Under tracking, the live memory is
     resynchronized to the new snapshot (it equals it at this instant), so

@@ -90,6 +90,23 @@ let test_tracking_off_full_restore () =
    | Some _ -> Alcotest.fail "without tracking, restore must be a full copy");
   check int "content restored" 0 (Phys.read8 p 17)
 
+(* The block cache's byte check: whole words, then the tail. *)
+let test_holds () =
+  let p = Phys.create (2 * psz) in
+  for i = 0 to 99 do
+    Phys.write8 p (psz + i) i
+  done;
+  let b = Phys.blit_out p ~src:(psz + 3) ~len:21 in
+  check bool "the bytes it was read from" true (Phys.holds p (psz + 3) b);
+  check bool "one byte further on" false (Phys.holds p (psz + 4) b);
+  Phys.write8 p (psz + 23) 0xFF;
+  check bool "a changed tail byte" false (Phys.holds p (psz + 3) b);
+  Phys.write8 p (psz + 23) 23;
+  Phys.write8 p (psz + 5) 0xFF;
+  check bool "a changed byte in the first word" false (Phys.holds p (psz + 3) b);
+  check bool "past the end of memory" false (Phys.holds p ((2 * psz) - 10) b);
+  check bool "nothing to compare" true (Phys.holds p 0 Bytes.empty)
+
 (* ---------- disk written-block tracking ---------- *)
 
 (* Random block writes with restores to two snapshots in random order:
@@ -262,7 +279,7 @@ let test_bb_invalidation_on_selfmod () =
   | None -> Alcotest.fail "cached backend must expose block stats"
   | Some st ->
     check bool "blocks were decoded" true (st.Bbexec.st_built > 0);
-    check bool "the text write dropped its page's blocks" true
+    check bool "the text write bumped its page's epoch" true
       (st.Bbexec.st_invalidated_pages > 0)
 
 let test_interp_cached_agree () =
@@ -353,6 +370,71 @@ let result_name = function
   | Machine.Halted -> "halted"
   | Machine.Watchdog -> "watchdog"
   | Machine.Snapshot_point -> "snapshot point"
+
+(* A block that ends at an undecodable byte keeps that byte: rewriting
+   only it into an instruction, across a restore, must rebuild the block,
+   which then runs the instruction as the interpreter does.  A block that
+   kept only its own instructions' bytes would be reused and leave the
+   instruction to the undecodable-entry fallback step. *)
+let test_rewritten_end_byte () =
+  let r =
+    Testbed.assemble_items
+      ([ Ins (Mov_ri (eax, 1l)); Label "tail"; Ins (Inc_r eax) ] @ exit_with_al)
+  in
+  let tail = Int32.to_int (symbol r "tail") in
+  let run kind =
+    let m = Testbed.make_machine () in
+    Phys.blit_in (Machine.phys m) ~dst:Testbed.code_base r.code;
+    let b = Backend.create kind m in
+    let good = Backend.snapshot b in
+    Cpu.poke_phys (Machine.cpu m) tail 0xD6;
+    let broken = result_name (Backend.run b ~max_cycles:1000) in
+    let st_broken = Backend.stats b in
+    Backend.restore b good;
+    let fixed = result_name (Backend.run b ~max_cycles:1000) in
+    let regs = Array.to_list (Array.map Int32.to_int (Machine.cpu m).Cpu.regs) in
+    ((broken, fixed, regs, digest (Machine.phys m)), (st_broken, Backend.stats b))
+  in
+  let (broken, fixed, regs, mem), _ = run Backend.Interp in
+  let cached, stats = run Backend.Cached in
+  check Alcotest.string "the broken byte does not decode" "reset: invalid opcode" broken;
+  check Alcotest.string "the rewritten byte runs" "exit 2" fixed;
+  let c_broken, c_fixed, c_regs, c_mem = cached in
+  check Alcotest.string "cached: same broken result" broken c_broken;
+  check Alcotest.string "cached: same result after the rewrite" fixed c_fixed;
+  check int_list "cached: same registers" regs c_regs;
+  check Alcotest.string "cached: same memory" mem c_mem;
+  match stats with
+  | Some s0, Some s1 ->
+    check int "the broken byte went to the fallback step once" 1
+      s0.Bbexec.st_fallback_undecodable;
+    check int "the rewritten byte ran in a rebuilt block, not the fallback" 1
+      s1.Bbexec.st_fallback_undecodable;
+    check bool "the block was rebuilt" true (s1.Bbexec.st_built > s0.Bbexec.st_built)
+  | _ -> Alcotest.fail "cached backend must expose block stats"
+
+(* A jump through a mapping whose frame lies past physical memory (a
+   corrupted page table): the fetch is the interpreter's machine check,
+   a reset with #GP, on the cached backend too. *)
+let test_fetch_beyond_memory () =
+  let far = 0x300000 in
+  let r = Testbed.assemble_items [ Ins (Mov_ri (eax, Int32.of_int far)); Ins (Jmp_rm (Reg eax)) ] in
+  let run kind =
+    let m = Testbed.make_machine () in
+    let phys = Machine.phys m in
+    Phys.blit_in phys ~dst:Testbed.code_base r.code;
+    Phys.write32 phys (0x3000 + (far / psz * 4)) (Int32.of_int ((Phys.size phys + psz) lor 3));
+    let b = Backend.create kind m in
+    let result = result_name (Backend.run b ~max_cycles:1000) in
+    let cpu = Machine.cpu m in
+    (result, Int32.to_int cpu.Cpu.eip, cpu.Cpu.cycles)
+  in
+  let result, eip, cycles = run Backend.Interp in
+  check Alcotest.string "the interpreter's machine check" "reset: general protection fault" result;
+  let c_result, c_eip, c_cycles = run Backend.Cached in
+  check Alcotest.string "cached: same result" result c_result;
+  check int "cached: same eip" eip c_eip;
+  check int "cached: same cycles" cycles c_cycles
 
 (* A page written once, then made read-only in its PTE without a flush:
    the second write goes through the stale writable TLB entry.  The
@@ -534,6 +616,7 @@ let suite =
     Alcotest.test_case "cross-snapshot restore" `Quick test_cross_snapshot_restore;
     Alcotest.test_case "tracking off means full restore" `Quick
       test_tracking_off_full_restore;
+    Alcotest.test_case "holds compares words and the tail" `Quick test_holds;
     Alcotest.test_case "bb-cache invalidated on self-modifying text" `Quick
       test_bb_invalidation_on_selfmod;
     Alcotest.test_case "interp and cached agree" `Quick test_interp_cached_agree;
@@ -550,6 +633,9 @@ let suite =
     Alcotest.test_case "checkpoint drops stale decoded code" `Quick
       test_checkpoint_drops_stale_code;
     Alcotest.test_case "checkpoint keeps the TLB" `Quick test_checkpoint_keeps_tlb;
+    Alcotest.test_case "rewritten end byte rebuilds its block" `Quick
+      test_rewritten_end_byte;
+    Alcotest.test_case "fetch beyond physical memory" `Quick test_fetch_beyond_memory;
     Alcotest.test_case "recurring masked spin is proven" `Quick test_masked_spin_proven;
     Alcotest.test_case "rdtsc-guarded loop is not proven" `Quick test_rdtsc_loop_unproven;
     Alcotest.test_case "counting loop is not proven" `Quick test_counting_loop_unproven;

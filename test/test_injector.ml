@@ -254,6 +254,30 @@ let test_ladder_per_hardening () =
       let _, n3 = counting_rungs r (fun () -> run_late r) in
       check int "the plain ladder is kept" 1 n3)
 
+(* The block cache's counters reach the metrics registry per injection
+   on the cached backend; the interpreter publishes none.  A rerun keeps
+   blocks: its restore rewrites their pages with the bytes they were
+   decoded from. *)
+let test_block_cache_counters () =
+  let r = Lazy.force runner in
+  let bb_counters f =
+    let m = Kfi_obs.Metrics.create () in
+    Runner.set_metrics r (Some m);
+    Fun.protect ~finally:(fun () -> Runner.set_metrics r None) (fun () -> ignore (f ()));
+    List.filter
+      (fun (k, _) -> String.starts_with ~prefix:"bb." k)
+      (Kfi_obs.Metrics.snapshot m).Kfi_obs.Metrics.sn_counters
+  in
+  check int "the interpreter publishes no block-cache counter" 0
+    (List.length (bb_counters (fun () -> run_late r)));
+  on_fresh_ladder r (fun () ->
+      let first = bb_counters (fun () -> run_late r) in
+      let again = bb_counters (fun () -> run_late r) in
+      let get l k = Option.value ~default:0 (List.assoc_opt k l) in
+      check Alcotest.bool "the first cached run builds blocks" true (get first "bb.built" > 0);
+      check Alcotest.bool "the rerun re-verifies blocks" true (get again "bb.reverified" > 0);
+      check Alcotest.bool "and builds fewer" true (get again "bb.built" < get first "bb.built"))
+
 (* --- provable hangs --- *)
 
 (* The CI population's three hangs whose machine state recurs (campaign
@@ -418,6 +442,7 @@ let suite =
     Alcotest.test_case "ladder: budget below a rung" `Slow test_ladder_respects_budget;
     Alcotest.test_case "ladder: unused at Full" `Slow test_ladder_unused_at_full;
     Alcotest.test_case "ladder: one per hardening" `Slow test_ladder_per_hardening;
+    Alcotest.test_case "block-cache counters per injection" `Slow test_block_cache_counters;
     Alcotest.test_case "proven hangs: wall time per outcome class" `Slow test_proven_hang_wall;
     Alcotest.test_case "golden reproducible" `Slow test_golden_reproducible;
     Alcotest.test_case "campaign A outcomes (schedule)" `Slow test_campaign_a_schedule_outcomes;
