@@ -1,9 +1,24 @@
 (* Boot the simulated kernel and run one workload to completion, showing
-   the console.  `kfi-boot --workload pipe --trace` also disassembles the
-   first instructions executed. *)
+   the console.  `kfi-boot --workload pipe --trace 40` also lists the
+   first 40 instructions executed; `--debug` prints the oops dump of a
+   crash. *)
 
 open Cmdliner
 open Kfi_isa
+module Forensics = Kfi_trace.Forensics
+
+(* Step up to [n] instructions with the flight recorder on, stopping
+   where [Machine.run] would. *)
+let record_boot m n =
+  let cpu = Machine.cpu m in
+  Trace.set_level cpu.Cpu.trace Trace.Ring;
+  let rec go i =
+    if i < n && not (cpu.Cpu.halted || cpu.Cpu.snapshot_request) then begin
+      Cpu.step cpu;
+      go (i + 1)
+    end
+  in
+  try go 0 with Cpu.Triple_fault _ -> ()
 
 let run_boot workload max_cycles show_symbols debug trace_n listing =
   let disk_image = Kfi_fsimage.Mkfs.create (Kfi_workload.Progs.fs_files ()) in
@@ -19,7 +34,12 @@ let run_boot workload max_cycles show_symbols debug trace_n listing =
           print_string (Kfi_asm.Listing.function_summary b.Kfi_kernel.Build.asm)
         else Printf.printf "no such function: %s\n" fn)
    | None -> ());
-  if trace_n > 0 then print_string (Tracer.trace_string m ~n:trace_n);
+  if trace_n > 0 then begin
+    record_boot m trace_n;
+    print_string (Forensics.trace_listing ~n:trace_n b m)
+  end;
+  (* the oops lists the instructions before a crash *)
+  Trace.set_level (Machine.cpu m).Cpu.trace (if debug then Trace.Ring else Trace.Off);
   if show_symbols then begin
     Printf.printf "kernel text: %d bytes, image: %d bytes, %d functions\n"
       b.Kfi_kernel.Build.text_size b.Kfi_kernel.Build.image_size
@@ -40,14 +60,15 @@ let run_boot workload max_cycles show_symbols debug trace_n listing =
    | Machine.Powered_off code -> Printf.printf "[machine powered off, exit code %d]\n" code
    | Machine.Halted ->
      Printf.printf "[machine halted]\n";
-     (match Kfi_kernel.Build.read_dump m with
-      | Some d ->
-        Printf.printf "[crash dump: vector %d (%s) eip=%08lx cr2=%08lx cycles=%d]\n"
-          d.Kfi_kernel.Build.d_vector
-          (Trap.name (Trap.of_number d.Kfi_kernel.Build.d_vector))
-          d.Kfi_kernel.Build.d_eip d.Kfi_kernel.Build.d_cr2 d.Kfi_kernel.Build.d_cycles
-      | None -> ());
-     if debug then print_string (Kfi_kernel.Kdb.report m b)
+     let dump = Kfi_kernel.Build.read_dump m in
+     Option.iter
+       (fun d ->
+         Printf.printf "[crash dump: vector %d (%s) eip=%08lx cr2=%08lx cycles=%d]\n"
+           d.Kfi_kernel.Build.d_vector
+           (Trap.name (Trap.of_number d.Kfi_kernel.Build.d_vector))
+           d.Kfi_kernel.Build.d_eip d.Kfi_kernel.Build.d_cr2 d.Kfi_kernel.Build.d_cycles)
+       dump;
+     if debug then print_string (Forensics.oops ?dump b m)
    | Machine.Watchdog -> Printf.printf "[watchdog: hang after %d cycles]\n" max_cycles
    | Machine.Reset t -> Printf.printf "[machine reset: %s]\n" (Trap.name t.Trap.vector)
    | Machine.Snapshot_point -> Printf.printf "[unexpected second snapshot point]\n");
@@ -65,10 +86,19 @@ let symbols_arg =
   Arg.(value & flag & info [ "symbols" ] ~doc:"Print kernel image statistics.")
 
 let debug_arg =
-  Arg.(value & flag & info [ "debug" ] ~doc:"On a crash, print a KDB-style post-mortem.")
+  Arg.(
+    value & flag
+    & info [ "debug" ] ~doc:"Run with the flight recorder on; on a crash, print the oops dump.")
 
 let trace_arg =
-  Arg.(value & opt int 0 & info [ "trace" ] ~doc:"Trace the first N instructions of boot.")
+  Arg.(
+    value & opt int 0
+    & info [ "trace" ] ~docv:"N"
+        ~doc:
+          (Printf.sprintf
+             "Record the first $(docv) instructions of boot in the flight \
+              recorder and list them; the recorder keeps the last %d."
+             Trace.default_capacity))
 
 let listing_arg =
   Arg.(

@@ -1,7 +1,7 @@
 (* A Figure-5-style case study: trace a single injection into
    do_generic_file_read step by step — disassembly before and after the
-   bit flip, the run's console, the oops, the crash dump, the fsck
-   verdict — plus Table 6/7-style before/after opcode studies.
+   bit flip, the run's console, the crash dump, the fsck verdict and the
+   oops dump — plus Table 6/7-style before/after opcode studies.
 
    dune exec examples/inject_demo.exe *)
 
@@ -75,8 +75,13 @@ let () =
     Printf.printf "  severity  : %s\n" (Outcome.severity_name c.Outcome.severity);
     Printf.printf "\nKernel console of the failing run:\n%s\n"
       (Kfi.Isa.Machine.console_contents (Runner.machine runner));
-    Printf.printf "%s\nKDB-style post-mortem (as in the paper's Figure 5 trace)\n%s\n" line line;
-    print_string (Kfi.Kernel.Kdb.report (Runner.machine runner) build);
+    Printf.printf "%s\nOops dump (the paper's Figure 5 post-mortem)\n%s\n" line line;
+    let machine = Runner.machine runner in
+    print_string
+      (Kfi.Trace.Forensics.oops
+         ?dump:(Build.read_dump machine)
+         ?injected_at:(Runner.last_injected_at runner)
+         build machine);
 
     (* ---- Table 6/7-style opcode studies on campaign C ---- *)
     Printf.printf "%s\nTable 6/7-style case studies (campaign C on pipe_read)\n%s\n" line line;

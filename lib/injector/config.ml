@@ -17,9 +17,6 @@
 type supervisor = {
   sup_workers : int; (* worker processes to keep alive *)
   sup_shard_dir : string option; (* per-shard journals; None = temp dir *)
-  sup_worker_exe : string option;
-      (* kfi-worker binary; None = $KFI_WORKER_EXE, then next to the
-         running executable *)
   sup_worker_env : (string * string) list;
       (* extra environment for workers (chaos knobs in tests/CI) *)
   sup_max_restarts : int; (* per worker slot, before it is retired *)
@@ -38,7 +35,6 @@ let default_supervisor =
   {
     sup_workers = 2;
     sup_shard_dir = None;
-    sup_worker_exe = None;
     sup_worker_env = [];
     sup_max_restarts = 10;
     sup_poison_deaths = 3;

@@ -10,9 +10,6 @@ type supervisor = {
   sup_workers : int;  (** worker processes to keep alive *)
   sup_shard_dir : string option;
       (** directory for per-shard journals; [None] = a fresh temp dir *)
-  sup_worker_exe : string option;
-      (** the [kfi-worker] binary; [None] = [$KFI_WORKER_EXE], then
-          [kfi_worker.exe] next to the running executable *)
   sup_worker_env : (string * string) list;
       (** extra environment entries for workers (chaos knobs in CI) *)
   sup_max_restarts : int;

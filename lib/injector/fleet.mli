@@ -88,9 +88,9 @@ val run_item_safe : ?policy:policy -> Runner.t -> item -> result
 
 val ran_on_given_runner : result -> bool
 (** For a result of [run_item_safe r it] that ran a machine: whether [r]
-    itself produced the outcome, so that [r]'s [Runner.last_*] timings
-    describe it.  False for a quarantine, and for a retry that ran on
-    the freshly booted runner. *)
+    itself produced the outcome, so that [r]'s metrics registry, if it
+    has one, recorded it.  False for a quarantine, and for a retry that
+    ran on the freshly booted runner. *)
 
 type t
 (** A pool of runners.  Runner 0 is the primary (borrowed from the

@@ -275,9 +275,6 @@ let start t w = t.starts.(w)
 let golden t w = t.golden.(w)
 let hardening t = t.hardening
 let trace_level t = t.trace_level
-let last_wall t = t.last_wall
-let last_restore t = t.last_restore
-let last_classify t = t.last_classify
 let last_cycles t = t.last_cycles
 let last_injected_at t = t.last_injected_at
 let last_proof t = t.last_proof

@@ -102,17 +102,6 @@ val hardening : t -> bool
 val trace_level : t -> Trace.level
 val max_cycles : t -> int
 
-val last_wall : t -> float
-(** Seconds spent restoring + executing in the last [run_one]. *)
-
-val last_restore : t -> float
-(** Of which restoring the snapshot. *)
-
-val last_classify : t -> float
-(** Seconds spent classifying the last run's outcome (golden compare,
-    fsck, dump reading, propagation); 0 when the run was abandoned on a
-    deadline. *)
-
 val last_cycles : t -> int
 (** Simulated cycles of the last run. *)
 

@@ -15,6 +15,7 @@ type t = {
   text_size : int;  (* bytes up to etext (page aligned) *)
   image_size : int;
   funcs : Assembler.fn_info list; (* with absolute offsets from text base *)
+  by_off : Assembler.fn_info array; (* [funcs] sorted by offset *)
 }
 
 let all_funcs () =
@@ -53,7 +54,10 @@ let build_once () =
   let sym name = Int32.to_int (Assembler.symbol asm name) land 0xFFFFFFFF in
   let text_size = sym "etext" - L.kernel_text_base in
   let image_size = Bytes.length asm.Assembler.code in
-  { asm; text_size; image_size; funcs = asm.Assembler.fns }
+  let funcs = asm.Assembler.fns in
+  let by_off = Array.of_list funcs in
+  Array.stable_sort (fun f g -> compare f.Assembler.f_off g.Assembler.f_off) by_off;
+  { asm; text_size; image_size; funcs; by_off }
 
 let build_fresh () = build_once ()
 
@@ -152,13 +156,21 @@ let read_dump m =
         d_task = rd L.bi_dump_task;
       }
 
-(* Map an address to the function containing it. *)
+(* Map an address to the function containing it: binary-search for the
+   last function starting at or below it, then check its extent. *)
 let find_function b addr =
-  let a = Int32.to_int addr land 0xFFFFFFFF in
-  let off = a - L.kernel_text_base in
-  List.find_opt
-    (fun f -> off >= f.Assembler.f_off && off < f.Assembler.f_off + f.Assembler.f_size)
-    b.funcs
+  let off = (Int32.to_int addr land 0xFFFFFFFF) - L.kernel_text_base in
+  let fns = b.by_off in
+  (* the number of functions starting at or below [off] *)
+  let rec count lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if fns.(mid).Assembler.f_off <= off then count (mid + 1) hi else count lo mid
+  in
+  let i = count 0 (Array.length fns) - 1 in
+  if i >= 0 && off < fns.(i).Assembler.f_off + fns.(i).Assembler.f_size then Some fns.(i)
+  else None
 
 (* Lines-of-code proxy for Figure 1: text bytes per subsystem. *)
 let subsystem_sizes b =

@@ -14,6 +14,8 @@ type t = {
   text_size : int;   (** bytes of text (page aligned) *)
   image_size : int;
   funcs : Kfi_asm.Assembler.fn_info list;
+  by_off : Kfi_asm.Assembler.fn_info array;
+      (** [funcs] sorted by offset: the index {!find_function} searches *)
 }
 
 val all_funcs : unit -> Kfi_kcc.Ast.func list
@@ -53,7 +55,9 @@ val read_dump : Machine.t -> dump option
 (** The crash record, if the guest crash handler wrote one. *)
 
 val find_function : t -> int32 -> Kfi_asm.Assembler.fn_info option
-(** Map an address to the kernel function containing it. *)
+(** Map an address to the kernel function containing it (a binary search
+    of [by_off]).  The one address-to-function lookup: the profiler, the
+    static oracle, crash classification and forensics all use it. *)
 
 val subsystem_sizes : t -> (string * int) list
 (** Text bytes per subsystem, descending (the Figure 1 measure). *)

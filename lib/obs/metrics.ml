@@ -90,24 +90,26 @@ let set_gauge t key v =
       | Some r -> r := v
       | None -> Hashtbl.replace t.gauges key (ref v))
 
+(* the histogram under [key], created empty; callers hold the lock *)
+let hist_locked t key =
+  match Hashtbl.find_opt t.hists key with
+  | Some h -> h
+  | None ->
+    let h =
+      {
+        h_count = 0;
+        h_sum = 0.;
+        h_min = infinity;
+        h_max = neg_infinity;
+        h_buckets = Array.make nbuckets 0;
+      }
+    in
+    Hashtbl.replace t.hists key h;
+    h
+
 let observe t key v =
   Mutex.protect t.lock (fun () ->
-      let h =
-        match Hashtbl.find_opt t.hists key with
-        | Some h -> h
-        | None ->
-          let h =
-            {
-              h_count = 0;
-              h_sum = 0.;
-              h_min = infinity;
-              h_max = neg_infinity;
-              h_buckets = Array.make nbuckets 0;
-            }
-          in
-          Hashtbl.replace t.hists key h;
-          h
-      in
+      let h = hist_locked t key in
       h.h_count <- h.h_count + 1;
       h.h_sum <- h.h_sum +. v;
       if v < h.h_min then h.h_min <- v;
@@ -193,6 +195,32 @@ let rec snapshot t =
           t.children ))
   in
   List.fold_left (fun acc c -> merge acc (snapshot c)) own children
+
+(* Fold a snapshot into [t] with [merge]'s rules, so that [snapshot t]
+   afterwards equals the merge of the old one and [s]. *)
+let add t s =
+  Mutex.protect t.lock (fun () ->
+      List.iter
+        (fun (k, v) ->
+          match Hashtbl.find_opt t.counters k with
+          | Some r -> r := !r + v
+          | None -> Hashtbl.replace t.counters k (ref v))
+        s.sn_counters;
+      List.iter
+        (fun (k, v) ->
+          match Hashtbl.find_opt t.gauges k with
+          | Some r -> r := Float.max !r v
+          | None -> Hashtbl.replace t.gauges k (ref v))
+        s.sn_gauges;
+      List.iter
+        (fun (k, hs) ->
+          let h = hist_locked t k in
+          h.h_count <- h.h_count + hs.hs_count;
+          h.h_sum <- h.h_sum +. hs.hs_sum;
+          h.h_min <- Float.min h.h_min hs.hs_min;
+          h.h_max <- Float.max h.h_max hs.hs_max;
+          List.iter (fun (i, n) -> h.h_buckets.(i) <- h.h_buckets.(i) + n) hs.hs_buckets)
+        s.sn_hists)
 
 (* ----- reading a snapshot ----- *)
 

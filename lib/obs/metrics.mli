@@ -78,6 +78,11 @@ val merge : snap -> snap -> snap
 (** Associative, commutative (bucket and counter fields exactly; float
     sums up to addition reordering), with {!empty} as identity. *)
 
+val add : t -> snap -> unit
+(** Fold a snapshot into a registry under {!merge}'s rules: afterwards
+    [snapshot t] is the merge of its former snapshot and the argument.
+    How a coordinator takes in a worker process's metrics. *)
+
 val counter : snap -> string -> int
 (** 0 when absent. *)
 

@@ -33,36 +33,9 @@ let create build =
     fn_subsys;
   }
 
-(* Fast symbolizer: sorted function start offsets for binary search. *)
-type symbolizer = { starts : int array; names : string array; sizes : int array }
-
-let symbolizer build =
-  let fns =
-    List.sort (fun a b -> compare a.Asm.f_off b.Asm.f_off) build.Build.funcs
-  in
-  {
-    starts = Array.of_list (List.map (fun f -> f.Asm.f_off) fns);
-    names = Array.of_list (List.map (fun f -> f.Asm.f_name) fns);
-    sizes = Array.of_list (List.map (fun f -> f.Asm.f_size) fns);
-  }
-
-let find sym off =
-  let n = Array.length sym.starts in
-  let rec bs lo hi =
-    if lo >= hi then lo - 1
-    else begin
-      let mid = (lo + hi) / 2 in
-      if sym.starts.(mid) <= off then bs (mid + 1) hi else bs lo mid
-    end
-  in
-  let i = bs 0 n in
-  if i < 0 then None
-  else if off < sym.starts.(i) + sym.sizes.(i) then Some sym.names.(i)
-  else None
-
 (* Run one workload from the baseline snapshot, sampling every [interval]
    cycles. *)
-let run_workload profile ~build ~sym ~machine ~baseline ~interval ~max_cycles workload =
+let run_workload profile ~build ~machine ~baseline ~interval ~max_cycles workload =
   Machine.restore machine baseline;
   Build.set_workload machine workload;
   let cpu = Machine.cpu machine in
@@ -79,10 +52,8 @@ let run_workload profile ~build ~sym ~machine ~baseline ~interval ~max_cycles wo
         next := cpu.Cpu.cycles + interval;
         if cpu.Cpu.mode = Cpu.User then profile.user_samples <- profile.user_samples + 1
         else begin
-          let eip = Int32.to_int cpu.Cpu.eip land 0xFFFFFFFF in
-          let off = eip - Kfi_kernel.Layout.kernel_text_base in
-          match find sym off with
-          | Some fn ->
+          match Build.find_function build cpu.Cpu.eip with
+          | Some { Asm.f_name = fn; _ } ->
             profile.kernel_samples <- profile.kernel_samples + 1;
             (* idle-loop samples are bookkept separately, like kernprof's
                default_idle *)
@@ -98,16 +69,13 @@ let run_workload profile ~build ~sym ~machine ~baseline ~interval ~max_cycles wo
         end
       end
     end
-  done;
-  ignore build
+  done
 
 (* Profile all workloads; returns the filled profile. *)
 let profile_all ?(interval = 23) ?(max_cycles = 8_000_000) ~build ~machine ~baseline () =
   let profile = create build in
-  let sym = symbolizer build in
   List.iteri
-    (fun i _ ->
-      run_workload profile ~build ~sym ~machine ~baseline ~interval ~max_cycles i)
+    (fun i _ -> run_workload profile ~build ~machine ~baseline ~interval ~max_cycles i)
     Kfi_workload.Progs.names;
   profile
 

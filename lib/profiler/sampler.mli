@@ -16,18 +16,11 @@ type profile = {
   fn_subsys : (string, string) Hashtbl.t;
 }
 
-type symbolizer
-
 val create : Kfi_kernel.Build.t -> profile
-val symbolizer : Kfi_kernel.Build.t -> symbolizer
-
-val find : symbolizer -> int -> string option
-(** Binary-search a text offset to its function. *)
 
 val run_workload :
   profile ->
   build:Kfi_kernel.Build.t ->
-  sym:symbolizer ->
   machine:Kfi_isa.Machine.t ->
   baseline:Kfi_isa.Machine.snapshot ->
   interval:int ->
@@ -35,7 +28,8 @@ val run_workload :
   int ->
   unit
 (** Run one workload from the baseline, sampling every [interval]
-    cycles into [profile]. *)
+    cycles into [profile]; samples resolve through
+    {!Kfi_kernel.Build.find_function}. *)
 
 val profile_all :
   ?interval:int ->

@@ -47,10 +47,8 @@ type from_worker =
   | Entry of {
       en_shard : string;
       en_entry : J.entry; (* already fsync'd to the shard journal *)
-      en_restore : float; (* phase timings, seconds (observability) *)
-      en_exec : float;
-      en_classify : float;
-      en_wall : float;
+      en_metrics : Kfi_obs.Metrics.snap;
+          (* what the worker's runner recorded for this injection *)
     }
   | Done of string * int (* shard id, entries appended by this process *)
 

@@ -47,10 +47,11 @@ type from_worker =
       en_shard : string;
       en_entry : Kfi_injector.Journal.entry;
           (** already durable in the shard journal when this is sent *)
-      en_restore : float;  (** phase timings in seconds, for the *)
-      en_exec : float;  (** coordinator's per-worker metric forks — *)
-      en_classify : float;  (** volatile, never in gated artifacts *)
-      en_wall : float;
+      en_metrics : Kfi_obs.Metrics.snap;
+          (** the metrics the worker's runner recorded for this
+              injection (phase spans, outcome and block-cache counters),
+              for the coordinator's per-worker fork — volatile, never in
+              gated artifacts *)
     }
   | Done of string * int
       (** shard id + entries appended by this incarnation: the ack *)

@@ -56,7 +56,7 @@ type sstate = {
 
 type slot = {
   idx : int;
-  obs : M.t option; (* per-worker fork: phase spans merge as in PR 8 *)
+  obs : M.t option; (* per-worker fork: takes in the worker's metrics *)
   mutable pid : int; (* 0 = not running *)
   mutable to_w : Unix.file_descr;
   mutable from_w : Unix.file_descr;
@@ -114,25 +114,22 @@ let mobserve t key v = match t.metrics with Some m -> M.observe m key v | None -
 
 let short_id id = if String.length id > 12 then String.sub id 0 12 else id
 
-let worker_exe (sup : C.supervisor) =
-  match sup.C.sup_worker_exe with
+let worker_exe () =
+  match Sys.getenv_opt "KFI_WORKER_EXE" with
   | Some p -> p
   | None -> (
-    match Sys.getenv_opt "KFI_WORKER_EXE" with
+    let dir = Filename.dirname Sys.executable_name in
+    let candidates =
+      [ Filename.concat dir "kfi_worker.exe";
+        Filename.concat dir "../bin/kfi_worker.exe";
+      ]
+    in
+    match List.find_opt Sys.file_exists candidates with
     | Some p -> p
     | None ->
-      let dir = Filename.dirname Sys.executable_name in
-      let candidates =
-        [ Filename.concat dir "kfi_worker.exe";
-          Filename.concat dir "../bin/kfi_worker.exe";
-        ]
-      in
-      (match List.find_opt Sys.file_exists candidates with
-       | Some p -> p
-       | None ->
-         failwith
-           "Shard.Supervisor: kfi-worker binary not found (set \
-            KFI_WORKER_EXE or Config.sup_worker_exe)"))
+      failwith
+        "Shard.Supervisor: kfi-worker binary not found next to the running \
+         executable (set KFI_WORKER_EXE)")
 
 (* ----- spawning and tearing down workers ----- *)
 
@@ -310,15 +307,12 @@ let handle_msg t s (m : Proto.from_worker) =
     try_assign t s
   | Proto.Claimed id ->
     log_event t "claim" [ ("slot", Tel.Int s.idx); ("shard", Tel.Str (short_id id)) ]
-  | Proto.Entry { en_restore; en_exec; en_classify; en_wall; _ } ->
+  | Proto.Entry { en_metrics; _ } ->
     s.progress <- s.progress + 1;
     mincr t "sup.entries";
     (match s.obs with
      | Some o ->
-       M.observe o "phase.restore" en_restore;
-       M.observe o "phase.execute" en_exec;
-       M.observe o "phase.classify" en_classify;
-       M.observe o "inj.wall" en_wall;
+       M.add o en_metrics;
        M.incr o (Printf.sprintf "sup.proc%d.entries" s.idx)
      | None -> ())
   | Proto.Done (id, fresh) -> (
@@ -375,7 +369,11 @@ let update_gauges t =
 
 let inline_fallback t runner =
   (* every worker slot is dead and out of restart budget, but shards
-     remain: finish them in-process rather than stall the campaign *)
+     remain: finish them in-process rather than stall the campaign, set
+     up as a worker's runner would be *)
+  Runner.set_hardening runner t.config.C.hardening;
+  Runner.set_backend runner t.config.C.backend;
+  Runner.set_metrics runner t.metrics;
   List.iter
     (fun ss ->
       if ss.status = Pending then begin
@@ -617,7 +615,7 @@ let run_campaign ~(config : C.t) runner profile campaign =
                })
       in
       if shards <> [] then begin
-        let exe = worker_exe sup in
+        let exe = worker_exe () in
         let hello =
           {
             Proto.h_fingerprint = fingerprint;

@@ -32,6 +32,6 @@ val run_campaign :
     forced to 1 for the final replay.  [runner] is only booted if the
     supervisor has to fall back to in-process execution after exhausting
     every worker slot's restart budget.  Raises [Failure] if the
-    kfi-worker binary cannot be located (set [sup_worker_exe] or
-    [KFI_WORKER_EXE]) and {!Kfi_injector.Journal.Corrupt} if a shard
+    kfi-worker binary cannot be located (next to the running executable,
+    or at [$KFI_WORKER_EXE]) and {!Kfi_injector.Journal.Corrupt} if a shard
     journal is corrupt mid-file. *)

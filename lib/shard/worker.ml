@@ -22,6 +22,7 @@
    supervisor-facing failure tests cost no kernel boots at all. *)
 
 module J = Kfi_injector.Journal
+module M = Kfi_obs.Metrics
 module Fleet = Kfi_injector.Fleet
 module Runner = Kfi_injector.Runner
 module Target = Kfi_injector.Target
@@ -100,6 +101,8 @@ let main () =
   let chaos = chaos_of_env () in
   let hello = ref None in
   let runner = ref None in
+  (* each injection's metrics go out with its entry and start afresh *)
+  let obs = ref (M.create ()) in
   let streamed = ref 0 in
   let self_destruct () = Unix.kill (Unix.getpid ()) Sys.sigkill in
   let rec loop () =
@@ -125,6 +128,7 @@ let main () =
           let r = Runner.create ~max_cycles:h.Proto.h_max_cycles () in
           Runner.set_hardening r h.Proto.h_hardening;
           Runner.set_backend r h.Proto.h_backend;
+          Runner.set_metrics r (Some !obs);
           runner := Some r;
           r
       in
@@ -138,23 +142,12 @@ let main () =
       let fresh =
         run_shard ~runner:r ~policy ~fingerprint:h.Proto.h_fingerprint
           ~dir:h.Proto.h_shard_dir ~campaign:h.Proto.h_campaign sh
-          ~on_entry:(fun entry res ->
-            (* zeros rather than the stale timings of an earlier run *)
-            let restore, run, classify =
-              if Fleet.ran_on_given_runner res then
-                (Runner.last_restore r, Runner.last_wall r, Runner.last_classify r)
-              else (0., 0., 0.)
-            in
+          ~on_entry:(fun entry _ ->
+            let en_metrics = M.snapshot !obs in
+            obs := M.create ();
+            Runner.set_metrics r (Some !obs);
             Proto.send_from_worker proto_out
-              (Proto.Entry
-                 {
-                   en_shard = sh.Proto.sh_id;
-                   en_entry = entry;
-                   en_restore = restore;
-                   en_exec = Float.max 0. (run -. restore);
-                   en_classify = classify;
-                   en_wall = run +. classify;
-                 });
+              (Proto.Entry { en_shard = sh.Proto.sh_id; en_entry = entry; en_metrics });
             incr streamed;
             match chaos.die_after with
             | Some n when !streamed >= n -> self_destruct ()

@@ -1,8 +1,10 @@
 (* Crash forensics: turn the flight-recorder ring and the terminal
    machine state into a simulated LKCD "oops dump" — symbolized last-N
-   instruction trace, kernel stack backtrace and the reconstructed
-   corruption-site -> crash-site propagation path.  The stand-in for the
-   paper's lcrash work on real dump images. *)
+   instruction trace, kernel stack backtrace, the live code around the
+   crash and the task table (what the paper read off SGI KDB, its
+   Figure 5), and the reconstructed corruption-site -> crash-site
+   propagation path.  The stand-in for the paper's lcrash and KDB work
+   on real dump images. *)
 
 open Kfi_isa
 module Build = Kfi_kernel.Build
@@ -117,44 +119,122 @@ let trace_listing ?(n = 32) build machine =
 
 (* ----- kernel stack backtrace ----- *)
 
-(* Walk the cdecl frame chain (push ebp; mov ebp, esp prologues): each
-   frame holds [saved ebp; return address] at [ebp].  The walk stops at
-   an unreadable slot, a non-text return address, or a non-monotonic
-   frame pointer. *)
-let backtrace ?(max_depth = 16) machine =
+let in_text build a =
+  a >= L.kernel_text_base && a < L.kernel_text_base + build.Build.text_size
+
+(* A kernel word read through the direct map, so neither a TLB fill nor
+   a corrupted page table gets in the way; None outside RAM. *)
+let peek machine vaddr =
+  let pa = vaddr - L.page_offset in
+  if pa < 0 || pa + 4 > Phys.size (Machine.phys machine) then None
+  else Some (u32 (Phys.read32 (Machine.phys machine) pa))
+
+type how = Eip | Frame | Scan
+
+type frame = { fr_eip : int32; fr_how : how }
+
+(* Walk the cdecl frame chain (push ebp; mov ebp, esp prologues) inside
+   the current task's kernel stack, the [task_size]-aligned block
+   holding esp: each frame holds [saved ebp; return address] at [ebp].
+   The chain stops at a frame outside the stack, a return address
+   outside kernel text, or a non-monotonic frame pointer.  When it
+   yields fewer than two frames, the kernel-text words from esp up the
+   stack follow, as kdb's [bt] lists them on damaged frames. *)
+let backtrace ?(max_depth = 16) build machine =
   let cpu = Machine.cpu machine in
-  let rd32 a =
-    try Some (Mmu.read32 cpu.Cpu.mmu ~cr3:cpu.Cpu.cr3 ~user:false a)
-    with _ -> None
-  in
-  let in_text a =
-    let a = u32 a in
-    a >= L.kernel_text_base && a < L.kernel_text_base + 0x400000
-  in
-  let rec walk acc ebp depth =
-    if depth >= max_depth then List.rev acc
+  let esp = u32 cpu.Cpu.regs.(Insn.esp) in
+  let stack_base = esp land lnot (L.task_size - 1) in
+  let stack_top = stack_base + L.task_size in
+  let frame fr_how a = { fr_eip = Int32.of_int a; fr_how } in
+  let rec chain acc ebp depth =
+    if depth >= max_depth || ebp < stack_base || ebp + 8 > stack_top then acc
     else
-      match rd32 ebp with
-      | None -> List.rev acc
-      | Some next_ebp -> (
-        match rd32 (Int32.add ebp 4l) with
-        | Some ret when in_text ret ->
-          let acc = ret :: acc in
-          if u32 next_ebp <= u32 ebp then List.rev acc
-          else walk acc next_ebp (depth + 1)
-        | _ -> List.rev acc)
+      match (peek machine ebp, peek machine (ebp + 4)) with
+      | Some next, Some ret when in_text build ret ->
+        let acc = frame Frame ret :: acc in
+        if next > ebp then chain acc next (depth + 1) else acc
+      | _ -> acc
   in
-  let frames = walk [] cpu.Cpu.regs.(Insn.ebp) 0 in
-  cpu.Cpu.eip :: frames
+  let rec scan acc a depth =
+    if depth >= max_depth || a + 4 > stack_top then acc
+    else
+      match peek machine a with
+      | Some w when in_text build w -> scan (frame Scan w :: acc) (a + 4) (depth + 1)
+      | _ -> scan acc (a + 4) depth
+  in
+  let frames = chain [] (u32 cpu.Cpu.regs.(Insn.ebp)) 0 in
+  let frames = if List.length frames >= 2 then frames else scan frames esp 0 in
+  frame Eip (u32 cpu.Cpu.eip) :: List.rev frames
 
 let backtrace_listing build machine =
   let b = Buffer.create 256 in
   Buffer.add_string b "Call Trace:\n";
   List.iter
-    (fun eip ->
+    (fun f ->
       Buffer.add_string b
-        (Printf.sprintf "  [<%08x>] %s\n" (u32 eip) (symbolize build eip)))
-    (backtrace machine);
+        (Printf.sprintf "  [<%08x>] %-5s %s\n" (u32 f.fr_eip)
+           (match f.fr_how with Eip -> "eip" | Frame -> "frame" | Scan -> "scan")
+           (symbolize build f.fr_eip)))
+    (backtrace build machine);
+  Buffer.contents b
+
+(* ----- the code around the crash and the task table ----- *)
+
+(* The live code at [eip], corruption included: up to three
+   instructions before it, decoded from the start of its function so
+   they fall on their real boundaries, then 16 bytes decoded from [eip]
+   itself as the CPU fetched them. *)
+let code_around build machine eip =
+  let a = u32 eip in
+  if not (in_text build a) then Printf.sprintf "  %08x: outside kernel text\n" a
+  else begin
+    let base = L.kernel_text_base in
+    let code =
+      Phys.blit_out (Machine.phys machine) ~src:(base - L.page_offset)
+        ~len:build.Build.text_size
+    in
+    let lines ~off ~len =
+      Disasm.range ~base:(Int32.of_int base) code ~off ~len
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> l <> "")
+    in
+    let off = a - base in
+    let before =
+      match Build.find_function build eip with
+      | Some f -> lines ~off:f.Asm.f_off ~len:(off - f.Asm.f_off)
+      | None -> []
+    in
+    let skip = List.length before - 3 in
+    let context = List.filteri (fun i _ -> i >= skip) before in
+    String.concat ""
+      (List.map (fun l -> "      " ^ l ^ "\n") context
+      @ List.mapi
+          (fun i l -> (if i = 0 then "  --> " else "      ") ^ l ^ "\n")
+          (lines ~off ~len:16))
+  end
+
+(* The guest task table, read like kdb's [ps]. *)
+let task_table build machine =
+  let b = Buffer.create 256 in
+  Buffer.add_string b "  pid  state         cr3       counter\n";
+  let table = u32 (Build.symbol build "task_table") in
+  for i = 0 to L.nr_tasks - 1 do
+    match peek machine (table + (i * 4)) with
+    | Some t when t <> 0 ->
+      let fld off = Option.value ~default:0 (peek machine (t + off)) in
+      let state =
+        match fld L.t_state with
+        | 0 -> "running"
+        | 1 -> "sleeping"
+        | 2 -> "zombie"
+        | 3 -> "free"
+        | n -> Printf.sprintf "?%d" n
+      in
+      Buffer.add_string b
+        (Printf.sprintf "  %3d  %-12s %08x  %d\n" (fld L.t_pid) state (fld L.t_cr3)
+           (fld L.t_counter))
+    | _ -> ()
+  done;
   Buffer.contents b
 
 (* ----- the oops dump ----- *)
@@ -195,8 +275,8 @@ let event_listing cpu =
   end
 
 (* The full simulated-LKCD dump.  [dump] is the guest crash handler's
-   record when it managed to write one; [vector]/[cr2] fall back to the
-   CPU state for undumped crashes.  [injected_at] is the injection cycle
+   record when it managed to write one; [vector]/[eip]/[cr2] fall back to
+   the CPU state for undumped crashes.  [injected_at] is the injection cycle
    (the propagation-path start); [inject_desc] names the corrupted
    target. *)
 let oops ?dump ?injected_at ?inject_desc ?(trace_n = 32) build machine =
@@ -230,6 +310,8 @@ let oops ?dump ?injected_at ?inject_desc ?(trace_n = 32) build machine =
    | None -> add "No dump record (triple fault / watchdog)\n");
   Buffer.add_char b '\n';
   Buffer.add_string b (backtrace_listing build machine);
+  add "\nCode:\n%s" (code_around build machine eip);
+  add "\nTasks:\n%s" (task_table build machine);
   Buffer.add_char b '\n';
   Buffer.add_string b (trace_listing ~n:trace_n build machine);
   let ev = event_listing cpu in

@@ -1,7 +1,10 @@
 (** Crash forensics over the flight recorder: symbolized trace listings,
     kernel stack backtraces, propagation-path reconstruction and the
-    simulated LKCD "oops dump" — the stand-in for the paper's lcrash
-    analysis of real dump images. *)
+    simulated LKCD "oops dump", which also shows the live code around
+    the crash and the task table — the stand-in for the paper's lcrash
+    and KDB analysis of real dump images.  The one crash and trace
+    report: [kfi-trace], [kfi-boot --debug]/[--trace] and the examples
+    all print through it. *)
 
 open Kfi_isa
 
@@ -45,13 +48,26 @@ val trace_listing : ?n:int -> Kfi_kernel.Build.t -> Machine.t -> string
 (** The last [n] (default 32) recorded instructions, one line each:
     cycle, mode, eip, symbol, disassembly, memory operand. *)
 
-val backtrace : ?max_depth:int -> Machine.t -> int32 list
-(** The crash eip followed by the return addresses of the cdecl frame
-    chain, stopping at an unreadable slot, a non-text return address or
-    a non-monotonic frame pointer. *)
+(** How a backtrace frame was found: the current eip, a return address
+    on the frame-pointer chain, or a kernel-text word found by scanning
+    the stack. *)
+type how = Eip | Frame | Scan
+
+type frame = { fr_eip : int32; fr_how : how }
+
+val backtrace : ?max_depth:int -> Kfi_kernel.Build.t -> Machine.t -> frame list
+(** The current eip, then up to [max_depth] (default 16) return
+    addresses from the current task's kernel stack (the
+    [Layout.task_size]-aligned block holding esp): the cdecl ebp chain
+    while each frame lies inside that stack, its return address inside
+    [Build.text_size] and the frame pointer grows.  When the chain gives
+    fewer than two frames, the kernel-text words from esp up the stack
+    follow, tagged [Scan] (again at most [max_depth]).  Memory is read
+    through the direct map. *)
 
 val backtrace_listing : Kfi_kernel.Build.t -> Machine.t -> string
-(** {!backtrace} rendered in kernel "Call Trace:" style. *)
+(** {!backtrace} rendered in kernel "Call Trace:" style, each frame
+    tagged [eip], [frame] or [scan]. *)
 
 val cause_banner : vector:int -> cr2:int32 -> string
 (** The 2.4-era oops banner for a trap vector ([-1] = no dump record). *)
@@ -65,5 +81,6 @@ val oops :
   Machine.t ->
   string
 (** The full simulated-LKCD dump: cause banner, register file, dump
-    record, backtrace, symbolized instruction trace, machine events and
-    the propagation path from [injected_at]. *)
+    record, backtrace, the live code around the crash eip (the dump's,
+    else the CPU's), the task table, symbolized instruction trace,
+    machine events and the propagation path from [injected_at]. *)

@@ -539,53 +539,127 @@ let suite =
       Alcotest.test_case "fork + execve" `Quick test_execve;
     ]
 
-(* KDB-style post-mortem: crash the kernel and check the report *)
-let test_kdb_postmortem () =
-  (* a user program whose syscall path we crash via injection is complex;
-     instead force an oops directly: corrupt kernel text of sys_getpid so
-     it dereferences NULL, then run the syscall workload *)
-  let files = default_files () in
-  let disk_image = Kfi_fsimage.Mkfs.create files in
-  let m, b = Kfi_kernel.Build.boot_machine ~workload:0 ~disk_image () in
-  (* run to snapshot point first *)
-  (match Kfi_isa.Machine.run m ~max_cycles:20_000_000 with
-   | Kfi_isa.Machine.Snapshot_point -> ()
-   | _ -> Alcotest.fail "no snapshot point");
-  (* replace sys_getpid's first bytes with: mov eax,(0) — 8b 05 00 00 00 00 *)
-  let addr = Stdlib.( land ) (Int32.to_int (Kfi_kernel.Build.symbol b "sys_getpid")) 0xFFFFFFFF in
-  let pa = Stdlib.( - ) addr Kfi_kernel.Layout.page_offset in
-  let cpu = Kfi_isa.Machine.cpu m in
-  List.iteri
-    (fun i byte -> Kfi_isa.Cpu.poke_phys cpu (Stdlib.( + ) pa i) byte)
-    [ 0x8b; 0x05; 0x00; 0x00; 0x00; 0x00 ];
-  (match Kfi_isa.Machine.run m ~max_cycles:20_000_000 with
-   | Kfi_isa.Machine.Halted -> ()
-   | r ->
-     Alcotest.failf "expected crash halt, got %s"
-       (match r with
-        | Kfi_isa.Machine.Powered_off n -> Printf.sprintf "exit %d" n
-        | Kfi_isa.Machine.Watchdog -> "watchdog"
-        | Kfi_isa.Machine.Reset _ -> "reset"
-        | _ -> "other"));
-  let report = Kfi_kernel.Kdb.report m b in
-  check Alcotest.bool "names crash site" true (console_has report "sys_getpid");
-  check Alcotest.bool "registers shown" true (console_has report "eip ");
-  check Alcotest.bool "backtrace present" true (console_has report "backtrace");
-  check Alcotest.bool "task list present" true (console_has report "pid")
+(* Crash the kernel directly: corrupt sys_getpid's first bytes so it
+   dereferences NULL, then run the syscall workload into the crash.
+   Booted once, shared by the post-mortem tests. *)
+let crashed_getpid =
+  lazy
+    (let files = default_files () in
+     let disk_image = Kfi_fsimage.Mkfs.create files in
+     let m, b = Kfi_kernel.Build.boot_machine ~workload:0 ~disk_image () in
+     (* run to snapshot point first *)
+     (match Kfi_isa.Machine.run m ~max_cycles:20_000_000 with
+      | Kfi_isa.Machine.Snapshot_point -> ()
+      | _ -> Alcotest.fail "no snapshot point");
+     (* replace sys_getpid's first bytes with: mov eax,(0) — 8b 05 00 00 00 00 *)
+     let addr = Stdlib.( land ) (Int32.to_int (Kfi_kernel.Build.symbol b "sys_getpid")) 0xFFFFFFFF in
+     let pa = Stdlib.( - ) addr Kfi_kernel.Layout.page_offset in
+     let cpu = Kfi_isa.Machine.cpu m in
+     List.iteri
+       (fun i byte -> Kfi_isa.Cpu.poke_phys cpu (Stdlib.( + ) pa i) byte)
+       [ 0x8b; 0x05; 0x00; 0x00; 0x00; 0x00 ];
+     (match Kfi_isa.Machine.run m ~max_cycles:20_000_000 with
+      | Kfi_isa.Machine.Halted -> ()
+      | r ->
+        Alcotest.failf "expected crash halt, got %s"
+          (match r with
+           | Kfi_isa.Machine.Powered_off n -> Printf.sprintf "exit %d" n
+           | Kfi_isa.Machine.Watchdog -> "watchdog"
+           | Kfi_isa.Machine.Reset _ -> "reset"
+           | _ -> "other"));
+     (m, b, addr))
 
-(* the execution tracer produces sensible lines *)
+(* The oops dump of that crash carries what kdb showed *)
+let test_kdb_postmortem () =
+  let m, b, addr = Lazy.force crashed_getpid in
+  let report =
+    Kfi_trace.Forensics.oops ?dump:(Kfi_kernel.Build.read_dump m) b m
+  in
+  check Alcotest.bool "names crash site" true (console_has report "sys_getpid");
+  check Alcotest.bool "registers shown" true (console_has report "eax: ");
+  check Alcotest.bool "backtrace present" true (console_has report "Call Trace:");
+  check Alcotest.bool "code at the crash eip, corruption included" true
+    (console_has report (Printf.sprintf "  --> %08x:  8b 05 00 00 00 00" addr));
+  check Alcotest.bool "task table present" true
+    (console_has report "  pid  state         cr3       counter")
+
+(* With the frame-pointer chain broken, the backtrace falls back to
+   scanning the kernel stack, and every word it reports is kernel text *)
+let test_backtrace_broken_chain () =
+  let open Stdlib in
+  let m, b, _ = Lazy.force crashed_getpid in
+  let module F = Kfi_trace.Forensics in
+  let cpu = Kfi_isa.Machine.cpu m in
+  let ebp = cpu.Kfi_isa.Cpu.regs.(Kfi_isa.Insn.ebp) in
+  let frames =
+    Fun.protect
+      ~finally:(fun () -> cpu.Kfi_isa.Cpu.regs.(Kfi_isa.Insn.ebp) <- ebp)
+      (fun () ->
+        cpu.Kfi_isa.Cpu.regs.(Kfi_isa.Insn.ebp) <- 0l;
+        F.backtrace b m)
+  in
+  let tagged how = List.filter (fun f -> f.F.fr_how = how) frames in
+  check int "one eip frame" 1 (List.length (tagged F.Eip));
+  check Alcotest.bool "eip frame leads" true ((List.hd frames).F.fr_how = F.Eip);
+  check int "no chain frames" 0 (List.length (tagged F.Frame));
+  check Alcotest.bool "scan frames found" true (tagged F.Scan <> []);
+  List.iter
+    (fun f ->
+      let a = Int32.to_int f.F.fr_eip land 0xFFFFFFFF in
+      check Alcotest.bool (Printf.sprintf "%08x inside kernel text" a) true
+        (a >= Kfi_kernel.Layout.kernel_text_base
+        && a < Kfi_kernel.Layout.kernel_text_base + b.Kfi_kernel.Build.text_size))
+    (tagged F.Scan)
+
+(* Forensics lists what the flight recorder kept of the first boot
+   instructions *)
 let test_tracer () =
   let disk_image = Kfi_fsimage.Mkfs.create (default_files ()) in
-  let m, _ = Kfi_kernel.Build.boot_machine ~workload:0 ~disk_image () in
-  let s = Kfi_isa.Tracer.trace_string m ~n:40 in
+  let m, b = Kfi_kernel.Build.boot_machine ~workload:0 ~disk_image () in
+  let cpu = Kfi_isa.Machine.cpu m in
+  Kfi_isa.Trace.set_level cpu.Kfi_isa.Cpu.trace Kfi_isa.Trace.Ring;
+  for _ = 1 to 40 do
+    Kfi_isa.Cpu.step cpu
+  done;
+  let s = Kfi_trace.Forensics.trace_listing ~n:40 b m in
+  check Alcotest.bool "forty instructions" true
+    (console_has s "last 40 of 40 recorded");
   check Alcotest.bool "kernel mode lines" true (console_has s " K ");
   check Alcotest.bool "boot entry call" true (console_has s "call");
+  check Alcotest.bool "symbolized" true (console_has s "start_kernel+0x0/");
   let lines = String.split_on_char '\n' s |> List.filter (fun l -> l <> "") in
-  check int "forty instructions" 40 (List.length lines)
+  check int "header, columns and forty instructions" 42 (List.length lines)
+
+(* The binary search agrees with a linear scan of the function list on
+   every address of the kernel image and just outside it *)
+let test_find_function () =
+  let open Stdlib in
+  let b = Kfi_kernel.Build.build () in
+  let base = Kfi_kernel.Layout.kernel_text_base in
+  let linear a =
+    let off = a - base in
+    List.find_opt
+      (fun f -> off >= f.Kfi_asm.Assembler.f_off && off < f.Kfi_asm.Assembler.f_off + f.Kfi_asm.Assembler.f_size)
+      b.Kfi_kernel.Build.funcs
+  in
+  let mismatches = ref 0 in
+  let probe a =
+    if not (Option.equal ( == ) (Kfi_kernel.Build.find_function b (Int32.of_int a)) (linear a))
+    then incr mismatches
+  in
+  for a = base - 16 to base + b.Kfi_kernel.Build.image_size + 16 do
+    probe a
+  done;
+  List.iter probe [ 0; base - 1; 0xFFFFFFFF; Kfi_kernel.Layout.page_offset ];
+  check int "addresses resolved differently" 0 !mismatches
 
 let suite =
   suite
   @ [
       Alcotest.test_case "kdb post-mortem report" `Quick test_kdb_postmortem;
+      Alcotest.test_case "backtrace over a broken frame chain" `Quick
+        test_backtrace_broken_chain;
       Alcotest.test_case "execution tracer" `Quick test_tracer;
+      Alcotest.test_case "find_function agrees with a linear scan" `Quick
+        test_find_function;
     ]

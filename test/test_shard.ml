@@ -60,10 +60,11 @@ let test_proto_roundtrip () =
         {
           en_shard = "cafe";
           en_entry = mk_entry ~fn:"schedule" ~byte:2 ~bit:5 ();
-          en_restore = 0.25;
-          en_exec = 1.5;
-          en_classify = 0.125;
-          en_wall = 2.0;
+          en_metrics =
+            (let m = Kfi_obs.Metrics.create () in
+             Kfi_obs.Metrics.incr m "inj.count";
+             Kfi_obs.Metrics.observe m "inj.wall" 2.0;
+             Kfi_obs.Metrics.snapshot m);
         };
       Proto.Done ("cafe", 17);
     ]
@@ -399,6 +400,65 @@ let test_chaos_records_identical_to_serial () =
         (Experiment.to_csv serial_records = Experiment.to_csv sup_records);
       check bool "progress ticks identical" true (serial_ticks = sup_ticks))
 
+(* The last resort: one worker slot and no restart budget.  Its worker
+   dies claiming the only shard and the slot retires; the shard is
+   requeued (one zero-progress death is under the poison limit) and the
+   coordinator runs it in-process, with records and CSV equal to a
+   serial run's. *)
+let test_retired_slot_runs_inline () =
+  let r = Lazy.force runner and p = Lazy.force profile in
+  let serial =
+    Experiment.run_campaign ~config:(Config.make ~subsample ()) r p Target.A
+  in
+  let dir = tmp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let config =
+        sup_config ~dir ~shards:1 ~max_restarts:0
+          ~env:[ ("KFI_WORKER_CHAOS_POISON", "0") ]
+          ()
+      in
+      let records = Supervisor.run_campaign ~config r p Target.A in
+      check int "one worker death" 1 (count_ev dir "death");
+      check int "its slot retired" 1 (count_ev dir "retire");
+      check int "the shard requeued" 1 (count_ev dir "requeue");
+      check int "nothing quarantined" 0 (count_ev dir "quarantine");
+      check int "the shard ran in-process" 1 (count_ev dir "inline");
+      check bool "records identical" true (serial = records);
+      check bool "CSV identical" true
+        (Experiment.to_csv serial = Experiment.to_csv records))
+
+(* Each worker's runner keeps a metrics registry and streams what it
+   recorded with every entry; the coordinator folds that into the
+   worker's fork, so the campaign's registry counts every injection the
+   workers ran. *)
+let test_worker_metrics_merged () =
+  let r = Lazy.force runner and p = Lazy.force profile in
+  let dir = tmp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let module M = Kfi_obs.Metrics in
+      let metrics = M.create () in
+      let config =
+        { (sup_config ~dir ~shards:1 ()) with Config.metrics = Some metrics }
+      in
+      let records = Supervisor.run_campaign ~config r p Target.A in
+      let s = M.snapshot metrics in
+      let ran = M.counter s "sup.entries" in
+      check int "every target ran in a worker" (List.length records) ran;
+      check int "merged inj.count" ran (M.counter s "inj.count");
+      check int "one execute span per injection" ran
+        (match M.hist s "phase.execute" with
+         | Some h -> h.M.hs_count
+         | None -> 0);
+      check int "outcome counters add up" ran
+        (List.fold_left
+           (fun acc (k, n) ->
+             if String.starts_with ~prefix:"outcome." k then acc + n else acc)
+           0 s.M.sn_counters))
+
 let suite =
   [
     Alcotest.test_case "proto round trip (chunked decode)" `Quick test_proto_roundtrip;
@@ -412,4 +472,8 @@ let suite =
     Alcotest.test_case "wedged worker heartbeat-killed" `Slow test_wedged_worker_heartbeat_killed;
     Alcotest.test_case "worker deaths: records identical to serial" `Slow
       test_chaos_records_identical_to_serial;
+    Alcotest.test_case "retired slot: shard runs in-process" `Slow
+      test_retired_slot_runs_inline;
+    Alcotest.test_case "worker metrics merged into the campaign's" `Slow
+      test_worker_metrics_merged;
   ]

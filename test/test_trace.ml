@@ -225,16 +225,18 @@ let test_crash_propagation_and_oops () =
   List.iter
     (fun part -> check bool ("oops has " ^ part) true (contains oops part))
     [
-      "EIP:"; "eax:"; "esi:"; "cr2:"; "Call Trace:"; "Instruction trace";
-      "Propagation"; "test injection";
+      "EIP:"; "eax:"; "esi:"; "cr2:"; "Call Trace:"; "\nCode:\n  "; "  --> ";
+      "\nTasks:\n  pid  state"; "Instruction trace"; "Propagation"; "test injection";
     ];
   (* the backtrace walks frames, newest first, all in kernel text *)
-  let bt = Forensics.backtrace machine in
-  check bool "backtrace non-empty" true (bt <> []);
+  let bt = Forensics.backtrace build machine in
+  check bool "backtrace beyond the eip" true (List.length bt > 1);
   List.iter
-    (fun eip ->
-      let a = Int32.to_int eip land 0xFFFFFFFF in
-      check bool "frame in text" true (a >= Kfi_kernel.Layout.kernel_text_base))
+    (fun (f : Forensics.frame) ->
+      let a = Int32.to_int f.Forensics.fr_eip land 0xFFFFFFFF in
+      check bool "frame in text" true
+        (a >= Kfi_kernel.Layout.kernel_text_base
+        && a < Kfi_kernel.Layout.kernel_text_base + build.Kfi_kernel.Build.text_size))
     bt
 
 (* ----- telemetry: JSON emitter, parser, lint ----- *)
