@@ -352,18 +352,30 @@ let () =
       let module Metrics = Kfi.Obs.Metrics in
       let module Writer = Kfi.Obs.Writer in
       let now () = Unix.gettimeofday () in
+      (* one campaign, timed target by target from its progress ticks
+         (one before every target and one at the end) *)
       let run ?metrics ?writer tag i =
+        let ticks = ref [] in
         let on_progress ~done_:_ ~total:_ =
-          match writer with Some w -> Writer.maybe_tick w | None -> ()
+          (match writer with Some w -> Writer.maybe_tick w | None -> ());
+          ticks := now () :: !ticks
         in
         Printf.eprintf "bench: campaign A, metrics %s (run %d)...\n%!" tag i;
-        let t0 = now () in
         let r =
           Kfi.Study.run_campaign
             ~config:(Kfi.Config.make ~subsample ?metrics ~on_progress ())
             study Kfi.Campaign.A
         in
-        (r, now () -. t0)
+        (r, Array.of_list (List.rev !ticks))
+      in
+      (* the run's wall cut into segments of [segment] targets, so that
+         segment k of every run covers the same targets *)
+      let segment = 8 in
+      let segments ticks =
+        let n = Array.length ticks - 1 in
+        Array.init
+          ((n + segment - 1) / segment)
+          (fun k -> ticks.(min n ((k + 1) * segment)) -. ticks.(k * segment))
       in
       (* the first campaign pays cache warm-up; discard it *)
       ignore (run "off" 0);
@@ -372,36 +384,42 @@ let () =
       let w =
         Writer.create ~interval_ms:200 ~path:stream (fun () -> Metrics.snapshot m)
       in
-      (* Interleaved off/on pairs, overhead = min per-pair ratio.  Host
-         speed drifts up to ~20% between measurement windows on a shared
-         box, so a sequential off,off,on,on sweep can blame the drift on
-         the metrics arm; adjacent runs of one pair share the same host
-         weather, and taking the min over pairs keeps only noise that
-         *inflates* the ratio, never hides real overhead. *)
-      let pairs = 2 in
+      (* Interleaved off/on pairs; each arm's time is the sum over
+         segments of its best run on that segment, as the ledger's
+         ms_per_target: a burst of host slowness spoils only the
+         segments it overlaps, and a per-segment minimum drops it.  A
+         spread that every segment shows stays: on a shared 2-vCPU host
+         whose segment times spread 20-40% between runs, two arms that
+         both ran with metrics off read up to 14% apart. *)
+      let pairs = 3 in
       let base = ref [] and on_ = ref [] in
-      let t_offs = ref [] and t_ons = ref [] and ratios = ref [] in
+      let seg_off = ref [] and seg_on = ref [] in
       for i = 1 to pairs do
-        let b, t_off = run "off" i in
-        let o, t_on = run ~metrics:m ~writer:w "on" i in
+        let b, ticks_off = run "off" i in
+        let o, ticks_on = run ~metrics:m ~writer:w "on" i in
         if i = 1 then begin
           base := b;
           on_ := o
         end;
-        t_offs := t_off :: !t_offs;
-        t_ons := t_on :: !t_ons;
-        ratios := (t_on /. t_off) :: !ratios
+        seg_off := segments ticks_off :: !seg_off;
+        seg_on := segments ticks_on :: !seg_on
       done;
       Writer.close w;
       let snap = Metrics.snapshot m in
-      let minl l = List.fold_left Float.min infinity l in
-      let t_off = minl !t_offs and t_on = minl !t_ons in
+      let best_sum runs =
+        Array.fold_left ( +. ) 0.
+          (List.fold_left (Array.map2 Float.min) (List.hd runs) (List.tl runs))
+      in
+      let t_off = best_sum !seg_off and t_on = best_sum !seg_on in
       let base = !base and on_ = !on_ in
       let n = List.length base in
-      let overhead_pct = 100. *. (minl !ratios -. 1.) in
+      let overhead_pct = 100. *. ((t_on /. t_off) -. 1.) in
       let csv_same =
         String.equal (Kfi.Study.to_csv base) (Kfi.Study.to_csv on_)
       in
+      Printf.printf
+        "best per-segment times over %d off/on pairs (%d targets a segment):\n"
+        pairs segment;
       Printf.printf "metrics off  %6d experiments in %6.2f s\n" n t_off;
       Printf.printf "metrics on   %6d experiments in %6.2f s  (%+5.1f%%)\n"
         (List.length on_) t_on overhead_pct;
@@ -424,8 +442,9 @@ let () =
               ("campaign", Str "A");
               ("subsample", Int subsample);
               ("experiments", Int n);
-              ("campaign_s_metrics_off", Float t_off);
-              ("campaign_s_metrics_on", Float t_on);
+              ("pairs", Int pairs);
+              ("targets_s_metrics_off", Float t_off);
+              ("targets_s_metrics_on", Float t_on);
               ("overhead_pct", Float overhead_pct);
               ("csv_identical", Bool csv_same);
               ( "phase_shares_pct",

@@ -15,7 +15,7 @@ open Cmdliner
 
 let run campaigns subsample full csv_path jsonl_path seed quiet hardening jobs
     backend journal_path resume deadline_ms retries metrics_path
-    metrics_interval_ms workers shards shard_dir supervisor_log =
+    metrics_interval_ms workers shards supervisor_log =
   let subsample = if full then 1 else subsample in
   Printf.eprintf "booting kernel + golden runs + profiling...\n%!";
   let study = Kfi.Study.prepare () in
@@ -91,7 +91,6 @@ let run campaigns subsample full csv_path jsonl_path seed quiet hardening jobs
         {
           Kfi.Config.default_supervisor with
           Kfi.Config.sup_workers = workers;
-          sup_shard_dir = shard_dir;
           sup_event_log = supervisor_log;
           sup_on_pulse =
             (* the tickless metrics writer has no progress callback to
@@ -235,10 +234,14 @@ let workers_arg =
     & info [ "workers" ] ~docv:"N"
         ~doc:
           "Run each campaign as process-isolated shards executed by $(docv) \
-           supervised $(b,kfi-worker) processes.  A worker killed or wedged \
-           at any instant is restarted with exponential backoff and its \
-           shard requeued; the merged CSV/JSONL/journal are byte-identical \
-           to a serial run.  0 disables (in-process execution).")
+           supervised $(b,kfi-worker) processes.  The coordinator appends \
+           every injection a worker streams to the one campaign journal as \
+           it arrives ($(b,--journal), so a killed run continues under \
+           $(b,--resume); without it, a temp journal deleted at the end).  \
+           A worker killed or wedged at any instant is restarted with \
+           exponential backoff and its shard requeued; the CSV/JSONL/journal \
+           are byte-identical to a serial run.  0 disables (in-process \
+           execution).")
 
 let shards_arg =
   Arg.(
@@ -249,16 +252,6 @@ let shards_arg =
            shards = finer-grained requeue on worker death, more assignment \
            chatter.")
 
-let shard_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "shard-dir" ] ~docv:"DIR"
-        ~doc:
-          "Directory for per-shard journals under $(b,--workers) (default: a \
-           fresh temp dir).  Shard ids are content-addressed, so a reused \
-           $(docv) lets a restarted coordinator pick up completed work.")
-
 let supervisor_log_arg =
   Arg.(
     value
@@ -266,8 +259,8 @@ let supervisor_log_arg =
     & info [ "supervisor-log" ] ~docv:"PATH"
         ~doc:
           "JSONL supervisor event log for $(b,--workers) (spawns, deaths, \
-           requeues, quarantines, merge) — observability only, never part \
-           of the determinism gate.")
+           requeues, quarantines, finished shards) — observability only, \
+           never part of the determinism gate.")
 
 let cmd =
   Cmd.v
@@ -276,7 +269,7 @@ let cmd =
       const run $ campaigns_arg $ subsample_arg $ full_arg $ csv_arg $ jsonl_arg
       $ seed_arg $ quiet_arg $ hardening_arg $ jobs_arg $ backend_arg
       $ journal_arg $ resume_arg $ deadline_arg $ retries_arg $ metrics_arg
-      $ metrics_interval_arg $ workers_arg $ shards_arg $ shard_dir_arg
+      $ metrics_interval_arg $ workers_arg $ shards_arg
       $ supervisor_log_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -277,7 +277,7 @@ let live path interval_ms =
     Printf.eprintf "kfi-stats: waiting for %s...\n%!" path;
   loop None
 
-let run lint live_mode interval_ms _seed _subsample _jobs _backend paths =
+let run lint live_mode interval_ms paths =
   match paths with
   | [] ->
     Printf.eprintf "kfi-stats: no metrics stream given (see --help)\n";
@@ -314,29 +314,11 @@ let interval_arg =
 let paths_arg =
   Arg.(value & pos_all string [] & info [] ~docv:"FILE" ~doc:"Metrics stream file(s).")
 
-(* Accepted for flag symmetry with the other kfi binaries: kfi-stats is
-   an offline analyzer, so these select nothing — but a script that
-   passes its standard quartet everywhere must not die here. *)
-let sym_doc =
-  "Accepted for flag symmetry with the other kfi binaries; an offline \
-   metrics analyzer has no use for it."
-
-let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:sym_doc)
-
-let subsample_arg =
-  Arg.(value & opt int 1 & info [ "subsample" ] ~docv:"K" ~doc:sym_doc)
-
-let jobs_arg =
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc:sym_doc)
-
-let backend_arg = Kfi_cli.backend ~doc:sym_doc ()
-
 let cmd =
   Cmd.v
     (Cmd.info "kfi-stats"
        ~doc:"Summarize, lint or live-tail a campaign metrics stream")
     Term.(
-      const run $ lint_arg $ live_arg $ interval_arg $ seed_arg
-      $ subsample_arg $ jobs_arg $ backend_arg $ paths_arg)
+      const run $ lint_arg $ live_arg $ interval_arg $ paths_arg)
 
 let () = exit (Cmd.eval' cmd)

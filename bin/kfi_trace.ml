@@ -142,10 +142,10 @@ let proof_line build (p : Runner.proof) =
    differ between runs that complete in different orders (-j 1 vs -j 4,
    interrupted vs not); this dump is order-insensitive, so determinism
    gates compare two journals with [cmp] over their dumps.  The digest
-   marshals with [No_sharing]: an entry that round-trips through a shard
-   journal and the supervisor's merge re-marshal can encode equal values
-   with a different intra-value sharing graph, and the dump must hash
-   the value, not the encoding. *)
+   marshals with [No_sharing]: under --workers the coordinator journals
+   entries it unmarshaled from a worker's pipe, whose re-marshaling can
+   encode an equal value with a different intra-value sharing graph,
+   and the dump must hash the value, not the encoding. *)
 let dump_journal_file path =
   match Kfi.Injector.Journal.read_file path with
   | exception Sys_error msg ->

@@ -2,7 +2,7 @@
 
    Not meant to be run by hand: spawned by the supervising coordinator
    (Kfi_shard.Supervisor, i.e. `kfi-campaign --workers N`), speaks the
-   length-prefixed frame protocol on stdin/stdout and journals every
-   completed injection to its shard's journal before acknowledging it. *)
+   length-prefixed frame protocol on stdin/stdout and streams every
+   completed injection back for the coordinator to journal. *)
 
 let () = Kfi_shard.Worker.main ()

@@ -237,14 +237,14 @@ cmp _artifacts/campaign_serial.jsonl _artifacts/chaos.jsonl || {
   exit 1
 }
 
-echo "== shard chaos gate: SIGKILL worker processes mid-campaign, byte-identical merge =="
+echo "== shard chaos gate: SIGKILL worker processes mid-campaign, byte-identical output =="
 # Run the campaign as process-isolated shards under the supervising
 # coordinator, shoot two worker processes while it runs (waiting for the
 # restarted replacement between shots), and demand CSV, JSONL
 # and the canonically dumped journal byte-identical to the serial
 # uninterrupted artifacts above.  The supervisor event log (spawns,
 # deaths, requeues) is kept as an artifact.
-rm -rf _artifacts/shards _artifacts/shard_chaos.journal
+rm -f _artifacts/shard_chaos.journal
 worker_pids() {
   if command -v pgrep > /dev/null 2>&1; then
     pgrep -f kfi_worker.exe 2>/dev/null || true
@@ -254,7 +254,7 @@ worker_pids() {
   fi
 }
 _build/default/bin/kfi_campaign.exe -c A --subsample 60 -q \
-  --workers 2 --shard-dir _artifacts/shards \
+  --workers 2 \
   --journal _artifacts/shard_chaos.journal \
   --supervisor-log _artifacts/shard_chaos.events.jsonl \
   --csv _artifacts/shard_chaos.csv --jsonl _artifacts/shard_chaos.jsonl \
@@ -295,20 +295,78 @@ deaths=$(grep -c '"ev":"death"' _artifacts/shard_chaos.events.jsonl) || deaths=0
   exit 1
 }
 cmp _artifacts/campaign_serial.csv _artifacts/shard_chaos.csv || {
-  echo "shard chaos gate failed: merged CSV diverged from serial after worker kills" >&2
+  echo "shard chaos gate failed: CSV diverged from serial after worker kills" >&2
   exit 1
 }
 cmp _artifacts/campaign_serial.jsonl _artifacts/shard_chaos.jsonl || {
-  echo "shard chaos gate failed: merged telemetry diverged from serial" >&2
+  echo "shard chaos gate failed: telemetry diverged from serial" >&2
   exit 1
 }
 dune exec bin/kfi_trace.exe -- --dump-journal _artifacts/shard_chaos.journal \
   > _artifacts/shard_chaos.journal.dump
 cmp _artifacts/obs1.journal.dump _artifacts/shard_chaos.journal.dump || {
-  echo "shard chaos gate failed: merged journal diverged from serial" >&2
+  echo "shard chaos gate failed: journal diverged from serial" >&2
   exit 1
 }
-echo "  $kills workers SIGKILLed, $deaths deaths supervised, merge byte-identical"
+echo "  $kills workers SIGKILLed, $deaths deaths supervised, output byte-identical"
+
+echo "== coordinator-kill gate: SIGKILL the --workers coordinator, resume from its journal =="
+# The coordinator journals each entry a worker streams as it arrives.
+# Shoot it once the journal passes 2 KB, demand that the shot landed in
+# the worker phase (fewer shards done than planned), then resume: the
+# resume must skip what was journaled and end byte-identical to the
+# serial artifacts.
+rm -f _artifacts/coord_chaos.journal _artifacts/coord_chaos.events.jsonl
+_build/default/bin/kfi_campaign.exe -c A --subsample 60 -q --workers 2 \
+  --journal _artifacts/coord_chaos.journal \
+  --supervisor-log _artifacts/coord_chaos.events.jsonl > /dev/null 2>&1 &
+coord_pid=$!
+i=0
+while [ "$i" -lt 3000 ]; do
+  if [ -f _artifacts/coord_chaos.journal ]; then
+    size=$(wc -c < _artifacts/coord_chaos.journal)
+  else
+    size=0
+  fi
+  [ "$size" -gt 2048 ] && break
+  kill -0 "$coord_pid" 2>/dev/null || break
+  sleep 0.05
+  i=$((i + 1))
+done
+kill -9 "$coord_pid" 2>/dev/null || true
+wait "$coord_pid" 2>/dev/null || true
+shards=$(sed -n 's/.*"ev":"start".*"shards":\([0-9]*\).*/\1/p' \
+  _artifacts/coord_chaos.events.jsonl)
+done_shards=$(grep -c '"ev":"done"' _artifacts/coord_chaos.events.jsonl) || done_shards=0
+[ -n "$shards" ] && [ "$done_shards" -lt "$shards" ] || {
+  echo "coordinator-kill gate failed: the kill did not land in the worker phase ($done_shards of ${shards:-?} shards done)" >&2
+  exit 1
+}
+_build/default/bin/kfi_campaign.exe -c A --subsample 60 -q --workers 2 \
+  --journal _artifacts/coord_chaos.journal --resume \
+  --csv _artifacts/coord_chaos.csv --jsonl _artifacts/coord_chaos.jsonl \
+  2> _artifacts/coord_chaos.resume.txt > /dev/null
+skipped=$(sed -n 's/.*: \([0-9]*\) completed injection(s) to skip.*/\1/p' \
+  _artifacts/coord_chaos.resume.txt)
+[ "${skipped:-0}" -gt 0 ] || {
+  echo "coordinator-kill gate failed: the resume skipped no journaled injection" >&2
+  exit 1
+}
+cmp _artifacts/campaign_serial.csv _artifacts/coord_chaos.csv || {
+  echo "coordinator-kill gate failed: resumed CSV diverged from serial" >&2
+  exit 1
+}
+cmp _artifacts/campaign_serial.jsonl _artifacts/coord_chaos.jsonl || {
+  echo "coordinator-kill gate failed: resumed telemetry diverged from serial" >&2
+  exit 1
+}
+dune exec bin/kfi_trace.exe -- --dump-journal _artifacts/coord_chaos.journal \
+  > _artifacts/coord_chaos.journal.dump
+cmp _artifacts/obs1.journal.dump _artifacts/coord_chaos.journal.dump || {
+  echo "coordinator-kill gate failed: resumed journal diverged from serial" >&2
+  exit 1
+}
+echo "  coordinator killed with $done_shards of $shards shards done; resume skipped $skipped"
 
 echo "== static oracle self-check =="
 # Classification must be total and campaign C must be 100% reversed

@@ -25,11 +25,11 @@ let backend_doc =
    basic-block engine.  Outcomes and artifacts are byte-identical; only \
    the wall clock moves."
 
-let backend ?(doc = backend_doc) () =
+let backend () =
   Arg.(
     value
     & opt backend_conv Kfi.Backend.Interp
-    & info [ "backend" ] ~docv:"BACKEND" ~doc)
+    & info [ "backend" ] ~docv:"BACKEND" ~doc:backend_doc)
 
 (* kfi-trace replays one injection and can do so under both backends,
    comparing the outcomes — hence the wider spelling. *)

@@ -9,7 +9,7 @@ val backend_conv : Kfi.Backend.kind Arg.conv
 (** Parses the {!Kfi.Backend.kind_of_string} spellings
     ([interp]/[interpreter], [cached]/[bb]). *)
 
-val backend : ?doc:string -> unit -> Kfi.Backend.kind Term.t
+val backend : unit -> Kfi.Backend.kind Term.t
 (** [--backend BACKEND], default {!Kfi.Backend.Interp}. *)
 
 type replay_backend = One of Kfi.Backend.kind | Both

@@ -1229,118 +1229,183 @@ let journal_torn_resume =
                 Error "append after resume did not extend the intact prefix"
               else Ok ()))
 
-(* ---------- shard.merge_deterministic ---------- *)
+(* ---------- shard.record_once ---------- *)
 
-(* A worker-death schedule for one shard: each element is one doomed
-   incarnation — journal [k] fresh entries, die, optionally leaving a
-   torn partial frame (SIGKILL mid-append); a final incarnation then
-   completes the shard.  The merged campaign journal must be
-   byte-identical to a serial run whatever the split and whatever the
-   schedule, because resume skips journaled entries and the merge walks
-   shards in planned order. *)
-type death = { d_after : int; d_torn : bool }
-
-let shard_merge_deterministic =
+(* The coordinator's record path without processes: two worker slots
+   stream the entries of the shards they hold into the campaign journal
+   through [Supervisor.record]; a requeued shard's next owner gets
+   [Supervisor.unjournaled].  A list of choices schedules the run —
+   which slot moves, worker deaths, re-run duplicates of journaled
+   entries, quarantines of waiting shards, and coordinator restarts
+   (close, reopen with resume); once the choices run out the slots run
+   their shards to the end.  Each planned key must be in the journal
+   exactly once, every quarantined target a Harness_abort and every
+   other entry the worker's, and with no quarantine the canonical
+   (key-sorted) entries equal a serial run's. *)
+let shard_record_once =
   let open Kfi_injector in
+  let module Sup = Kfi_shard.Supervisor in
   let key = Journal.key_of_entry in
   let dedup entries =
     let seen = Hashtbl.create 16 in
-    List.filter
+    List.filter_map
       (fun e ->
-        if Hashtbl.mem seen (key e) then false
+        let e = { e with Journal.e_campaign = Target.A } in
+        if Hashtbl.mem seen (key e) then None
         else begin
           Hashtbl.add seen (key e) ();
-          true
+          Some e
         end)
       entries
   in
-  let gen_schedule rng =
-    Gen.list ~min:0 ~max:3
-      (fun rng ->
-        { d_after = Kfi_fuzz.Rng.int rng 3; d_torn = Kfi_fuzz.Rng.bool rng })
-      rng
+  let target_of (e : Journal.entry) =
+    ( {
+        Target.t_fn = e.Journal.e_fn;
+        t_subsys = "kernel";
+        t_addr = e.Journal.e_addr;
+        t_len = 1;
+        t_insn = Kfi_isa.Insn.Nop;
+        t_kind = Target.Text;
+        t_byte = e.Journal.e_byte;
+        t_bit = e.Journal.e_bit;
+      },
+      e.Journal.e_workload )
   in
-  let take n l = List.filteri (fun i _ -> i < n) l in
-  (* one shard's journal, written across [schedule] doomed incarnations
-     plus a final completing one — exactly the worker's resume loop *)
-  let write_shard path entries schedule =
-    let incarnation deaths =
-      let j = Journal.open_ ~resume:true path in
-      let todo =
-        List.filter (fun e -> Journal.find j (key e) = None) entries
-      in
-      let quota = match deaths with Some d -> take d.d_after todo | None -> todo in
-      List.iter (Journal.append j) quota;
-      Journal.close j;
-      match deaths with
-      | Some d when d.d_torn ->
-        (* SIGKILL mid-append: a plausible header, payload missing *)
-        let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
-        let b = Bytes.create 8 in
-        Bytes.set_int32_le b 0 64l;
-        Bytes.set_int32_le b 4 0l;
-        output_bytes oc b;
-        output_string oc "par";
-        close_out oc
-      | _ -> ()
+  let sorted es = List.sort (fun a b -> compare (key a) (key b)) es in
+  let run dir entries count choices =
+    let path = Filename.concat dir "campaign.kj" in
+    let j = ref (Journal.open_ path) in
+    let worker_entry = Hashtbl.create 16 in
+    List.iter (fun e -> Hashtbl.replace worker_entry (key e) e) entries;
+    let entry_of ((tgt : Target.t), _) =
+      Hashtbl.find worker_entry (Journal.key_of_target Target.A tgt)
     in
-    List.iter (fun d -> incarnation (Some d)) schedule;
-    incarnation None
-  in
-  let digest_of_run dir entries count schedules =
-    (* contiguous balanced split, as Plan.split *)
-    let arr = Array.of_list entries in
-    let n = Array.length arr in
-    let shards =
-      List.init count (fun i ->
-          Array.to_list (Array.sub arr (i * n / count) (((i + 1) * n / count) - (i * n / count))))
+    let shards = Array.of_list (Kfi_shard.Plan.split ~count (List.map target_of entries)) in
+    (* per shard: `Wait, `Held, `Done or `Quarantined *)
+    let status = Array.make (Array.length shards) `Wait in
+    let slots = Array.make 2 None in (* (shard, entries still to stream) *)
+    let aborted = Hashtbl.create 16 in
+    let choices = ref choices and failure = ref None in
+    let fail msg = if !failure = None then failure := Some msg in
+    let waiting () =
+      let r = ref None in
+      Array.iteri (fun i st -> if !r = None && st = `Wait then r := Some i) status;
+      !r
     in
-    let paths = List.mapi (fun i _ -> Filename.concat dir (spf "s%d.kj" i)) shards in
-    List.iteri
-      (fun i (sh, path) ->
-        if sh <> [] then
-          write_shard path sh (List.nth schedules (i mod List.length schedules)))
-      (List.combine shards paths);
-    (* merge in planned order from the on-disk shard journals *)
-    let merged_path = Filename.concat dir "merged.kj" in
-    let merged = Journal.open_ merged_path in
-    List.iter
-      (fun (sh, path) ->
-        let tbl = Hashtbl.create 16 in
-        if Sys.file_exists path then
-          List.iter (fun e -> Hashtbl.replace tbl (key e) e) (Journal.read_file path);
-        List.iter
-          (fun e ->
-            match Hashtbl.find_opt tbl (key e) with
-            | Some e' -> Journal.append merged e'
-            | None -> failwith "merge: shard journal missing an entry")
-          sh)
-      (List.combine shards paths);
-    Journal.close merged;
-    let d = Digest.file merged_path in
-    List.iter (fun p -> if Sys.file_exists p then Sys.remove p) (merged_path :: paths);
-    d
+    let rec progress s =
+      match slots.(s) with
+      | Some (i, e :: rest) ->
+        if not (Sup.record !j e) then fail "an assigned target was already journaled";
+        slots.(s) <- Some (i, rest)
+      | Some (i, []) ->
+        (* Done: the coordinator's check *)
+        if Sup.unjournaled !j Target.A shards.(i).Kfi_shard.Proto.sh_targets <> []
+        then fail "a shard acked Done with targets missing";
+        status.(i) <- `Done;
+        slots.(s) <- None
+      | None -> (
+        match waiting () with
+        | Some i ->
+          let todo = Sup.unjournaled !j Target.A shards.(i).Kfi_shard.Proto.sh_targets in
+          status.(i) <- `Held;
+          slots.(s) <- Some (i, List.map entry_of todo)
+        | None -> if slots.(1 - s) <> None then progress (1 - s))
+    in
+    let die s =
+      match slots.(s) with
+      | Some (i, _) ->
+        status.(i) <- `Wait;
+        slots.(s) <- None
+      | None -> ()
+    in
+    let settled () =
+      Array.for_all (fun st -> st = `Done || st = `Quarantined) status
+    in
+    while !failure = None && not (settled ()) do
+      match !choices with
+      | [] -> progress 0
+      | c :: tl -> (
+        choices := tl;
+        let s = c / 8 mod 2 in
+        match c mod 8 with
+        | 4 -> die s
+        | 5 -> (
+          (* a re-run duplicate of something journaled *)
+          match Journal.entries !j with
+          | [] -> ()
+          | es -> (
+            let e = List.nth es (c / 8 mod List.length es) in
+            match Hashtbl.find_opt worker_entry (key e) with
+            | Some w -> if Sup.record !j w then fail "a duplicate was journaled twice"
+            | None -> ()))
+        | 6 -> (
+          match waiting () with
+          | Some i ->
+            let targets = shards.(i).Kfi_shard.Proto.sh_targets in
+            let missing = Sup.unjournaled !j Target.A targets in
+            List.iter
+              (fun (tgt, _) -> Hashtbl.replace aborted (Journal.key_of_target Target.A tgt) ())
+              missing;
+            let n = Sup.quarantine !j Target.A targets ~reason:"poison" ~deaths:3 in
+            if n <> List.length missing then fail "quarantine count differs";
+            status.(i) <- `Quarantined
+          | None -> ())
+        | 7 ->
+          (* the coordinator killed and resumed: in-flight work is lost *)
+          Journal.close !j;
+          j := Journal.open_ ~resume:true path;
+          die 0;
+          die 1
+        | _ -> progress s)
+    done;
+    Journal.close !j;
+    match !failure with
+    | Some msg -> Error msg
+    | None ->
+      let got = Journal.read_file path in
+      let keys = List.sort_uniq compare (List.map key got) in
+      if List.length got <> List.length entries then
+        Error (spf "%d entries journaled for %d planned" (List.length got) (List.length entries))
+      else if keys <> List.sort compare (List.map key entries) then
+        Error "the journaled keys are not the planned ones"
+      else if
+        not
+          (List.for_all
+             (fun (e : Journal.entry) ->
+               if Hashtbl.mem aborted (key e) then
+                 match e.Journal.e_outcome with Outcome.Harness_abort _ -> true | _ -> false
+               else e = Hashtbl.find worker_entry (key e))
+             got)
+      then Error "a journaled entry is neither the worker's nor a quarantine abort"
+      else if Hashtbl.length aborted = 0 then begin
+        let serial_path = Filename.concat dir "serial.kj" in
+        let sj = Journal.open_ serial_path in
+        List.iter (Journal.append sj) entries;
+        Journal.close sj;
+        if sorted (Journal.read_file serial_path) <> sorted got then
+          Error "the canonical entries differ from a serial run's"
+        else Ok ()
+      end
+      else Ok ()
   in
-  Fuzz.make ~name:"shard.merge_deterministic"
+  Fuzz.make ~name:"shard.record_once"
     ~doc:
-      "random shard splits + random worker-death schedules merge to the \
-       serial journal bytes"
+      "the coordinator's record path under random splits, worker deaths, \
+       duplicates, quarantines and restarts journals each planned key once"
     (Fuzz.arb
        ~shrink:
          (Shrink.pair
             (Shrink.pair (Shrink.list ~elem:Shrink.nil) Shrink.int)
-            (Shrink.pair (Shrink.list ~elem:Shrink.nil) (Shrink.list ~elem:Shrink.nil)))
-       ~print:(fun ((entries, count), (sched_a, sched_b)) ->
-         spf "%d entries, %d shards, %d+%d deaths" (List.length entries) count
-           (List.length sched_a) (List.length sched_b))
+            (Shrink.list ~elem:Shrink.int))
+       ~print:(fun ((entries, count), choices) ->
+         spf "%d entries, %d shards, choices [%s]" (List.length entries) (max 1 count)
+           (String.concat ";" (List.map string_of_int choices)))
        (Gen.pair
           (Gen.pair
              (Gen.map dedup (Gen.list ~min:1 ~max:8 gen_entry))
              (fun rng -> 1 + Kfi_fuzz.Rng.int rng 4))
-          (Gen.pair (Gen.list ~min:1 ~max:3 gen_schedule)
-             (Gen.list ~min:1 ~max:3 gen_schedule))))
-    (fun ((entries, count), (scheds_a, scheds_b)) ->
-      let open Kfi_injector in
+          (Gen.list ~min:0 ~max:40 (Gen.int_bound 63))))
+    (fun ((entries, count), choices) ->
       let dir = Filename.temp_file "kfi_fuzz_shard" "" in
       Sys.remove dir;
       Unix.mkdir dir 0o755;
@@ -1350,21 +1415,7 @@ let shard_merge_deterministic =
             (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
             (Sys.readdir dir);
           try Unix.rmdir dir with Unix.Unix_error _ -> ())
-        (fun () ->
-          (* the serial reference: every entry appended once, in order *)
-          let serial_path = Filename.concat dir "serial.kj" in
-          let j = Journal.open_ serial_path in
-          List.iter (Journal.append j) entries;
-          Journal.close j;
-          let serial = Digest.file serial_path in
-          Sys.remove serial_path;
-          let da = digest_of_run dir entries count scheds_a in
-          let db = digest_of_run dir entries count scheds_b in
-          if da <> serial then
-            Error "schedule A merged journal differs from serial bytes"
-          else if db <> serial then
-            Error "schedule B merged journal differs from serial bytes"
-          else Ok ()))
+        (fun () -> run dir entries (max 1 count) choices))
 
 (* ---------- csv.rfc4180 ---------- *)
 
@@ -1609,7 +1660,7 @@ let all =
     runner_hang_equiv;
     fs_fsck_total;
     journal_torn_resume;
-    shard_merge_deterministic;
+    shard_record_once;
     csv_rfc4180;
     telemetry_json_roundtrip;
     obs_merge_assoc;

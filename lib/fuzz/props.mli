@@ -43,12 +43,14 @@ val runner_ladder_equiv : Kfi_fuzz.Fuzz.t
 val fs_fsck_total : Kfi_fuzz.Fuzz.t
 val journal_torn_resume : Kfi_fuzz.Fuzz.t
 
-val shard_merge_deterministic : Kfi_fuzz.Fuzz.t
-(** Random contiguous shard splits of a random entry list, written under
-    two random worker-death schedules (die after k entries, optionally
-    leaving a torn partial frame, resume, repeat), then merged in
-    planned order — both merged journals are byte-identical to the
-    serially-written one. *)
+val shard_record_once : Kfi_fuzz.Fuzz.t
+(** The supervisor's record path ({!Kfi_shard.Supervisor.record},
+    [unjournaled], [quarantine]) driven without processes: a random
+    split of a random entry list is streamed by two worker slots under a
+    random schedule of slot moves, worker deaths, re-run duplicates,
+    quarantines and coordinator restarts.  The campaign journal ends up
+    holding each planned key exactly once, and with no quarantine its
+    key-sorted entries equal a serially written journal's. *)
 
 val csv_rfc4180 : Kfi_fuzz.Fuzz.t
 val telemetry_json_roundtrip : Kfi_fuzz.Fuzz.t

@@ -16,7 +16,6 @@
    [fingerprint]. *)
 type supervisor = {
   sup_workers : int; (* worker processes to keep alive *)
-  sup_shard_dir : string option; (* per-shard journals; None = temp dir *)
   sup_worker_env : (string * string) list;
       (* extra environment for workers (chaos knobs in tests/CI) *)
   sup_max_restarts : int; (* per worker slot, before it is retired *)
@@ -34,7 +33,6 @@ type supervisor = {
 let default_supervisor =
   {
     sup_workers = 2;
-    sup_shard_dir = None;
     sup_worker_env = [];
     sup_max_restarts = 10;
     sup_poison_deaths = 3;
@@ -70,9 +68,9 @@ type t = {
          so it too stays out of [fingerprint]: a journal written under
          one backend resumes cleanly under the other *)
   shards : int;
-      (* content-addressed shards to split the campaign into under a
-         supervisor; 0 = auto (4 * workers).  Purely an execution-layout
-         knob: merged output is byte-identical at any shard count *)
+      (* shards to split the campaign into under a supervisor; 0 = auto
+         (4 * workers).  Purely an execution-layout knob: the output is
+         byte-identical at any shard count *)
   supervisor : supervisor option;
       (* Some -> the campaign runs on isolated worker processes under
          the lib/shard coordinator instead of in-process *)

@@ -8,8 +8,6 @@
     can ride {!t} without a dependency cycle. *)
 type supervisor = {
   sup_workers : int;  (** worker processes to keep alive *)
-  sup_shard_dir : string option;
-      (** directory for per-shard journals; [None] = a fresh temp dir *)
   sup_worker_env : (string * string) list;
       (** extra environment entries for workers (chaos knobs in CI) *)
   sup_max_restarts : int;
@@ -23,7 +21,7 @@ type supervisor = {
           kernel boot) *)
   sup_event_log : string option;
       (** supervisor event log (JSONL: spawn/assign/death/restart/
-          requeue/quarantine/merge), for the CI artifact *)
+          requeue/quarantine/done), for the CI artifact *)
   sup_on_pulse : (unit -> unit) option;
       (** called once per supervision-loop turn — where the tickless
           metrics {!Kfi_obs.Writer.maybe_tick} rides during the worker
@@ -31,9 +29,12 @@ type supervisor = {
 }
 
 val default_supervisor : supervisor
-(** 2 workers, temp shard dir, auto-discovered worker binary, 10
-    restarts per slot, 3 poison deaths, 120 s heartbeat, no event log,
-    no pulse hook. *)
+(** 2 workers, 10 restarts per slot, 3 poison deaths, 120 s heartbeat,
+    no extra worker environment, no event log, no pulse hook.  The
+    worker binary is found via [$KFI_WORKER_EXE] or next to the running
+    executable.  The workers keep nothing on disk: the coordinator
+    writes what they stream to the one campaign journal ({!t.journal},
+    or a temp journal deleted after the run). *)
 
 type t = {
   subsample : int;  (** keep every k-th target (1 = the full enumeration) *)
@@ -78,16 +79,16 @@ type t = {
           absent from {!fingerprint}: a journal written under one
           backend resumes cleanly under the other *)
   shards : int;
-      (** content-addressed shards to split the campaign into when a
-          {!supervisor} is set; 0 = auto ([4 * sup_workers], capped by
-          the target count).  Purely an execution-layout knob — merged
-          output is byte-identical at any shard count — so it is absent
-          from {!fingerprint} *)
+      (** shards to split the campaign into when a {!supervisor} is
+          set; 0 = auto ([4 * sup_workers], capped by the target count).
+          Purely an execution-layout knob — the output is byte-identical
+          at any shard count — so it is absent from {!fingerprint} *)
   supervisor : supervisor option;
       (** [Some] runs the campaign on process-isolated workers under
-          the [lib/shard] coordinator: a SIGKILLed worker is restarted
-          with exponential backoff, its shard requeued, and the merged
-          output stays byte-identical to a serial in-process run *)
+          the [lib/shard] coordinator, which journals what they stream:
+          a SIGKILLed worker is restarted with exponential backoff, its
+          shard requeued, and the output stays byte-identical to a
+          serial in-process run *)
 }
 
 val default : t

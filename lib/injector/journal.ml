@@ -56,6 +56,7 @@ let key_of_entry e : key =
   (Target.campaign_letter e.e_campaign, e.e_fn, e.e_addr, e.e_byte, e.e_bit)
 
 type t = {
+  path : string;
   oc : out_channel;
   lock : Mutex.t; (* fleet workers append from their own domains *)
   tbl : (key, entry) Hashtbl.t; (* entries loaded at open time *)
@@ -88,14 +89,26 @@ let crc32 s =
 
 (* ----- framing ----- *)
 
-let frame_payload (f : frame) = Marshal.to_string f []
+(* Far above any real frame (the largest, a worker's Assign over a
+   full-scale shard, is a few hundred KB), and small enough that a
+   random 8-byte window passes this check and the CRC with probability
+   ~2^-40, and that a desynchronized stream is caught at once. *)
+let max_frame = 16 * 1024 * 1024
 
-let write_frame oc payload =
-  let b = Bytes.create 8 in
-  Bytes.set_int32_le b 0 (Int32.of_int (String.length payload));
+let frame payload =
+  let n = String.length payload in
+  let b = Bytes.create (8 + n) in
+  Bytes.set_int32_le b 0 (Int32.of_int n);
   Bytes.set_int32_le b 4 (Int32.of_int (crc32 payload));
-  output_bytes oc b;
-  output_string oc payload
+  Bytes.blit_string payload 0 b 8 n;
+  Bytes.unsafe_to_string b
+
+let frame_header b off =
+  let len = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF in
+  let crc = Int32.to_int (Bytes.get_int32_le b (off + 4)) land 0xFFFFFFFF in
+  if len > max_frame then Error "implausible frame length" else Ok (len, crc)
+
+let write_frame oc (f : frame) = output_string oc (frame (Marshal.to_string f []))
 
 (* Read one frame from [ic]; [None] on a clean EOF, [Error] on a torn or
    corrupt frame (short header, short payload, CRC mismatch). *)
@@ -107,11 +120,10 @@ let read_frame ic : (frame option, string) result =
        "position advanced" — not "position at EOF" — is what separates a
        clean end from a torn sub-8-byte header *)
     if pos_in ic = start then Ok None else Error "torn frame header"
-  | header ->
-    let len = Int32.to_int (String.get_int32_le header 0) land 0xFFFFFFFF in
-    let crc = Int32.to_int (String.get_int32_le header 4) land 0xFFFFFFFF in
-    if len < 0 || len > 16 * 1024 * 1024 then Error "implausible frame length"
-    else (
+  | header -> (
+    match frame_header (Bytes.unsafe_of_string header) 0 with
+    | Error _ as e -> e
+    | Ok (len, crc) -> (
       match really_input_string ic len with
       | exception End_of_file -> Error "torn frame payload"
       | payload ->
@@ -119,7 +131,7 @@ let read_frame ic : (frame option, string) result =
         else (
           match (Marshal.from_string payload 0 : frame) with
           | exception _ -> Error "undecodable frame payload"
-          | f -> Ok (Some f)))
+          | f -> Ok (Some f))))
 
 (* ----- opening, loading, appending ----- *)
 
@@ -128,12 +140,10 @@ exception Corrupt of string
 (* A failed frame is a *torn tail* only when no intact frame follows it.
    Scan forward from the failure point for any position where a
    CRC-valid frame parses: one found means the damage sits in the
-   MIDDLE of the file — e.g. a corrupted shard journal merged into a
-   campaign journal — and silently truncating would drop intact entries
-   after it.  A random 8-byte window passes the length-plausibility and
-   CRC-32 checks with probability ~2^-40, so false positives are not a
-   practical concern, and the scan is bounded by the bad frame's extent
-   (the next intact frame stops it). *)
+   MIDDLE of the file (a damaged disk block, say), and silently
+   truncating would drop intact entries after it.  False positives are
+   not a practical concern (see [max_frame]), and the scan is bounded by
+   the bad frame's extent (the next intact frame stops it). *)
 let intact_frame_follows ic ~from ~until =
   let found = ref false in
   let q = ref from in
@@ -192,7 +202,9 @@ let open_ ?(resume = false) path =
   let oc = Unix.out_channel_of_descr fd in
   let tbl = Hashtbl.create (max 64 (2 * List.length entries)) in
   List.iter (fun e -> Hashtbl.replace tbl (key_of_entry e) e) entries;
-  { oc; lock = Mutex.create (); tbl; meta; appended = 0; torn; metrics = None }
+  { path; oc; lock = Mutex.create (); tbl; meta; appended = 0; torn; metrics = None }
+
+let path t = t.path
 
 let set_metrics t m = Mutex.protect t.lock (fun () -> t.metrics <- m)
 
@@ -207,7 +219,7 @@ let check_fingerprint t ~fingerprint =
              m fingerprint)
       | Some _ -> ()
       | None ->
-        write_frame t.oc (frame_payload (F_meta fingerprint));
+        write_frame t.oc (F_meta fingerprint);
         flush t.oc;
         Unix.fsync (Unix.descr_of_out_channel t.oc);
         t.meta <- Some fingerprint)
@@ -217,7 +229,7 @@ let find t key = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.tbl key)
 let append t entry =
   Mutex.protect t.lock (fun () ->
       let t0 = Unix.gettimeofday () in
-      write_frame t.oc (frame_payload (F_entry entry));
+      write_frame t.oc (F_entry entry);
       (* flush + fsync per entry: an injection that completed is durable
          the moment [append] returns, whatever kills the process next *)
       flush t.oc;

@@ -38,11 +38,12 @@ type t
 
 exception Corrupt of string
 (** An unreadable frame with intact frames {e after} it — mid-file
-    corruption (e.g. a damaged shard journal merged into a campaign
-    journal).  Raised by {!open_} [~resume:true] and {!read_file}
-    instead of silently truncating, which would drop the intact entries
-    that follow.  An unreadable {e final} frame (nothing intact after
-    it) remains a torn tail: truncated and re-run. *)
+    corruption of the campaign journal (a damaged disk block, say; its
+    one writer, the campaign process, only ever appends).  Raised by
+    {!open_} [~resume:true] and {!read_file} instead of silently
+    truncating, which would drop the intact entries that follow.  An
+    unreadable {e final} frame (nothing intact after it) remains a torn
+    tail: truncated and re-run. *)
 
 val open_ : ?resume:bool -> string -> t
 (** [open_ ?resume path] opens (creating if needed) the journal at
@@ -52,6 +53,9 @@ val open_ : ?resume:bool -> string -> t
     appends start at the last intact frame, and mid-file corruption
     raises {!Corrupt}.  Thread-safe: fleet workers may [append]
     concurrently. *)
+
+val path : t -> string
+(** The file the journal was opened on. *)
 
 val check_fingerprint : t -> fingerprint:string -> unit
 (** On a fresh journal, record [fingerprint] (a digest of the run
@@ -93,7 +97,24 @@ val read_file : string -> entry list
     without opening it for writing.  Raises {!Corrupt} on mid-file
     corruption (a torn tail is tolerated, as at {!open_}). *)
 
-(**/**)
+(** {2 Framing}
+
+    A frame is a u32 LE payload length, the u32 LE CRC-32 of the
+    payload, and the payload.  The journal's frames carry entries; the
+    [lib/shard] worker pipe ([Kfi_shard.Proto]) carries its messages in
+    the same frames, encoded and checked here. *)
+
+val max_frame : int
+(** The largest payload a frame may declare: 16 MB. *)
+
+val frame : string -> string
+(** [frame payload] is the whole frame that carries [payload]. *)
+
+val frame_header : Bytes.t -> int -> (int * int, string) result
+(** The payload length and CRC-32 declared by the 8-byte frame header at
+    the given offset; [Error] when the length exceeds {!max_frame} — a
+    torn file or a desynchronized stream. *)
 
 val crc32 : string -> int
-(* exposed for tests: IEEE 802.3 CRC-32 of a string *)
+(** IEEE 802.3 CRC-32 of a string; a frame is intact when this equals
+    its header's CRC. *)

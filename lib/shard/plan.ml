@@ -1,50 +1,19 @@
 (* Shard planning: split the campaign's planned (target, workload) list
-   into content-addressed shards.
-
-   The split is contiguous and balanced, so concatenating the shards in
-   sh_index order reproduces the serial target order exactly — the
-   merge phase leans on that to write the campaign journal in the same
-   order a serial run would.  The shard id is a digest of everything
-   that determines the shard's work (config fingerprint, campaign,
-   every target and its planned workload): the same campaign split the
-   same way always yields the same ids, so shard journals on disk
-   survive a coordinator restart and are picked up by name. *)
-
-module Target = Kfi_injector.Target
+   into shards.  The split is contiguous and balanced, so concatenating
+   the shards in sh_index order reproduces the serial target order. *)
 
 let shard_count ~workers ~shards ~targets =
   if targets = 0 then 0
   else if shards > 0 then min shards targets
   else max 1 (min targets (4 * max 1 workers))
 
-let shard_id ~fingerprint ~campaign targets =
-  let b = Buffer.create 256 in
-  Buffer.add_string b fingerprint;
-  Buffer.add_char b '\n';
-  Buffer.add_string b (Target.campaign_letter campaign);
-  List.iter
-    (fun ((t : Target.t), workload) ->
-      Buffer.add_string b
-        (Printf.sprintf "\n%s:%ld:%d:%d:%d" t.Target.t_fn t.Target.t_addr
-           t.Target.t_byte t.Target.t_bit workload))
-    targets;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
-let split ~fingerprint ~campaign ~count targets =
+let split ~count targets =
   if count <= 0 then []
   else begin
     let arr = Array.of_list targets in
     let n = Array.length arr in
     List.init count (fun i ->
         let lo = i * n / count and hi = (i + 1) * n / count in
-        let sh_targets = Array.to_list (Array.sub arr lo (hi - lo)) in
-        {
-          Proto.sh_id = shard_id ~fingerprint ~campaign sh_targets;
-          sh_index = i;
-          sh_targets;
-        })
+        { Proto.sh_index = i; sh_targets = Array.to_list (Array.sub arr lo (hi - lo)) })
     |> List.filter (fun s -> s.Proto.sh_targets <> [])
   end
-
-let journal_path ~dir (s : Proto.shard) =
-  Filename.concat dir ("shard-" ^ s.Proto.sh_id ^ ".kj")

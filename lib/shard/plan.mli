@@ -1,5 +1,5 @@
 (** Shard planning: split a campaign's planned (target, workload) list
-    into content-addressed shards. *)
+    into shards named by their index. *)
 
 val shard_count : workers:int -> shards:int -> targets:int -> int
 (** The shard count for a run: [shards] if positive (capped by the
@@ -8,26 +8,7 @@ val shard_count : workers:int -> shards:int -> targets:int -> int
     most ~1/4 of one worker's share of progress.  0 when there is
     nothing to run. *)
 
-val shard_id :
-  fingerprint:string ->
-  campaign:Kfi_injector.Target.campaign ->
-  (Kfi_injector.Target.t * int) list ->
-  string
-(** The content address: an MD5 hex digest over the config fingerprint,
-    the campaign letter and every (target key, workload) in order.
-    Deterministic, so shard journals left on disk by a killed
-    coordinator are found again by the next one. *)
-
-val split :
-  fingerprint:string ->
-  campaign:Kfi_injector.Target.campaign ->
-  count:int ->
-  (Kfi_injector.Target.t * int) list ->
-  Proto.shard list
+val split : count:int -> (Kfi_injector.Target.t * int) list -> Proto.shard list
 (** Contiguous balanced split preserving serial order: concatenating
     the result in [sh_index] order is the input list.  Empty shards
     (more shards requested than targets) are dropped. *)
-
-val journal_path : dir:string -> Proto.shard -> string
-(** [dir/shard-<id>.kj] — where the shard's owner journals completed
-    injections. *)

@@ -1,36 +1,29 @@
-(** The coordinator <-> [kfi-worker] wire protocol: length-prefixed,
-    CRC-framed Marshal messages over the worker's stdin/stdout pipes
-    (the journal's framing exactly: u32 LE payload length, u32 LE
-    CRC-32, payload).
+(** The coordinator <-> [kfi-worker] wire protocol: Marshal messages
+    over the worker's stdin/stdout pipes, one per frame, in the
+    journal's frames ({!Kfi_injector.Journal.frame}: u32 LE payload
+    length, u32 LE CRC-32, payload).
 
     Message flow: the coordinator sends [Hello] once, the worker
     answers [Ready]; each [Assign] is acknowledged by [Claimed], then a
-    stream of [Entry] frames (one per injection, {e after} the entry is
-    fsync'd to the worker's shard journal), then [Done] — the ack that
-    lets the coordinator mark the shard complete.  A worker that dies
-    before [Done] leaves its shard journal as the durable record: the
-    coordinator requeues the shard and the next owner skips everything
-    already journaled, so each injection is executed effectively once
-    and merged exactly once. *)
+    stream of [Entry] frames (one per injection), then [Done] — the ack
+    that lets the coordinator mark the shard complete.  The coordinator
+    appends each streamed entry to the campaign journal, the one durable
+    record.  A worker that dies before [Done] loses at most the
+    injection in flight: the coordinator requeues the shard and assigns
+    the next owner only the targets not yet journaled, so each injection
+    is journaled exactly once. *)
 
 type hello = {
-  h_fingerprint : string;
-      (** {!Kfi_injector.Config.fingerprint} — guards shard journals
-          against mixing runs, exactly like the campaign journal *)
   h_campaign : Kfi_injector.Target.campaign;
   h_hardening : bool;
   h_backend : Kfi_isa.Backend.kind;
   h_max_cycles : int;
   h_deadline_ms : int option;
   h_retries : int;
-  h_shard_dir : string;  (** where the worker opens shard journals *)
 }
 
 type shard = {
-  sh_id : string;
-      (** content address: hex digest of fingerprint + campaign letter +
-          every (target, workload) in the shard — see {!Plan.shard_id} *)
-  sh_index : int;  (** position in the split; stable across requeues *)
+  sh_index : int;  (** position in the split; names the shard, stable across requeues *)
   sh_targets : (Kfi_injector.Target.t * int) list;
       (** (target, planned workload index), in serial campaign order *)
 }
@@ -42,21 +35,18 @@ type to_worker =
 
 type from_worker =
   | Ready of int  (** worker pid, sent once in answer to [Hello] *)
-  | Claimed of string  (** shard id — the worker owns it from here *)
+  | Claimed of int  (** shard index — the worker owns it from here *)
   | Entry of {
-      en_shard : string;
       en_entry : Kfi_injector.Journal.entry;
-          (** already durable in the shard journal when this is sent *)
+          (** one finished injection, for the coordinator to journal *)
       en_metrics : Kfi_obs.Metrics.snap;
           (** the metrics the worker's runner recorded for this
               injection (phase spans, outcome and block-cache counters),
               for the coordinator's per-worker fork — volatile, never in
               gated artifacts *)
     }
-  | Done of string * int
-      (** shard id + entries appended by this incarnation: the ack *)
-
-val max_frame : int
+  | Done of int
+      (** shard index: every assigned target was streamed — the ack *)
 
 val send_to_worker : Unix.file_descr -> to_worker -> unit
 val send_from_worker : Unix.file_descr -> from_worker -> unit
@@ -81,6 +71,6 @@ module Dec : sig
   val next : t -> (from_worker option, string) result
   (** The next complete frame, [Ok None] if more bytes are needed,
       [Error] on a corrupt frame (the coordinator kills and restarts
-      the worker — the shard journal, not the stream, is the durable
-      record, so nothing is lost). *)
+      the worker; the campaign journal holds every entry already
+      decoded, so only the rest of the shard runs again). *)
 end

@@ -13,17 +13,17 @@
    exponential backoff, requeues the shard it held, and quarantines
    shards that keep killing their owners.
 
-   Determinism: the merged output is byte-identical to a serial
-   in-process run whatever the crash/restart interleaving.  The chain
-   that guarantees it:
+   One journal: the coordinator appends every entry a worker streams to
+   the campaign journal as it arrives (the record path below), so a
+   killed coordinator loses only the injections in flight and
+   [--resume] picks up the rest.  Determinism: the output is
+   byte-identical to a serial in-process run whatever the crash/restart
+   interleaving.  The chain that guarantees it:
      1. planning (enumeration, subsampling, workload choice, oracle) is
         serial and deterministic, done once by the coordinator;
-     2. shards are contiguous slices of that planned order, executed
-        against per-shard fsync'd journals (outcomes themselves are
-        deterministic, so *which* process runs a target cannot matter);
-     3. the merge appends every planned entry to the campaign journal
-        in serial planned order, deduplicating by key;
-     4. the final pass replays that journal through
+     2. outcomes are deterministic, so *which* process runs a target
+        cannot matter, and the journal takes each key once;
+     3. the final pass replays the journal through
         [Experiment.run_targets] with jobs = 1 — the very code path the
         CI kill/resume gate already holds byte-identical to an
         uninterrupted serial run (records, CSV, JSONL, ticks). *)
@@ -38,20 +38,59 @@ module Experiment = Kfi_injector.Experiment
 module M = Kfi_obs.Metrics
 module Tel = Kfi_trace.Telemetry
 
+(* ----- the record path ----- *)
+
+(* The journal holds [key] for [workload] — the rule the serial replay
+   uses to surface an entry instead of re-running its target. *)
+let holds j key workload =
+  match J.find j key with Some e -> e.J.e_workload = workload | None -> false
+
+let unjournaled j campaign targets =
+  List.filter
+    (fun ((tgt : Target.t), workload) ->
+      not (holds j (J.key_of_target campaign tgt) workload))
+    targets
+
+let record j (e : J.entry) =
+  if holds j (J.key_of_entry e) e.J.e_workload then false
+  else begin
+    J.append j e;
+    true
+  end
+
+let quarantine j campaign targets ~reason ~deaths =
+  let missing = unjournaled j campaign targets in
+  List.iter
+    (fun ((tgt : Target.t), workload) ->
+      J.append j
+        {
+          J.e_campaign = campaign;
+          e_fn = tgt.Target.t_fn;
+          e_addr = tgt.Target.t_addr;
+          e_byte = tgt.Target.t_byte;
+          e_bit = tgt.Target.t_bit;
+          e_workload = workload;
+          e_outcome =
+            Outcome.Harness_abort { ha_reason = reason; ha_retries = deaths };
+          e_predicted = false;
+          e_retries = deaths;
+          e_cycles = 0;
+        })
+    missing;
+  List.length missing
+
 (* ----- shard + worker-slot state ----- *)
 
 type shard_status =
   | Pending
   | Assigned of int (* slot *)
   | Completed
-  | Quarantined of string (* reason *)
+  | Quarantined
 
 type sstate = {
-  shard : Proto.shard;
+  shard : Proto.shard; (* the planned slice *)
   mutable status : shard_status;
   mutable deaths : int; (* consecutive zero-progress owner deaths *)
-  mutable requeues : int;
-  mutable last_death : string; (* how the last owner died *)
 }
 
 type slot = {
@@ -61,9 +100,10 @@ type slot = {
   mutable to_w : Unix.file_descr;
   mutable from_w : Unix.file_descr;
   mutable dec : Proto.Dec.t;
+  mutable desync : bool; (* a corrupt frame: decode nothing more *)
   mutable ready : bool;
   mutable assigned : sstate option;
-  mutable progress : int; (* entries streamed this assignment *)
+  mutable progress : int; (* entries journaled this assignment *)
   mutable beat : float;
   mutable restarts : int;
   mutable retired : bool; (* restart budget exhausted *)
@@ -74,8 +114,7 @@ type t = {
   sup : C.supervisor;
   config : C.t;
   campaign : Target.campaign;
-  fingerprint : string;
-  dir : string;
+  journal : J.t; (* the campaign journal: the one durable record *)
   exe : string;
   hello : Proto.hello;
   shards : sstate list; (* in sh_index order *)
@@ -89,12 +128,6 @@ type t = {
 let invalid_fd = Unix.stdin (* placeholder for slots not yet spawned *)
 
 (* ----- small utilities ----- *)
-
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
 
 let now () = Unix.gettimeofday ()
 
@@ -111,8 +144,6 @@ let log_event t ev kvs =
 let mincr t ?by key = match t.metrics with Some m -> M.incr m ?by key | None -> ()
 let mgauge t key v = match t.metrics with Some m -> M.set_gauge m key v | None -> ()
 let mobserve t key v = match t.metrics with Some m -> M.observe m key v | None -> ()
-
-let short_id id = if String.length id > 12 then String.sub id 0 12 else id
 
 let worker_exe () =
   match Sys.getenv_opt "KFI_WORKER_EXE" with
@@ -135,12 +166,6 @@ let worker_exe () =
 
 let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let close_slot_fds s =
-  if s.pid <> 0 then begin
-    close_noerr s.to_w;
-    close_noerr s.from_w
-  end
-
 let spawn t s =
   let stdin_r, stdin_w = Unix.pipe () in
   let stdout_r, stdout_w = Unix.pipe () in
@@ -161,6 +186,7 @@ let spawn t s =
   s.to_w <- stdin_w;
   s.from_w <- stdout_r;
   s.dec <- Proto.Dec.create ();
+  s.desync <- false;
   s.ready <- false;
   s.assigned <- None;
   s.progress <- 0;
@@ -186,22 +212,25 @@ let settled t =
   List.for_all
     (fun ss ->
       match ss.status with
-      | Completed | Quarantined _ -> true
+      | Completed | Quarantined -> true
       | Pending | Assigned _ -> false)
     t.shards
 
 let done_count t =
   List.length
     (List.filter
-       (fun ss ->
-         match ss.status with Completed | Quarantined _ -> true | _ -> false)
+       (fun ss -> match ss.status with Completed | Quarantined -> true | _ -> false)
        t.shards)
 
+let todo t ss = unjournaled t.journal t.campaign ss.shard.Proto.sh_targets
+
+(* A requeued shard's next owner gets only what is not journaled yet *)
 let try_assign t s =
   if s.pid <> 0 && s.ready && s.assigned = None then
     match next_pending t with
     | None -> ()
     | Some ss ->
+      let sh_targets = todo t ss in
       ss.status <- Assigned s.idx;
       s.assigned <- Some ss;
       s.progress <- 0;
@@ -211,11 +240,72 @@ let try_assign t s =
         (float_of_int ss.shard.Proto.sh_index);
       log_event t "assign"
         [ ("slot", Tel.Int s.idx);
-          ("shard", Tel.Str (short_id ss.shard.Proto.sh_id));
-          ("index", Tel.Int ss.shard.Proto.sh_index);
+          ("shard", Tel.Int ss.shard.Proto.sh_index);
+          ("targets", Tel.Int (List.length sh_targets));
         ];
-      (try Proto.send_to_worker s.to_w (Proto.Assign ss.shard)
+      (try
+         Proto.send_to_worker s.to_w
+           (Proto.Assign { ss.shard with Proto.sh_targets })
        with Unix.Unix_error (Unix.EPIPE, _, _) -> ())
+
+(* ----- incoming frames ----- *)
+
+let handle_msg t s (m : Proto.from_worker) =
+  s.beat <- now ();
+  match m with
+  | Proto.Ready _pid ->
+    s.ready <- true;
+    log_event t "ready" [ ("slot", Tel.Int s.idx); ("pid", Tel.Int s.pid) ];
+    try_assign t s
+  | Proto.Claimed index ->
+    log_event t "claim" [ ("slot", Tel.Int s.idx); ("shard", Tel.Int index) ]
+  | Proto.Entry { en_entry; en_metrics } ->
+    if record t.journal en_entry then s.progress <- s.progress + 1;
+    mincr t "sup.entries";
+    (match s.obs with
+     | Some o ->
+       M.add o en_metrics;
+       M.incr o (Printf.sprintf "sup.proc%d.entries" s.idx)
+     | None -> ())
+  | Proto.Done index -> (
+    match s.assigned with
+    | Some ss when ss.shard.Proto.sh_index = index ->
+      (* the worker streamed every target before acking, and the stream
+         is read in order, so each one is journaled by now *)
+      (match todo t ss with
+       | [] -> ()
+       | ((tgt : Target.t), _) :: _ ->
+         failwith
+           (Printf.sprintf
+              "Shard.Supervisor: shard %d acked Done without an entry for \
+               %s:%d:%d"
+              index tgt.Target.t_fn tgt.Target.t_byte tgt.Target.t_bit));
+      ss.status <- Completed;
+      ss.deaths <- 0;
+      s.assigned <- None;
+      mgauge t (Printf.sprintf "sup.proc%d.shard" s.idx) (-1.);
+      mgauge t "sup.shards_done" (float_of_int (done_count t));
+      log_event t "done"
+        [ ("slot", Tel.Int s.idx); ("shard", Tel.Int index);
+          ("journaled", Tel.Int s.progress);
+        ];
+      try_assign t s
+    | _ -> log_event t "stray_done" [ ("slot", Tel.Int s.idx); ("shard", Tel.Int index) ])
+
+(* Act on every whole frame decoded so far.  A corrupt frame means a
+   desynchronized stream that cannot be trusted: stop decoding it and
+   kill the worker; the death path requeues what is not journaled. *)
+let rec frames t s =
+  if not s.desync then
+    match Proto.Dec.next s.dec with
+    | Ok None -> ()
+    | Ok (Some m) ->
+      handle_msg t s m;
+      frames t s
+    | Error e ->
+      s.desync <- true;
+      log_event t "protocol_error" [ ("slot", Tel.Int s.idx); ("error", Tel.Str e) ];
+      if s.pid <> 0 then try Unix.kill s.pid Sys.sigkill with Unix.Unix_error _ -> ()
 
 (* ----- worker death ----- *)
 
@@ -225,9 +315,23 @@ let status_string = function
   | Unix.WSTOPPED sg -> Printf.sprintf "stopped %d" sg
 
 let handle_death t s ~how =
-  close_slot_fds s;
   s.pid <- 0;
   s.ready <- false;
+  (* the dead worker's last frames may still sit in the pipe: journal
+     them before its shard is requeued *)
+  let rec read_rest () =
+    match Unix.read s.from_w t.rbuf 0 (Bytes.length t.rbuf) with
+    | 0 -> ()
+    | n ->
+      Proto.Dec.feed s.dec t.rbuf n;
+      read_rest ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_rest ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  read_rest ();
+  frames t s;
+  close_noerr s.to_w;
+  close_noerr s.from_w;
   mgauge t (Printf.sprintf "sup.proc%d.live" s.idx) 0.;
   log_event t "death"
     [ ("slot", Tel.Int s.idx); ("how", Tel.Str how);
@@ -237,38 +341,35 @@ let handle_death t s ~how =
    | None -> ()
    | Some ss ->
      s.assigned <- None;
+     let index = ss.shard.Proto.sh_index in
      (* consecutive *zero-progress* deaths: an incarnation that
         journaled at least one new entry resets the count — the shard
         is advancing and will finish, however many lives it costs *)
      if s.progress > 0 then ss.deaths <- 0 else ss.deaths <- ss.deaths + 1;
-     ss.last_death <- how;
-     if ss.deaths >= t.sup.C.sup_poison_deaths then begin
+     if todo t ss = [] then ss.status <- Completed
+     else if ss.deaths >= t.sup.C.sup_poison_deaths then begin
        let reason =
-         Printf.sprintf
-           "poison shard %s: killed %d consecutive workers (last: %s)"
-           (short_id ss.shard.Proto.sh_id) ss.deaths how
+         Printf.sprintf "poison shard %d: killed %d consecutive workers (last: %s)"
+           index ss.deaths how
        in
-       ss.status <- Quarantined reason;
+       let synthesized =
+         quarantine t.journal t.campaign ss.shard.Proto.sh_targets ~reason
+           ~deaths:ss.deaths
+       in
+       ss.status <- Quarantined;
        mincr t "sup.quarantined";
        log_event t "quarantine"
-         [ ("shard", Tel.Str (short_id ss.shard.Proto.sh_id));
-           ("index", Tel.Int ss.shard.Proto.sh_index);
-           ("deaths", Tel.Int ss.deaths);
-           ("reason", Tel.Str reason);
+         [ ("shard", Tel.Int index); ("deaths", Tel.Int ss.deaths);
+           ("synthesized", Tel.Int synthesized); ("reason", Tel.Str reason);
          ]
      end
      else begin
        (* requeue exactly once per death: the shard re-enters the queue
-          here and nowhere else, and its journal makes re-execution by
-          the next owner idempotent *)
+          here and nowhere else, and its next owner is assigned only
+          the targets not yet journaled *)
        ss.status <- Pending;
-       ss.requeues <- ss.requeues + 1;
        mincr t "sup.requeued";
-       log_event t "requeue"
-         [ ("shard", Tel.Str (short_id ss.shard.Proto.sh_id));
-           ("index", Tel.Int ss.shard.Proto.sh_index);
-           ("deaths", Tel.Int ss.deaths);
-         ]
+       log_event t "requeue" [ ("shard", Tel.Int index); ("deaths", Tel.Int ss.deaths) ]
      end);
   s.restarts <- s.restarts + 1;
   mgauge t (Printf.sprintf "sup.proc%d.restarts" s.idx) (float_of_int s.restarts);
@@ -296,42 +397,6 @@ let reap_blocking t s =
   | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
     handle_death t s ~how:"unknown (ECHILD)"
 
-(* ----- incoming frames ----- *)
-
-let handle_msg t s (m : Proto.from_worker) =
-  s.beat <- now ();
-  match m with
-  | Proto.Ready _pid ->
-    s.ready <- true;
-    log_event t "ready" [ ("slot", Tel.Int s.idx); ("pid", Tel.Int s.pid) ];
-    try_assign t s
-  | Proto.Claimed id ->
-    log_event t "claim" [ ("slot", Tel.Int s.idx); ("shard", Tel.Str (short_id id)) ]
-  | Proto.Entry { en_metrics; _ } ->
-    s.progress <- s.progress + 1;
-    mincr t "sup.entries";
-    (match s.obs with
-     | Some o ->
-       M.add o en_metrics;
-       M.incr o (Printf.sprintf "sup.proc%d.entries" s.idx)
-     | None -> ())
-  | Proto.Done (id, fresh) -> (
-    match s.assigned with
-    | Some ss when ss.shard.Proto.sh_id = id ->
-      ss.status <- Completed;
-      ss.deaths <- 0;
-      s.assigned <- None;
-      mgauge t (Printf.sprintf "sup.proc%d.shard" s.idx) (-1.);
-      mgauge t "sup.shards_done" (float_of_int (done_count t));
-      log_event t "done"
-        [ ("slot", Tel.Int s.idx); ("shard", Tel.Str (short_id id));
-          ("index", Tel.Int ss.shard.Proto.sh_index); ("fresh", Tel.Int fresh);
-        ];
-      try_assign t s
-    | _ ->
-      log_event t "stray_done"
-        [ ("slot", Tel.Int s.idx); ("shard", Tel.Str (short_id id)) ])
-
 let drain t s =
   match Unix.read s.from_w t.rbuf 0 (Bytes.length t.rbuf) with
   | exception Unix.Unix_error ((Unix.EBADF | Unix.ECONNRESET), _, _) -> ()
@@ -342,19 +407,7 @@ let drain t s =
     reap_blocking t s
   | n ->
     Proto.Dec.feed s.dec t.rbuf n;
-    let rec frames () =
-      match Proto.Dec.next s.dec with
-      | Ok None -> ()
-      | Ok (Some m) ->
-        handle_msg t s m;
-        if s.pid <> 0 then frames ()
-      | Error e ->
-        (* a desynchronized stream cannot be trusted; the shard journal
-           is the durable record, so kill and let the death path requeue *)
-        log_event t "protocol_error" [ ("slot", Tel.Int s.idx); ("error", Tel.Str e) ];
-        (try Unix.kill s.pid Sys.sigkill with Unix.Unix_error _ -> ())
-    in
-    frames ()
+    frames t s
 
 (* ----- the supervision loop ----- *)
 
@@ -377,18 +430,13 @@ let inline_fallback t runner =
   List.iter
     (fun ss ->
       if ss.status = Pending then begin
-        log_event t "inline"
-          [ ("shard", Tel.Str (short_id ss.shard.Proto.sh_id));
-            ("index", Tel.Int ss.shard.Proto.sh_index);
-          ];
-        let policy = t.config.C.policy in
-        let _fresh =
-          Worker.run_shard ~runner ~policy ~fingerprint:t.fingerprint
-            ~dir:t.dir ~campaign:t.campaign ss.shard
-            ~on_entry:(fun _ _ ->
-              mincr t "sup.entries";
-              match t.sup.C.sup_on_pulse with Some f -> f () | None -> ())
-        in
+        log_event t "inline" [ ("shard", Tel.Int ss.shard.Proto.sh_index) ];
+        Worker.run_shard ~runner ~policy:t.config.C.policy ~campaign:t.campaign
+          { ss.shard with Proto.sh_targets = todo t ss }
+          ~on_entry:(fun e ->
+            ignore (record t.journal e);
+            mincr t "sup.entries";
+            match t.sup.C.sup_on_pulse with Some f -> f () | None -> ());
         ss.status <- Completed
       end)
     t.shards
@@ -455,13 +503,21 @@ let supervise t runner =
     update_gauges t;
     (match t.sup.C.sup_on_pulse with Some f -> f () | None -> ());
     if pending_count t > 0 && not (capacity_left ()) then inline_fallback t runner
-  done;
-  (* orderly shutdown: ask nicely, give stragglers a moment, then kill *)
+  done
+
+(* Stop every live worker: ask the idle ones nicely and kill any still
+   holding a shard (it reads no Shutdown before the shard ends), then
+   give stragglers a moment.  Runs when the worker phase ends and when
+   it raises. *)
+let shutdown t =
   Array.iter
     (fun s ->
       if s.pid <> 0 then begin
-        (try Proto.send_to_worker s.to_w Proto.Shutdown
-         with Unix.Unix_error (Unix.EPIPE, _, _) -> ());
+        (if s.assigned <> None then
+           try Unix.kill s.pid Sys.sigkill with Unix.Unix_error _ -> ()
+         else
+           try Proto.send_to_worker s.to_w Proto.Shutdown
+           with Unix.Unix_error (Unix.EPIPE, _, _) -> ());
         close_noerr s.to_w
       end)
     t.slots;
@@ -490,69 +546,6 @@ let supervise t runner =
       end)
     t.slots
 
-(* ----- the deterministic merge ----- *)
-
-let synth_abort t ((tgt : Target.t), workload) reason deaths =
-  {
-    J.e_campaign = t.campaign;
-    e_fn = tgt.Target.t_fn;
-    e_addr = tgt.Target.t_addr;
-    e_byte = tgt.Target.t_byte;
-    e_bit = tgt.Target.t_bit;
-    e_workload = workload;
-    e_outcome =
-      Outcome.Harness_abort { ha_reason = reason; ha_retries = deaths };
-    e_predicted = false;
-    e_retries = deaths;
-    e_cycles = 0;
-  }
-
-let merge t journal0 =
-  (* the shard journals on disk are the authoritative record — streamed
-     Entry frames only fed observability.  [read_file] tolerates a torn
-     tail (a worker killed mid-append) but hard-errors on mid-file
-     corruption: better to stop than to merge a silently-truncated
-     shard. *)
-  let appended = ref 0 and synthesized = ref 0 in
-  List.iter
-    (fun ss ->
-      let tbl = Hashtbl.create 64 in
-      let path = Plan.journal_path ~dir:t.dir ss.shard in
-      if Sys.file_exists path then
-        List.iter
-          (fun e -> Hashtbl.replace tbl (J.key_of_entry e) e)
-          (J.read_file path);
-      List.iter
-        (fun ((tgt, workload) as tw) ->
-          let key = J.key_of_target t.campaign tgt in
-          match J.find journal0 key with
-          | Some _ -> () (* already durable in the campaign journal *)
-          | None -> (
-            match Hashtbl.find_opt tbl key with
-            | Some e when e.J.e_workload = workload ->
-              J.append journal0 e;
-              incr appended
-            | _ -> (
-              match ss.status with
-              | Quarantined reason ->
-                J.append journal0 (synth_abort t tw reason ss.deaths);
-                incr synthesized
-              | _ ->
-                (* a Completed shard acked Done only after journaling
-                   every target; a missing entry means the shard
-                   journal and the ack disagree *)
-                failwith
-                  (Printf.sprintf
-                     "Shard.Supervisor: completed shard %s is missing \
-                      an entry for %s:%d:%d"
-                     (short_id ss.shard.Proto.sh_id) tgt.Target.t_fn
-                     tgt.Target.t_byte tgt.Target.t_bit))))
-        ss.shard.Proto.sh_targets)
-    t.shards;
-  log_event t "merge"
-    [ ("appended", Tel.Int !appended); ("synthesized", Tel.Int !synthesized) ];
-  (!appended, !synthesized)
-
 (* ----- the entry point ----- *)
 
 let run_campaign ~(config : C.t) runner profile campaign =
@@ -561,90 +554,64 @@ let run_campaign ~(config : C.t) runner profile campaign =
     | Some s -> s
     | None -> invalid_arg "Shard.Supervisor.run_campaign: no supervisor config"
   in
-  let fingerprint = C.fingerprint config in
-  let dir =
-    match sup.C.sup_shard_dir with
-    | Some d -> d
-    | None ->
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "kfi-shards-%d" (Unix.getpid ()))
-  in
-  mkdir_p dir;
   (* plan exactly what the serial path would run *)
   let targets = Experiment.plan ~config runner profile campaign in
   let planned =
     List.map (fun tgt -> (tgt, Experiment.workload_for profile tgt)) targets
   in
-  let journal0, owned =
+  (* without --journal the record still goes through a journal: a temp
+     file, gone once the replay has read it *)
+  let journal, temp =
     match config.C.journal with
-    | Some j -> (j, false)
-    | None -> (J.open_ ~resume:true (Filename.concat dir "merged.kj"), true)
+    | Some j -> (j, None)
+    | None ->
+      let path = Filename.temp_file "kfi-campaign" ".kj" in
+      (J.open_ path, Some path)
   in
   Fun.protect
-    ~finally:(fun () -> if owned then J.close journal0)
+    ~finally:(fun () ->
+      Option.iter
+        (fun path ->
+          J.close journal;
+          try Sys.remove path with Sys_error _ -> ())
+        temp)
     (fun () ->
-      J.check_fingerprint journal0 ~fingerprint;
+      J.check_fingerprint journal ~fingerprint:(C.fingerprint config);
       (* what actually needs a worker: not oracle-predicted, not already
-         in the campaign journal *)
+         journaled *)
       let pending =
         List.filter
-          (fun ((tgt : Target.t), workload) ->
-            (match config.C.oracle with
-             | Some o -> o tgt = None
-             | None -> true)
-            &&
-            match J.find journal0 (J.key_of_target campaign tgt) with
-            | Some e when e.J.e_workload = workload -> false
-            | _ -> true)
-          planned
+          (fun ((tgt : Target.t), _) ->
+            match config.C.oracle with Some o -> o tgt = None | None -> true)
+          (unjournaled journal campaign planned)
       in
       let nshards =
         Plan.shard_count ~workers:sup.C.sup_workers ~shards:config.C.shards
           ~targets:(List.length pending)
       in
       let shards =
-        Plan.split ~fingerprint ~campaign ~count:nshards pending
-        |> List.map (fun shard ->
-               {
-                 shard;
-                 status = Pending;
-                 deaths = 0;
-                 requeues = 0;
-                 last_death = "";
-               })
+        Plan.split ~count:nshards pending
+        |> List.map (fun shard -> { shard; status = Pending; deaths = 0 })
       in
       if shards <> [] then begin
         let exe = worker_exe () in
-        let hello =
-          {
-            Proto.h_fingerprint = fingerprint;
-            h_campaign = campaign;
-            h_hardening = config.C.hardening;
-            h_backend = config.C.backend;
-            h_max_cycles = Runner.max_cycles runner;
-            h_deadline_ms = config.C.policy.Fleet.deadline_ms;
-            h_retries = config.C.policy.Fleet.retries;
-            h_shard_dir = dir;
-          }
-        in
-        let ev_oc =
-          Option.map
-            (fun path ->
-              mkdir_p (Filename.dirname path);
-              open_out path)
-            sup.C.sup_event_log
-        in
         let nslots = max 1 (min sup.C.sup_workers (List.length shards)) in
         let t =
           {
             sup;
             config;
             campaign;
-            fingerprint;
-            dir;
+            journal;
             exe;
-            hello;
+            hello =
+              {
+                Proto.h_campaign = campaign;
+                h_hardening = config.C.hardening;
+                h_backend = config.C.backend;
+                h_max_cycles = Runner.max_cycles runner;
+                h_deadline_ms = config.C.policy.Fleet.deadline_ms;
+                h_retries = config.C.policy.Fleet.retries;
+              };
             shards;
             slots =
               Array.init nslots (fun idx ->
@@ -659,6 +626,7 @@ let run_campaign ~(config : C.t) runner profile campaign =
                     to_w = invalid_fd;
                     from_w = invalid_fd;
                     dec = Proto.Dec.create ();
+                    desync = false;
                     ready = false;
                     assigned = None;
                     progress = 0;
@@ -668,7 +636,7 @@ let run_campaign ~(config : C.t) runner profile campaign =
                     restart_at = 0.;
                   });
             rbuf = Bytes.create 65536;
-            ev_oc;
+            ev_oc = Option.map open_out sup.C.sup_event_log;
             metrics = config.C.metrics;
             t0 = now ();
           }
@@ -680,7 +648,7 @@ let run_campaign ~(config : C.t) runner profile campaign =
             ("workers", Tel.Int nslots);
             ("shards", Tel.Int (List.length shards));
             ("pending", Tel.Int (List.length pending));
-            ("dir", Tel.Str dir);
+            ("journal", Tel.Str (J.path journal));
           ];
         (* SIGPIPE would kill the coordinator on a write to a freshly
            dead worker; convert to EPIPE for the duration *)
@@ -690,6 +658,7 @@ let run_campaign ~(config : C.t) runner profile campaign =
         in
         Fun.protect
           ~finally:(fun () ->
+            shutdown t;
             (match prev_sigpipe with
              | Some b -> ( try Sys.set_signal Sys.sigpipe b with _ -> ())
              | None -> ());
@@ -697,26 +666,18 @@ let run_campaign ~(config : C.t) runner profile campaign =
           (fun () ->
             Array.iter (fun s -> spawn t s) t.slots;
             supervise t runner;
-            let appended, synthesized = merge t journal0 in
             log_event t "finish"
-              [ ("appended", Tel.Int appended);
-                ("synthesized", Tel.Int synthesized);
-                ("quarantined",
+              [ ("quarantined",
                  Tel.Int
                    (List.length
-                      (List.filter
-                         (fun ss ->
-                           match ss.status with
-                           | Quarantined _ -> true
-                           | _ -> false)
-                         t.shards)));
+                      (List.filter (fun ss -> ss.status = Quarantined) t.shards)));
               ])
       end;
       (* replay: every planned target is now either oracle-predicted or
-         durable in journal0, so this serial pass touches no machine and
-         emits records/CSV/JSONL/progress byte-identical to a serial
-         run — the exact code path the CI kill/resume gate certifies *)
+         journaled, so this serial pass touches no machine and emits
+         records/CSV/JSONL/progress byte-identical to a serial run — the
+         exact code path the CI kill/resume gate certifies *)
       let config' =
-        { config with C.jobs = 1; journal = Some journal0; supervisor = None }
+        { config with C.jobs = 1; journal = Some journal; supervisor = None }
       in
       Experiment.run_targets ~config:config' runner profile campaign targets)

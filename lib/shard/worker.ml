@@ -3,13 +3,12 @@
 
    A worker is deliberately dumb: it speaks Proto on stdin/stdout,
    boots its own runner lazily (on the first Assign, so a worker that
-   only ever gets poison shards never pays a kernel boot), executes a
-   shard's targets with the same [Fleet.run_item_safe] the in-process
-   paths use, and fsyncs every completed injection into the shard's own
-   journal *before* streaming it — the journal, not the pipe, is the
-   durable record.  Dying at any instant therefore loses at most the
-   injection in flight; the next owner of the shard resumes from the
-   journal.
+   only ever gets poison shards never pays a kernel boot), executes the
+   targets it is assigned with the same [Fleet.run_item_safe] the
+   in-process paths use, and streams each finished injection to the
+   coordinator, which journals it.  It keeps no state on disk: dying at
+   any instant loses at most the injection in flight, and the next
+   owner of the shard is assigned only the targets not yet journaled.
 
    Chaos knobs ride the environment so CI and tests can provoke every
    supervisor failure path without special builds:
@@ -44,52 +43,29 @@ let chaos_of_env () =
       Option.bind (Sys.getenv_opt "KFI_WORKER_CHAOS_DIE_AFTER") int_of_string_opt;
   }
 
-(* Execute one shard against [runner], resuming from (and appending to)
-   the shard's journal.  Returns the number of entries appended by this
-   call; entries already journaled by a previous owner are skipped.
-   [on_entry] fires after each append (i.e. after the entry is
-   durable), with the result it records. *)
-let run_shard ~runner ~policy ~fingerprint ~dir ~campaign
-    (sh : Proto.shard) ~on_entry =
-  let j = J.open_ ~resume:true (Plan.journal_path ~dir sh) in
-  Fun.protect
-    ~finally:(fun () -> J.close j)
-    (fun () ->
-      J.check_fingerprint j ~fingerprint;
-      let fresh = ref 0 in
-      List.iter
-        (fun ((t : Target.t), workload) ->
-          match J.find j (J.key_of_target campaign t) with
-          | Some e when e.J.e_workload = workload -> ()
-          | _ ->
-            let item =
-              {
-                Fleet.it_target = t;
-                it_workload = workload;
-                it_predicted = None;
-                it_done = None;
-              }
-            in
-            let res = Fleet.run_item_safe ~policy runner item in
-            let entry =
-              {
-                J.e_campaign = campaign;
-                e_fn = t.Target.t_fn;
-                e_addr = t.Target.t_addr;
-                e_byte = t.Target.t_byte;
-                e_bit = t.Target.t_bit;
-                e_workload = workload;
-                e_outcome = res.Fleet.res_outcome;
-                e_predicted = res.Fleet.res_predicted;
-                e_retries = res.Fleet.res_retries;
-                e_cycles = res.Fleet.res_cycles;
-              }
-            in
-            J.append j entry;
-            incr fresh;
-            on_entry entry res)
-        sh.Proto.sh_targets;
-      !fresh)
+(* Execute a shard's targets against [runner], in order, handing each
+   finished injection's journal entry to [on_entry]. *)
+let run_shard ~runner ~policy ~campaign (sh : Proto.shard) ~on_entry =
+  List.iter
+    (fun ((t : Target.t), workload) ->
+      let item =
+        { Fleet.it_target = t; it_workload = workload; it_predicted = None; it_done = None }
+      in
+      let res = Fleet.run_item_safe ~policy runner item in
+      on_entry
+        {
+          J.e_campaign = campaign;
+          e_fn = t.Target.t_fn;
+          e_addr = t.Target.t_addr;
+          e_byte = t.Target.t_byte;
+          e_bit = t.Target.t_bit;
+          e_workload = workload;
+          e_outcome = res.Fleet.res_outcome;
+          e_predicted = res.Fleet.res_predicted;
+          e_retries = res.Fleet.res_retries;
+          e_cycles = res.Fleet.res_cycles;
+        })
+    sh.Proto.sh_targets
 
 let main () =
   (* The protocol owns fd 1.  Point stdout at stderr so any stray
@@ -118,7 +94,7 @@ let main () =
         | Some h -> h
         | None -> failwith "kfi-worker: Assign before Hello"
       in
-      Proto.send_from_worker proto_out (Proto.Claimed sh.Proto.sh_id);
+      Proto.send_from_worker proto_out (Proto.Claimed sh.Proto.sh_index);
       if List.mem sh.Proto.sh_index chaos.poison then self_destruct ();
       if List.mem sh.Proto.sh_index chaos.wedge then Unix.sleep 3600;
       let r =
@@ -139,25 +115,21 @@ let main () =
           retries = h.Proto.h_retries;
         }
       in
-      let fresh =
-        run_shard ~runner:r ~policy ~fingerprint:h.Proto.h_fingerprint
-          ~dir:h.Proto.h_shard_dir ~campaign:h.Proto.h_campaign sh
-          ~on_entry:(fun entry _ ->
-            let en_metrics = M.snapshot !obs in
-            obs := M.create ();
-            Runner.set_metrics r (Some !obs);
-            Proto.send_from_worker proto_out
-              (Proto.Entry { en_shard = sh.Proto.sh_id; en_entry = entry; en_metrics });
-            incr streamed;
-            match chaos.die_after with
-            | Some n when !streamed >= n -> self_destruct ()
-            | _ -> ())
-      in
-      Proto.send_from_worker proto_out (Proto.Done (sh.Proto.sh_id, fresh));
+      run_shard ~runner:r ~policy ~campaign:h.Proto.h_campaign sh
+        ~on_entry:(fun en_entry ->
+          let en_metrics = M.snapshot !obs in
+          obs := M.create ();
+          Runner.set_metrics r (Some !obs);
+          Proto.send_from_worker proto_out (Proto.Entry { en_entry; en_metrics });
+          incr streamed;
+          match chaos.die_after with
+          | Some n when !streamed >= n -> self_destruct ()
+          | _ -> ());
+      Proto.send_from_worker proto_out (Proto.Done sh.Proto.sh_index);
       loop ()
   in
   (* EPIPE on a send means the coordinator is gone: exit quietly — the
-     shard journal already holds everything durable. *)
+     campaign journal holds every entry it received. *)
   try loop () with
   | Unix.Unix_error (Unix.EPIPE, _, _) -> exit 0
   | Failure msg ->

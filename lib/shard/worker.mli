@@ -4,18 +4,13 @@
 val run_shard :
   runner:Kfi_injector.Runner.t ->
   policy:Kfi_injector.Fleet.policy ->
-  fingerprint:string ->
-  dir:string ->
   campaign:Kfi_injector.Target.campaign ->
   Proto.shard ->
-  on_entry:(Kfi_injector.Journal.entry -> Kfi_injector.Fleet.result -> unit) ->
-  int
-(** Execute a shard against [runner], resuming from (and fsync-appending
-    to) the shard's journal under [dir]: targets already journaled by a
-    previous owner are skipped, everything else runs through
-    {!Kfi_injector.Fleet.run_item_safe} under [policy].  [on_entry]
-    fires after each append — the entry is already durable.  Returns
-    the number of entries appended by this call. *)
+  on_entry:(Kfi_injector.Journal.entry -> unit) ->
+  unit
+(** Execute every target of the shard against [runner], in order,
+    through {!Kfi_injector.Fleet.run_item_safe} under [policy], and hand
+    each finished injection's journal entry to [on_entry]. *)
 
 val main : unit -> unit
 (** The worker process: redirect stray stdout to stderr, speak

@@ -1,9 +1,10 @@
 (* Process-isolated campaign shard tests: the wire protocol's framing
-   and incremental decoder, the content-addressed shard split, the
-   restart backoff arithmetic, and the supervisor end to end — poison
-   shards quarantined without stalling, wedged workers heartbeat-killed,
-   and a campaign that keeps losing its workers to SIGKILL still
-   producing records identical to a serial in-process run. *)
+   and incremental decoder, the shard split, the restart backoff
+   arithmetic, and the supervisor end to end — poison shards quarantined
+   without stalling, wedged workers heartbeat-killed, a campaign that
+   keeps losing its workers to SIGKILL still producing records identical
+   to a serial in-process run, and the campaign journal written while
+   the workers run, so a killed coordinator resumes from it. *)
 
 open Kfi_injector
 module Proto = Kfi_shard.Proto
@@ -55,10 +56,9 @@ let test_proto_roundtrip () =
   let msgs =
     [
       Proto.Ready 4242;
-      Proto.Claimed "cafe";
+      Proto.Claimed 3;
       Proto.Entry
         {
-          en_shard = "cafe";
           en_entry = mk_entry ~fn:"schedule" ~byte:2 ~bit:5 ();
           en_metrics =
             (let m = Kfi_obs.Metrics.create () in
@@ -66,7 +66,7 @@ let test_proto_roundtrip () =
              Kfi_obs.Metrics.observe m "inj.wall" 2.0;
              Kfi_obs.Metrics.snapshot m);
         };
-      Proto.Done ("cafe", 17);
+      Proto.Done 3;
     ]
   in
   let r, w = Unix.pipe () in
@@ -111,7 +111,7 @@ let test_proto_roundtrip () =
 
 let test_proto_corrupt_frame () =
   let r, w = Unix.pipe () in
-  Proto.send_from_worker w (Proto.Claimed "beef");
+  Proto.send_from_worker w (Proto.Claimed 7);
   Unix.close w;
   let b = Bytes.create 4096 in
   let n = Unix.read r b 0 4096 in
@@ -143,23 +143,14 @@ let fake_targets n =
 
 let test_plan_split () =
   let targets = fake_targets 10 in
-  let split = Plan.split ~fingerprint:"fp" ~campaign:Target.A ~count:3 targets in
+  let split = Plan.split ~count:3 targets in
   check int "three shards" 3 (List.length split);
   (* concatenating in sh_index order reproduces the serial order *)
   let glued = List.concat_map (fun s -> s.Proto.sh_targets) split in
   check bool "order preserved" true (glued = targets);
   List.iteri (fun i s -> check int "indices dense" i s.Proto.sh_index) split;
-  (* content addressing: same input, same ids; any change, new id *)
-  let split2 = Plan.split ~fingerprint:"fp" ~campaign:Target.A ~count:3 targets in
-  check bool "ids deterministic" true
-    (List.map (fun s -> s.Proto.sh_id) split
-    = List.map (fun s -> s.Proto.sh_id) split2);
-  let split3 = Plan.split ~fingerprint:"fp2" ~campaign:Target.A ~count:3 targets in
-  check bool "fingerprint in the address" true
-    (List.map (fun s -> s.Proto.sh_id) split
-    <> List.map (fun s -> s.Proto.sh_id) split3);
   (* more shards than targets: empties dropped, order still whole *)
-  let over = Plan.split ~fingerprint:"fp" ~campaign:Target.A ~count:64 targets in
+  let over = Plan.split ~count:64 targets in
   check int "one shard per target" 10 (List.length over);
   check bool "order preserved (over-split)" true
     (List.concat_map (fun s -> s.Proto.sh_targets) over = targets)
@@ -255,14 +246,13 @@ let test_backoff_exhaustion_quarantines () =
 (* ----- supervisor end to end ----- *)
 
 let sup_config ?(shards = 2) ?(env = []) ?(poison_deaths = 3)
-    ?(heartbeat = 120.) ?(max_restarts = 10) ~dir () =
-  Config.make ~subsample ~shards
+    ?(heartbeat = 120.) ?(max_restarts = 10) ?journal ?on_pulse ~dir () =
+  Config.make ~subsample ~shards ?journal
     ~policy:{ Fleet.default_policy with Fleet.backoff_ms = 1. }
     ~supervisor:
       {
-        Config.default_supervisor with
         Config.sup_workers = 2;
-        sup_shard_dir = Some dir;
+        sup_on_pulse = on_pulse;
         sup_worker_env = env;
         sup_poison_deaths = poison_deaths;
         sup_heartbeat_s = heartbeat;
@@ -292,16 +282,20 @@ let count_ev dir ev =
    boots a kernel.  The supervisor must quarantine both shards after
    [poison_deaths] consecutive zero-progress deaths each and complete
    the campaign with every record a Harness_abort — no stall, no
-   kernel boots in any worker.  The shard dir's name is not ASCII, and
-   every event line must still be JSON. *)
+   kernel boots in any worker.  The journal's directory name is not
+   ASCII, and every event line must still be JSON. *)
 let test_poison_shards_quarantined () =
   let r = Lazy.force runner and p = Lazy.force profile in
   let dir = tmp_dir ~prefix:"kfi_shard_é" () in
+  let path = Filename.concat dir "campaign.kj" in
+  let journal = Journal.open_ path in
   Fun.protect
-    ~finally:(fun () -> rm_rf dir)
+    ~finally:(fun () ->
+      Journal.close journal;
+      rm_rf dir)
     (fun () ->
       let config =
-        sup_config ~dir ~shards:2 ~poison_deaths:2
+        sup_config ~dir ~journal ~shards:2 ~poison_deaths:2
           ~env:[ ("KFI_WORKER_CHAOS_POISON", "0,1") ]
           ()
       in
@@ -322,12 +316,12 @@ let test_poison_shards_quarantined () =
       check int "four deaths total" 4 (count_ev dir "death");
       let module Tel = Kfi_trace.Telemetry in
       let events = List.map Tel.parse (read_events dir) in
-      check bool "the start event names the shard dir" true
+      check bool "the start event names the journal" true
         (List.exists
            (function
              | Tel.Obj kvs ->
                List.assoc_opt "ev" kvs = Some (Tel.Str "start")
-               && List.assoc_opt "dir" kvs = Some (Tel.Str dir)
+               && List.assoc_opt "journal" kvs = Some (Tel.Str path)
              | _ -> false)
            events))
 
@@ -358,7 +352,7 @@ let test_wedged_worker_heartbeat_killed () =
 
 (* The headline robustness property, in-tree: workers SIGKILL
    themselves after every 6 streamed entries, so the campaign loses its
-   workers over and over — and the merged records, CSV and progress
+   workers over and over — and the records, CSV and progress
    ticks are still identical to a serial in-process run. *)
 let test_chaos_records_identical_to_serial () =
   let r = Lazy.force runner and p = Lazy.force profile in
@@ -459,11 +453,71 @@ let test_worker_metrics_merged () =
              if String.starts_with ~prefix:"outcome." k then acc + n else acc)
            0 s.M.sn_counters))
 
+(* The coordinator journals each entry as it arrives, so a pulse of
+   the supervision loop sees the campaign journal grow before the
+   worker phase ends.  The coordinator then dies there (the pulse
+   raises); a resumed run skips every entry it journaled and ends with
+   records equal to a serial run's. *)
+let test_journal_written_during_worker_phase () =
+  let r = Lazy.force runner and p = Lazy.force profile in
+  let serial =
+    Experiment.run_campaign ~config:(Config.make ~subsample ()) r p Target.A
+  in
+  let dir = tmp_dir () in
+  let path = Filename.concat dir "campaign.kj" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let seen = ref 0 in
+      let on_pulse () =
+        seen := List.length (Journal.read_file path);
+        if !seen > 0 then raise Exit
+      in
+      let journal = Journal.open_ path in
+      let config = sup_config ~dir ~journal ~shards:1 ~on_pulse () in
+      (match Supervisor.run_campaign ~config r p Target.A with
+       | _ -> Alcotest.fail "no pulse saw a journaled entry"
+       | exception Exit -> ());
+      Journal.close journal;
+      check bool "entries journaled during the worker phase" true (!seen > 0);
+      let journal = Journal.open_ ~resume:true path in
+      check int "the resume skips them" !seen (Journal.loaded journal);
+      let records =
+        Supervisor.run_campaign ~config:(sup_config ~dir ~journal ~shards:1 ()) r p
+          Target.A
+      in
+      Journal.close journal;
+      check bool "records identical" true (serial = records))
+
+(* Without a journal the coordinator records to a temp journal and
+   deletes it once the replay has read it, also when the run raises:
+   neither run leaves anything in the temp dir. *)
+let test_no_temp_files_left () =
+  let r = Lazy.force runner and p = Lazy.force profile in
+  let dir = tmp_dir () and tmp = tmp_dir () in
+  let temp_dir_name = Filename.get_temp_dir_name () in
+  Filename.set_temp_dir_name tmp;
+  Fun.protect
+    ~finally:(fun () ->
+      Filename.set_temp_dir_name temp_dir_name;
+      rm_rf tmp;
+      rm_rf dir)
+    (fun () ->
+      let left () = Array.to_list (Sys.readdir (Filename.get_temp_dir_name ())) in
+      let records = Supervisor.run_campaign ~config:(sup_config ~dir ()) r p Target.A in
+      check bool "the campaign ran" true (records <> []);
+      check (Alcotest.list Alcotest.string) "nothing left after a run" [] (left ());
+      let on_pulse () = raise Exit in
+      (match Supervisor.run_campaign ~config:(sup_config ~dir ~on_pulse ()) r p Target.A with
+       | _ -> Alcotest.fail "the pulse did not raise"
+       | exception Exit -> ());
+      check (Alcotest.list Alcotest.string) "nothing left after a raise" [] (left ()))
+
 let suite =
   [
     Alcotest.test_case "proto round trip (chunked decode)" `Quick test_proto_roundtrip;
     Alcotest.test_case "proto corrupt frame rejected" `Quick test_proto_corrupt_frame;
-    Alcotest.test_case "split preserves order, content-addressed" `Slow test_plan_split;
+    Alcotest.test_case "split preserves order and indices" `Slow test_plan_split;
     Alcotest.test_case "shard count rules" `Quick test_plan_shard_count;
     Alcotest.test_case "backoff exponential, cap exact" `Quick test_backoff_exponential_and_cap;
     Alcotest.test_case "backoff jitter bounded + deterministic" `Quick test_backoff_jitter_bounds;
@@ -476,4 +530,8 @@ let suite =
       test_retired_slot_runs_inline;
     Alcotest.test_case "worker metrics merged into the campaign's" `Slow
       test_worker_metrics_merged;
+    Alcotest.test_case "journal written during the worker phase" `Slow
+      test_journal_written_during_worker_phase;
+    Alcotest.test_case "no temp files left, run or raise" `Slow
+      test_no_temp_files_left;
   ]
