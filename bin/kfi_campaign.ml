@@ -101,6 +101,8 @@ let run campaigns subsample full csv_path jsonl_path seed quiet hardening jobs
               metrics_writer;
         }
   in
+  (* every campaign of this run appends to the supervisor log *)
+  if Option.is_some supervisor then Option.iter (fun p -> close_out (open_out p)) supervisor_log;
   let config =
     Kfi.Config.make ~subsample ~seed ~hardening ?telemetry ~on_progress ~jobs
       ~backend ?journal ~policy ?metrics ~shards ?supervisor ()

@@ -72,6 +72,11 @@ let render ~header (s : Metrics.snap) =
          (fmt_count (c "inj.hang_proven"))
          (fmt_count (c "inj.hang_skipped_cycles")));
     Buffer.add_string buf
+      (Printf.sprintf "               rejoined the golden run: %s (%s episodes, %s cycles not executed)\n"
+         (fmt_count (c "inj.rejoined"))
+         (fmt_count (c "inj.rejoin_episodes"))
+         (fmt_count (c "inj.rejoin_skipped_cycles")));
+    Buffer.add_string buf
       (Printf.sprintf "  campaign     %s targets, %s pruned, %s replayed\n"
          (fmt_count (c "campaign.targets"))
          (fmt_count (c "campaign.pruned"))

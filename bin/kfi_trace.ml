@@ -6,6 +6,8 @@
      kfi-trace --fn do_page_fault --addr 0xc0100f30 --byte 1 --bit 7
      kfi-trace --fn schedule --addr 0xc0105545 --byte 2 --bit 6 \
        --level ring --backend cached    # a hang proven by its recurring state
+     kfi-trace --fn getblk --addr 0xc0101eb0 --byte 3 --bit 7 --workload fstime \
+       --level ring --backend cached    # a masked error rejoins the golden run
      kfi-trace --lint campaign.jsonl     # schema-lint a telemetry log
      kfi-trace --dump-journal run.kj     # canonical text dump of a campaign journal
 
@@ -137,6 +139,16 @@ let proof_line build (p : Runner.proof) =
     (with_commas p.Runner.pr_cycle)
     (float_of_int p.Runner.pr_skipped /. 1e6)
 
+(* Where a run first matched the golden state after its injection: the
+   error was masked by then. *)
+let rejoin_line runner ~workload at =
+  let start = Kfi.Isa.Machine.checkpoint_cycles (Runner.start runner workload) in
+  Printf.sprintf "rejoined the golden run at cycle %s (rung %d)%s\n" (with_commas at)
+    (at / Runner.rung_spacing)
+    (match Runner.last_injected_at runner with
+     | Some i -> Printf.sprintf ": masked within %s cycles of the injection" (with_commas (start + at - i))
+     | None -> "")
+
 (* Canonical text dump of a campaign journal: entries sorted by target
    key, one line each with a digest of the full entry.  Raw journal bytes
    differ between runs that complete in different orders (-j 1 vs -j 4,
@@ -234,6 +246,9 @@ let run lint dump_journal fn byte bit addr workload level trace_n backend =
          | None -> ());
         print_string (outcome_lines outcome);
         Option.iter (fun p -> print_string (proof_line build p)) (Runner.last_proof runner);
+        Option.iter
+          (fun at -> print_string (rejoin_line runner ~workload at))
+          (Runner.last_rejoin runner);
         print_newline ();
         (match outcome with
          | Outcome.Crash _ | Outcome.Hang _ ->

@@ -152,6 +152,13 @@ if ! grep -q 'hangs proven by state recurrence: [1-9]' _artifacts/cached1_summar
   echo "backend gate failed: no hang proven by state recurrence" >&2
   exit 1
 fi
+# and the rejoin: masked runs must meet the golden state and restore a
+# later rung, so the cmps below check rejoined runs too
+grep 'rejoined the golden run' _artifacts/cached1_summary.txt
+if ! grep -q 'rejoined the golden run: [1-9]' _artifacts/cached1_summary.txt; then
+  echo "backend gate failed: no cached run rejoined the golden run" >&2
+  exit 1
+fi
 # and the block cache: restores and stores to pages holding decoded code
 # must leave blocks whose bytes still match in place, re-checked rather
 # than rebuilt, so the cmps below check kept blocks too
@@ -192,6 +199,34 @@ cmp _artifacts/cached1.journal.dump _artifacts/cached4.journal.dump || {
   echo "backend gate failed: cached -j 4 journal diverged from cached -j 1" >&2
   exit 1
 }
+
+echo "== sweep gate: the cached reference sweep must match the interpreter's =="
+# The shortcuts (reach-map skips, ladder starts, proven hangs, rejoins)
+# each change what executes for more than a thousand targets of the
+# reference sweep.  results/campaign_subsample2.csv and the MD5 of its
+# telemetry JSONL (per-target cycles) were written by one interpreter
+# run (-c A -c B -c C --subsample 2 -j 1, seed 42), so any row or cycle
+# count a shortcut changes fails here, and so does a retry, which would
+# hide a harness fault.
+dune exec bin/kfi_campaign.exe -- -c A -c B -c C --subsample 2 -q -j 1 \
+  --backend cached --metrics _artifacts/sweep.metrics.jsonl \
+  --csv _artifacts/sweep.csv --jsonl _artifacts/sweep.jsonl > /dev/null
+cmp results/campaign_subsample2.csv _artifacts/sweep.csv || {
+  echo "sweep gate failed: cached sweep CSV diverged from the interpreter reference" >&2
+  exit 1
+}
+sweep_md5=$(md5sum < _artifacts/sweep.jsonl | cut -d' ' -f1)
+[ "$sweep_md5" = "$(cut -d' ' -f1 results/campaign_subsample2.jsonl.md5)" ] || {
+  echo "sweep gate failed: cached sweep telemetry diverged from the interpreter reference" >&2
+  exit 1
+}
+retried=$(awk -F, 'NR > 1 && $16 > 0' _artifacts/sweep.csv | wc -l)
+[ "$retried" -eq 0 ] || {
+  echo "sweep gate failed: $retried target(s) needed a retry" >&2
+  exit 1
+}
+dune exec bin/kfi_stats.exe -- _artifacts/sweep.metrics.jsonl > _artifacts/sweep_summary.txt
+grep -E 'elapsed|rejoined|hangs proven' _artifacts/sweep_summary.txt
 
 echo "== observability overhead cap: metrics must cost < 5% wall clock =="
 dune exec bench/main.exe -- obs --subsample 60 --max-overhead-pct 5 \

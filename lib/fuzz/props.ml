@@ -1025,6 +1025,97 @@ let runner_hang_equiv =
           | None -> Ok proven
           | Some msg -> Error msg))
 
+(* ---------- runner.rejoin_equiv ---------- *)
+
+(* On the cached backend at [Off] or [Ring], a run that matches the
+   golden state at a rung boundary after its injection restores a later
+   golden rung instead of executing up to it ([Runner.run_one]).  A case
+   runs one A/B/C flip (weighted to B, the campaign most often masked)
+   in a function some workload executes, on the workload its campaign
+   gives it, with random hardening, trace level and watchdog budget, and
+   then again on the interpreter, which never rejoins: both must agree
+   in everything [ladder_difference] compares, the recorder's count
+   included.  A quarter of the budgets end just past a rung boundary,
+   a quarter anywhere in the golden run, so some end inside an
+   episode. *)
+
+let rejoin_campaigns = Kfi_injector.Target.[| A; B; B; C |]
+
+type rejoin_case = {
+  rc_campaign : int;
+  rc_index : int;
+  rc_hardening : bool;
+  rc_level : Trace.level;
+  rc_budget : [ `Default | `Fraction of int | `Past_rung of int * int ];
+}
+
+let gen_rejoin_case rng =
+  let module R = Kfi_fuzz.Rng in
+  {
+    rc_campaign = R.int rng (Array.length rejoin_campaigns);
+    rc_index = R.int rng 1_000_000;
+    rc_hardening = R.int rng 4 = 0;
+    rc_level =
+      (match R.int rng 8 with 0 | 1 | 2 -> Trace.Off | 3 | 4 | 5 -> Trace.Ring | _ -> Trace.Full);
+    rc_budget =
+      (match R.int rng 4 with
+       | 0 | 1 -> `Default
+       | 2 -> `Fraction (R.int_range rng 5 100)
+       | _ -> `Past_rung (R.int_range rng 1 30, R.int_range rng 1 3_000));
+  }
+
+let print_rejoin_case c =
+  spf "campaign %s target#%d %s%s %s"
+    (Kfi_injector.Target.campaign_letter rejoin_campaigns.(c.rc_campaign))
+    c.rc_index (Trace.level_name c.rc_level)
+    (if c.rc_hardening then " hardened" else "")
+    (match c.rc_budget with
+     | `Default -> "default budget"
+     | `Fraction p -> spf "budget %d%% of the golden run" p
+     | `Past_rung (j, d) -> spf "budget rung %d + %d" j d)
+
+let runner_rejoin_equiv =
+  Fuzz.make_counting ~counts:"rejoined the golden run" ~name:"runner.rejoin_equiv"
+    ~doc:
+      "a run that rejoins the golden run reports and leaves exactly what the \
+       interpreter's full run does"
+    (Fuzz.arb ~shrink:Shrink.nil ~print:print_rejoin_case gen_rejoin_case)
+    (fun c ->
+      let open Kfi_injector in
+      let runner = Lazy.force shared_runner in
+      let campaign = rejoin_campaigns.(c.rc_campaign) in
+      let targets =
+        (Lazy.force run_targets).(match campaign with Target.A -> 0 | Target.B -> 1 | _ -> 2)
+      in
+      let target = targets.(c.rc_index mod Array.length targets) in
+      let workload = Experiment.workload_for (Lazy.force shared_profile) target in
+      let saved_cycles = Runner.max_cycles runner
+      and saved_backend = Runner.backend_kind runner
+      and saved_level = Runner.trace_level runner in
+      Fun.protect
+        ~finally:(fun () ->
+          Runner.set_hardening runner false;
+          Runner.set_max_cycles runner saved_cycles;
+          Runner.set_trace_level runner saved_level;
+          Runner.set_backend runner saved_backend)
+        (fun () ->
+          Runner.set_hardening runner c.rc_hardening;
+          Runner.set_trace_level runner c.rc_level;
+          let golden = (Runner.golden runner workload).g_cycles in
+          Runner.set_max_cycles runner
+            (match c.rc_budget with
+             | `Default -> saved_cycles
+             | `Fraction p -> max 1 (golden * p / 100)
+             | `Past_rung (j, d) ->
+               ((j mod ((golden / Runner.rung_spacing) + 1)) * Runner.rung_spacing) + d);
+          Runner.set_backend runner Backend.Cached;
+          let cached = ladder_record runner ~workload target in
+          let rejoined = Runner.last_rejoin runner <> None in
+          Runner.set_backend runner Backend.Interp;
+          match ladder_difference cached (ladder_record runner ~workload target) with
+          | None -> Ok rejoined
+          | Some msg -> Error msg))
+
 (* ---------- fs.fsck_total ---------- *)
 
 let fs_paths = [| "/etc/rc"; "/bin/sh"; "/bin/ls"; "/usr/a"; "/usr/doc/b"; "/tmp/x" |]
@@ -1658,6 +1749,7 @@ let all =
     runner_fastforward_equiv;
     runner_ladder_equiv;
     runner_hang_equiv;
+    runner_rejoin_equiv;
     fs_fsck_total;
     journal_torn_resume;
     shard_record_once;

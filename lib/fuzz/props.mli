@@ -40,6 +40,14 @@ val runner_ladder_equiv : Kfi_fuzz.Fuzz.t
     checkpoint above the baseline: its evidence that it is not
     vacuous. *)
 
+val runner_rejoin_equiv : Kfi_fuzz.Fuzz.t
+(** Rejoin differential: one A/B/C flip (weighted to B) on its
+    campaign's workload, with random hardening, trace level and watchdog
+    budget, on the cached backend (which rejoins the golden run when a
+    masked run matches a rung) and on the interpreter (which never
+    does); everything {!runner_ladder_equiv} compares must agree.  It
+    counts the cases whose cached run matched the golden state. *)
+
 val fs_fsck_total : Kfi_fuzz.Fuzz.t
 val journal_torn_resume : Kfi_fuzz.Fuzz.t
 

@@ -21,7 +21,9 @@ type supervisor = {
           kernel boot) *)
   sup_event_log : string option;
       (** supervisor event log (JSONL: spawn/assign/death/restart/
-          requeue/quarantine/done), for the CI artifact *)
+          requeue/quarantine/done), for the CI artifact.  Each campaign
+          appends its events; [kfi-campaign] empties the file once per
+          run *)
   sup_on_pulse : (unit -> unit) option;
       (** called once per supervision-loop turn — where the tickless
           metrics {!Kfi_obs.Writer.maybe_tick} rides during the worker

@@ -19,19 +19,30 @@ type golden = { g_exit : int; g_console : string; g_cycles : int }
    followed were not executed. *)
 type proof = { pr_cycle : int; pr_period : int; pr_eip : int32; pr_skipped : int }
 
-(* What one fault-free run of a workload executed, and the checkpoints
-   kept along it.  [r_first] holds, per kernel-text byte, the cycle
-   offset (4 bytes, little-endian) of the first step on which the debug
-   compare in [Cpu.step] could see that address, [never] if none.
-   [r_cycles] is the run's length, [max_int] when it ended without a
-   terminal state (so it never proves anything); [r_len] is what it
-   recorded either way.  [r_rungs.(j)] is rung [j >= 1] of the
-   checkpoint ladder once captured; rung 0 is the workload's start. *)
+(* What one fault-free run of a workload executed, and its checkpoint
+   ladder.  [r_first] holds, per kernel-text byte, the cycle offset (4
+   bytes, little-endian) of the first step on which the debug compare in
+   [Cpu.step] could see that address, [never] if none.  [r_cycles] is the
+   run's length, [max_int] when it ended without a terminal state (so it
+   never proves anything); [r_len] is what it recorded either way.
+   [r_rungs.(j)] is rung [j]: rung 0 is the workload's start, rung
+   [j >= 1] the golden state at the first instruction boundary at or
+   after [rung_spacing * j] cycles past it, [None] when the recorder
+   window before it held fewer than a ring of records.  Interval [j]
+   runs from boundary [j] to boundary [j + 1] (or the end), and
+   [r_touch.(j)] has a bit per kernel-text byte it read: fetched or
+   loaded.  [r_seen] counts the records a [Ring] run of the whole golden
+   run adds; [r_rejoin] says no text page was written, so the touch
+   maps hold; [r_bytes] is the ladder's footprint. *)
 type reach = {
   r_first : Bytes.t;
   r_cycles : int;
   r_len : int;
   r_rungs : Machine.checkpoint option array;
+  r_touch : Bytes.t array;
+  r_seen : int;
+  r_rejoin : bool;
+  r_bytes : int;
 }
 
 let never = -1l
@@ -80,6 +91,11 @@ type t = {
          offset, 0 when it started from rung 0 *)
   mutable last_proof : proof option;
       (* the last run's proof that its state recurs, if it had one *)
+  mutable last_rejoin : int option;
+      (* the boundary (cycles past the start) where the last run first
+         matched the golden state, if it did *)
+  mutable last_episodes : int;  (* rungs the last run restored after a match *)
+  mutable last_rejoin_skipped : int;  (* golden cycles those restores skipped *)
   mutable metrics : Kfi_obs.Metrics.t option;
       (* observability registry: per-phase latency histograms and
          outcome counters; never feeds back into any outcome *)
@@ -132,22 +148,67 @@ let write_hardening build machine on =
    which is what the debug compare sees after delivery.  Each address
    keeps the cycle offset of its first mark, so no debug compare sees it
    earlier.  Too many or too early marks only skip less; a missing or
-   late one would misclassify a target. *)
+   late one would misclassify a target.
+
+   The run also records the complete checkpoint ladder, under dirty
+   tracking, and per interval between rungs the text bytes it read
+   (through [Phys]'s read watch, which also sees cached fetches).  A
+   rung's flight recorder is what a [Ring] run holds there: the run
+   records only a window of [window_rings] rings before each boundary,
+   its count starting from the instructions [Cpu.step] decoded so far,
+   and a rung whose window holds fewer than a ring of records (disk
+   transfers and fetch faults take cycles without one) is left out. *)
+let window_rings = 4
+
 let golden_run build machine ~base ~start ~hardening ~max_cycles =
+  let phys = Machine.phys machine and disk = Machine.disk machine in
+  let tracked = Phys.tracking phys in
+  Phys.set_tracking phys true;
+  Devices.Disk.set_tracking disk true;
   Machine.restore_checkpoint machine ~base start;
   write_hardening build machine hardening;
   let cpu = Machine.cpu machine in
+  let tr = cpu.Cpu.trace in
   let first = Bytes.make (4 * build.Build.text_size) '\255' in
-  let start = cpu.Cpu.cycles in
+  let start_cycles = cpu.Cpu.cycles and decoded0 = cpu.Cpu.decoded in
   let mark a =
     let off = map_offset a in
     (* most steps revisit a marked address: one byte settles that *)
     if off >= 0 && off < Bytes.length first && Bytes.unsafe_get first off = '\255'
        && Bytes.get_int32_le first off = never
-    then Bytes.set_int32_le first off (Int32.of_int (min (cpu.Cpu.cycles - start) 0xFFFF_FFFE))
+    then Bytes.set_int32_le first off (Int32.of_int (min (cpu.Cpu.cycles - start_cycles) 0xFFFF_FFFE))
   in
   let timer_gate = cpu.Cpu.idt_base + (Trap.number Trap.Timer_irq * 4) in
-  let limit = start + max_cycles in
+  let limit = start_cycles + max_cycles in
+  let rungs = Array.make ((max_cycles / rung_spacing) + 2) None in
+  rungs.(0) <- Some start;
+  let touches = ref [] in
+  let boundary j = start_cycles + (j * rung_spacing) in
+  let window = window_rings * Trace.capacity tr in
+  (* the next boundary, and the cycle of the next event: its window's
+     start, then the boundary itself *)
+  let next = ref 1 and event = ref (boundary 1 - window) and window_seen = ref (-1) in
+  let on_event () =
+    let j = !next in
+    if cpu.Cpu.cycles < boundary j then begin
+      Trace.clear tr;
+      Trace.advance tr (cpu.Cpu.decoded - decoded0);
+      Trace.set_level tr Trace.Ring;
+      window_seen := Trace.seen tr;
+      event := boundary j
+    end
+    else begin
+      touches := Phys.take_watched phys :: !touches;
+      if !window_seen >= 0 && Trace.seen tr - !window_seen >= Trace.capacity tr then
+        rungs.(j) <- Some (Machine.checkpoint machine ~base);
+      Trace.set_level tr Trace.Off;
+      window_seen := -1;
+      next := j + 1;
+      event := boundary (j + 1) - window
+    end
+  in
+  Trace.set_level tr Trace.Off;
+  Phys.watch phys ~lo:(L.kernel_text_base - L.page_offset) ~len:build.Build.text_size;
   let rec loop () =
     if cpu.Cpu.snapshot_request then Machine.Snapshot_point
     else if cpu.Cpu.halted then
@@ -156,6 +217,9 @@ let golden_run build machine ~base ~start ~hardening ~max_cycles =
       | None -> Machine.Halted
     else if cpu.Cpu.cycles >= limit then Machine.Watchdog
     else begin
+      while cpu.Cpu.cycles >= !event do
+        on_event ()
+      done;
       mark cpu.Cpu.eip;
       if cpu.Cpu.cycles >= cpu.Cpu.next_timer && Flags.get cpu.Cpu.eflags Flags.if_ then
         mark
@@ -165,13 +229,50 @@ let golden_run build machine ~base ~start ~hardening ~max_cycles =
       loop ()
     end
   in
-  let result = try loop () with Cpu.Triple_fault trap -> Machine.Reset trap in
-  let r_len = cpu.Cpu.cycles - start in
+  let result =
+    Fun.protect
+      ~finally:(fun () -> Phys.unwatch phys)
+      (fun () ->
+        let r = try loop () with Cpu.Triple_fault trap -> Machine.Reset trap in
+        touches := Phys.take_watched phys :: !touches;
+        r)
+  in
+  Trace.set_level tr Trace.Off;
+  let r_len = cpu.Cpu.cycles - start_cycles in
   let r_cycles =
     match result with Machine.Watchdog | Machine.Snapshot_point -> max_int | _ -> r_len
   in
-  let r_rungs = Array.make ((r_len / rung_spacing) + 1) None in
-  (result, { r_first = first; r_cycles; r_len; r_rungs })
+  let text_page p =
+    p >= (L.kernel_text_base - L.page_offset) lsr Phys.page_shift
+    && p < (L.kernel_text_base - L.page_offset + build.Build.text_size + Phys.page_size - 1)
+           lsr Phys.page_shift
+  in
+  let r_rejoin = not (List.exists text_page (Phys.dirty_pages phys)) in
+  if not tracked then begin
+    Phys.set_tracking phys false;
+    Devices.Disk.set_tracking disk false
+  end;
+  let n = List.length !touches in
+  let r_rungs = Array.sub rungs 0 n in
+  (* rung 0 is the start, which the runner keeps anyway *)
+  let r_bytes, _ =
+    Array.fold_left
+      (fun (bytes, prev) -> function
+        | Some k when k != start -> (bytes + Machine.checkpoint_bytes ?prev k, Some k)
+        | k -> (bytes, k))
+      (0, None) r_rungs
+  in
+  ( result,
+    {
+      r_first = first;
+      r_cycles;
+      r_len;
+      r_rungs;
+      r_touch = Array.of_list (List.rev !touches);
+      r_seen = cpu.Cpu.decoded - decoded0;
+      r_rejoin;
+      r_bytes;
+    } )
 
 let create ?(max_cycles = default_max_cycles) () =
   let disk_image = Kfi_fsimage.Mkfs.create (Kfi_workload.Progs.fs_files ()) in
@@ -180,9 +281,9 @@ let create ?(max_cycles = default_max_cycles) () =
   let baseline = Machine.snapshot machine in
   let nworkloads = List.length Kfi_workload.Progs.names in
   (* A checkpoint needs the writes since the restore of its base, so the
-     starts are taken under dirty tracking, which the interpreter then
-     runs without.  The TLB is flushed first: a start, like a snapshot,
-     begins with an empty one. *)
+     starts and the golden ladders are taken under dirty tracking, which
+     the interpreter then runs without.  The TLB is flushed first: a
+     start, like a snapshot, begins with an empty one. *)
   let phys = Machine.phys machine and disk = Machine.disk machine in
   Phys.set_tracking phys true;
   Devices.Disk.set_tracking disk true;
@@ -194,8 +295,6 @@ let create ?(max_cycles = default_max_cycles) () =
         Mmu.flush (Machine.cpu machine).Cpu.mmu;
         Machine.checkpoint machine ~base:baseline)
   in
-  Phys.set_tracking phys false;
-  Devices.Disk.set_tracking disk false;
   let runs =
     Array.init nworkloads (fun w ->
         match
@@ -208,6 +307,8 @@ let create ?(max_cycles = default_max_cycles) () =
           failwith (Printf.sprintf "golden run for workload %d exited %d" w code)
         | _ -> failwith (Printf.sprintf "golden run for workload %d did not complete" w))
   in
+  Phys.set_tracking phys false;
+  Devices.Disk.set_tracking disk false;
   {
     build;
     machine;
@@ -226,6 +327,9 @@ let create ?(max_cycles = default_max_cycles) () =
     last_injected_at = None;
     last_skipped = 0;
     last_proof = None;
+    last_rejoin = None;
+    last_episodes = 0;
+    last_rejoin_skipped = 0;
     metrics = None;
     backend = Backend.create Backend.Interp machine;
   }
@@ -250,16 +354,12 @@ let set_metrics t m = t.metrics <- m
 (* Swapping detaches the old backend first (hooks and dirty tracking
    off) so the machine is only ever owned by one backend.  The first
    restore after a swap to [Cached] is a full copy that resynchronizes
-   the dirty tracking; every later one is O(dirty pages).  The rungs
-   captured by runs go with the block cache: a fresh backend starts with
-   the workloads' starts only. *)
+   the dirty tracking; every later one is O(dirty pages).  The ladders
+   belong to the golden runs, which [create] paid for, and stay. *)
 let set_backend t kind =
   if Backend.kind t.backend <> kind then begin
     Backend.detach t.backend;
-    t.backend <- Backend.create kind t.machine;
-    Array.iter
-      (Array.iter (Option.iter (fun r -> Array.fill r.r_rungs 0 (Array.length r.r_rungs) None)))
-      t.reach
+    t.backend <- Backend.create kind t.machine
   end
 
 let backend_kind t = Backend.kind t.backend
@@ -278,6 +378,7 @@ let trace_level t = t.trace_level
 let last_cycles t = t.last_cycles
 let last_injected_at t = t.last_injected_at
 let last_proof t = t.last_proof
+let last_rejoin t = t.last_rejoin
 
 (* The full corruption-site -> crash-site path from the flight recorder.
    A bounded ring can lose the earliest hops and the crash handler's own
@@ -327,6 +428,8 @@ let reach_for t ~workload =
     t.reach.(h).(workload) <- Some r;
     r
 
+let ladder t ~workload = (reach_for t ~workload).r_rungs
+
 (* Until DR0 fires, an injection replays the golden run exactly.  So a
    target the golden run never fetches is [Not_activated] without
    running, provided the whole golden run fits the watchdog budget (a
@@ -350,19 +453,17 @@ let first_hit r (target : Target.t) =
 
 (* The golden checkpoint ladder.  Until DR0 fires an injection is the
    golden run, so its state at each rung boundary is the rung: runs on
-   the cached backend traced at [Ring] capture the missing rungs below
-   their target's first hit as they pass them, and later runs start from
-   the latest rung at or before theirs.  Rungs carry a [Ring]-level
-   flight recorder, so a [Full] run (which also records events) starts
-   at rung 0, and an [Off] run empties the ring. *)
+   the cached backend start from the latest rung at or before their
+   target's first hit.  Rungs carry a [Ring]-level flight recorder, so a
+   [Full] run (which also records events) starts at rung 0, and an [Off]
+   run empties the ring.  The same runs rejoin the golden run (see
+   [rejoin_at]). *)
 let ladder_usable t = Backend.kind t.backend = Backend.Cached && t.trace_level <> Trace.Full
 
-let ladder_capturing t = Backend.kind t.backend = Backend.Cached && t.trace_level = Trace.Ring
-
-(* The latest rung a run may start from: rung 0, or one captured, at or
-   before the target's first hit and inside the watchdog budget, both
-   judged by the rung's actual cycle, which a disk transfer can carry
-   past its boundary. *)
+(* The latest rung a run may start from: rung 0, or one at or before the
+   target's first hit and inside the watchdog budget, both judged by the
+   rung's actual cycle, which a disk transfer can carry past its
+   boundary. *)
 let pick_rung t r ~start ~first =
   let rec find j =
     if j < 1 then start
@@ -453,18 +554,129 @@ let skip_recurrence machine ~base ~limit =
     Trace.advance trace (n * records);
     Proven { pr_cycle = c1; pr_period = period; pr_eip = eip; pr_skipped = skipped }
 
+(* ----- rejoining the golden run -----
+
+   After the injection, a run whose state equals the golden run's at a
+   rung boundary (the flipped byte aside) is the golden run from there
+   on, until the golden run next reads that byte: up to the rung before
+   that read, it can restore the golden state instead of executing it,
+   put the flip back and go on.  With no such read left, it can restore
+   a rung near the end and run the tail. *)
+
+type rejoin = {
+  rj_reach : reach;
+  rj_flip : (int * int) option;
+      (* the flipped text byte's physical address and xor mask; [None]
+         for a register flip *)
+  rj_bit : int;  (* its index in the touch maps *)
+  rj_first : int;  (* the target's first hit, cycles past the start *)
+}
+
+let rejoin_for t reach ~first (target : Target.t) =
+  if not (ladder_usable t && reach.r_rejoin) then None
+  else
+    match target.Target.t_kind with
+    | Target.Register -> Some { rj_reach = reach; rj_flip = None; rj_bit = -1; rj_first = first }
+    | Target.Text ->
+      let bit = (map_offset target.Target.t_addr / 4) + target.Target.t_byte in
+      if bit < 0 || bit >= 8 * Bytes.length reach.r_touch.(0) then None
+      else
+        Some
+          {
+            rj_reach = reach;
+            rj_flip =
+              Some
+                ( (Int32.to_int target.Target.t_addr land 0xFFFFFFFF) - L.page_offset
+                  + target.Target.t_byte,
+                  1 lsl target.Target.t_bit );
+            rj_bit = bit;
+            rj_first = first;
+          }
+
+let touched map bit = Char.code (Bytes.get map (bit lsr 3)) land (1 lsl (bit land 7)) <> 0
+
+(* The rung to restore after matching rung [j] ([m]), if any.  It lies
+   past [m] and before the watchdog, and no later than the interval in
+   which the golden run next reads the flipped byte; with no such read
+   left, it is the latest one.  The ring it carries is the run's own
+   when the golden run records at least a ring of entries from [m] to
+   it; a rung near the end also serves when the golden run records a
+   ring after it and ends inside the budget, since that tail refills
+   the ring. *)
+let jump_target t rj ~start ~j m =
+  let r = rj.rj_reach in
+  let cap = Trace.capacity (Machine.cpu t.machine).Cpu.trace in
+  let seen = Machine.checkpoint_seen in
+  let ok ~tail k =
+    Machine.checkpoint_cycles k < start + t.max_cycles
+    && (t.trace_level = Trace.Off
+        || seen k - seen m >= cap
+        || (tail && r.r_cycles < t.max_cycles && r.r_seen - seen k >= cap))
+  in
+  let rec latest ~tail i =
+    if i <= j then None
+    else
+      match r.r_rungs.(i) with
+      | Some k when ok ~tail k -> Some k
+      | _ -> latest ~tail (i - 1)
+  in
+  let rec next_touch i =
+    if i >= Array.length r.r_touch then None
+    else if touched r.r_touch.(i) rj.rj_bit then Some i
+    else next_touch (i + 1)
+  in
+  match Option.bind rj.rj_flip (fun _ -> next_touch j) with
+  | Some i -> latest ~tail:false i
+  | None -> latest ~tail:true (Array.length r.r_rungs - 1)
+
+(* At the first instruction boundary at or after rung [j]'s boundary:
+   compare, and on a match restore the rung [jump_target] names, put the
+   flip back, and splice the recorder's count and the last fault's
+   cycle: the golden run's between the two rungs, the run's own
+   before. *)
+let rejoin_at t rj ~start j =
+  match rj.rj_reach.r_rungs.(j) with
+  | Some m when Machine.matches ?flip:rj.rj_flip t.machine ~base:t.baseline m -> (
+    let cpu = Machine.cpu t.machine in
+    if t.last_rejoin = None then t.last_rejoin <- Some (cpu.Cpu.cycles - start);
+    match jump_target t rj ~start ~j m with
+    | None -> ()
+    | Some k ->
+      let tr = cpu.Cpu.trace in
+      let at = cpu.Cpu.cycles and seen = Trace.seen tr and fault = cpu.Cpu.last_fault_cycle in
+      Machine.restore_checkpoint t.machine ~base:t.baseline k;
+      Option.iter
+        (fun (pa, x) -> Cpu.poke_phys cpu pa (Phys.read8 cpu.Cpu.phys pa lxor x))
+        rj.rj_flip;
+      Trace.set_level tr t.trace_level;
+      let golden = Machine.checkpoint_seen k - Machine.checkpoint_seen m in
+      if t.trace_level = Trace.Off then Trace.clear tr
+      else if golden >= Trace.capacity tr then Trace.set_seen tr (seen + golden)
+      else begin
+        (* a tail, which refills the ring *)
+        Trace.clear tr;
+        Trace.advance tr (seen + golden)
+      end;
+      if cpu.Cpu.last_fault_cycle < at then cpu.Cpu.last_fault_cycle <- fault;
+      t.last_episodes <- t.last_episodes + 1;
+      t.last_rejoin_skipped <- t.last_rejoin_skipped + (cpu.Cpu.cycles - at))
+  | _ -> ()
+
 (* Run the machine to completion of the *simulated* watchdog budget,
    counted from [start], checking [deadline] (absolute [gettimeofday]
    seconds) between slices ending at multiples of [deadline_slice]
-   cycles past [start].  [stop_at ()] names a further cycle to pause at;
-   [on_stop] runs at every pause.  Raises [Deadline_exceeded] if the host
-   clock passes the deadline first.
+   cycles past [start].  Raises [Deadline_exceeded] if the host clock
+   passes the deadline first.
 
-   On the cached backend, a pause after the injection ([injected ()])
-   at which the timer tick has been due, and masked, for at least a
-   whole slice is a hang candidate: the 1st, 2nd, 4th, 8th, ... such
-   pause tries [skip_recurrence], until one proof succeeds. *)
-let run_with_deadline t ~start ~deadline ~stop_at ~on_stop ~injected =
+   With [rejoin], the run also pauses at each rung boundary past the
+   target's first hit, and after the injection ([injected ()]) tries to
+   rejoin the golden run there.
+
+   On the cached backend, a pause after the injection at which the timer
+   tick has been due, and masked, for at least a whole slice is a hang
+   candidate: the 1st, 2nd, 4th, 8th, ... such pause tries
+   [skip_recurrence], until one proof succeeds. *)
+let run_with_deadline t ~start ~deadline ~injected ~rejoin =
   let cpu = Machine.cpu t.machine in
   let limit = start + t.max_cycles in
   let masked = ref 0 in
@@ -485,45 +697,35 @@ let run_with_deadline t ~start ~deadline ~stop_at ~on_stop ~injected =
     end
     else None
   in
+  let boundary j = start + (j * rung_spacing) in
+  (* the next rung boundary to pause at, if any *)
+  let next_rung rj =
+    let j = ((cpu.Cpu.cycles - start) / rung_spacing) + 1 in
+    if j < Array.length rj.rj_reach.r_rungs && (injected () || j * rung_spacing > rj.rj_first)
+    then boundary j
+    else max_int
+  in
   let rec go () =
     (match deadline with
      | Some d when Unix.gettimeofday () > d -> raise (Deadline_exceeded d)
      | _ -> ());
     let slice_end = start + ((((cpu.Cpu.cycles - start) / deadline_slice) + 1) * deadline_slice) in
-    let stop = min limit (min slice_end (stop_at ())) in
+    let stop = min limit (min slice_end (Option.fold ~none:max_int ~some:next_rung rejoin)) in
+    let before = cpu.Cpu.cycles in
     match Backend.run t.backend ~max_cycles:(stop - cpu.Cpu.cycles) with
-    | Machine.Watchdog when cpu.Cpu.cycles < limit ->
+    | Machine.Watchdog when cpu.Cpu.cycles < limit -> (
       (* only a pause, not the real watchdog: keep going *)
-      on_stop ();
-      (match try_proof () with Some r -> r | None -> go ())
+      (match rejoin with
+       | Some rj when injected () ->
+         (* the first instruction boundary at or after boundary [j] *)
+         let j = (cpu.Cpu.cycles - start) / rung_spacing in
+         if j >= 1 && before < boundary j && j < Array.length rj.rj_reach.r_rungs then
+           rejoin_at t rj ~start j
+       | _ -> ());
+      match try_proof () with Some r -> r | None -> go ())
     | r -> r
   in
   go ()
-
-(* While DR0 has not fired, pause at each missing rung boundary at or
-   before the target's first hit and capture the rung there: the first
-   instruction boundary at or after it, since the previous pause was
-   before it. *)
-let rung_capture t r ~start_cycles ~first ~injected_at =
-  let cpu = Machine.cpu t.machine in
-  let n = Array.length r.r_rungs in
-  let prev = ref cpu.Cpu.cycles in
-  let stop_at () =
-    let rec next j =
-      if !injected_at <> None || j >= n || j * rung_spacing > first then max_int
-      else if r.r_rungs.(j) = None then start_cycles + (j * rung_spacing)
-      else next (j + 1)
-    in
-    next (((cpu.Cpu.cycles - start_cycles) / rung_spacing) + 1)
-  in
-  let on_stop () =
-    let j = (cpu.Cpu.cycles - start_cycles) / rung_spacing in
-    if !injected_at = None && j >= 1 && j < n && j * rung_spacing <= first
-       && !prev < start_cycles + (j * rung_spacing) && r.r_rungs.(j) = None
-    then r.r_rungs.(j) <- Some (Machine.checkpoint t.machine ~base:t.baseline);
-    prev := cpu.Cpu.cycles
-  in
-  (stop_at, on_stop)
 
 (* Run one injection experiment in full.  [deadline], if given, is an
    absolute wall-clock time past which the run is abandoned with
@@ -544,10 +746,7 @@ let run_full ?deadline t ~workload ~reach (target : Target.t) ~wall0 =
   Trace.set_level cpu.Cpu.trace t.trace_level;
   if t.last_skipped = 0 || t.trace_level = Trace.Off then Trace.clear cpu.Cpu.trace;
   let injected_at = ref None in
-  let stop_at, on_stop =
-    if ladder_capturing t then rung_capture t reach ~start_cycles ~first ~injected_at
-    else ((fun () -> max_int), ignore)
-  in
+  let rejoin = rejoin_for t reach ~first target in
   cpu.Cpu.dr.(0) <- target.Target.t_addr;
   cpu.Cpu.dr7 <- 1;
   cpu.Cpu.on_debug_hit <-
@@ -585,7 +784,7 @@ let run_full ?deadline t ~workload ~reach (target : Target.t) ~wall0 =
         t.last_classify <- 0.;
         t.last_injected_at <- !injected_at)
       (fun () ->
-        run_with_deadline t ~start:start_cycles ~deadline ~stop_at ~on_stop
+        run_with_deadline t ~start:start_cycles ~deadline ~rejoin
           ~injected:(fun () -> !injected_at <> None))
   in
   let golden = t.golden.(workload) in
@@ -674,17 +873,14 @@ let run_full ?deadline t ~workload ~reach (target : Target.t) ~wall0 =
   t.last_classify <- Unix.gettimeofday () -. classify0;
   outcome
 
-(* Rungs captured over all ladders, and their approximate footprint. *)
+(* Rungs above rung 0 over all ladders, and their footprint. *)
 let ladder_size t =
   let n = ref 0 and bytes = ref 0 in
   Array.iter
     (Array.iter
        (Option.iter (fun r ->
-            Array.iter
-              (Option.iter (fun k ->
-                   incr n;
-                   bytes := !bytes + Machine.checkpoint_bytes k))
-              r.r_rungs)))
+            Array.iteri (fun j k -> if j > 0 && k <> None then incr n) r.r_rungs;
+            bytes := !bytes + r.r_bytes)))
     t.reach;
   (!n, !bytes)
 
@@ -712,6 +908,9 @@ let run_one ?deadline t ~workload (target : Target.t) =
   let skipped = never_reached t reach target in
   t.last_skipped <- 0;
   t.last_proof <- None;
+  t.last_rejoin <- None;
+  t.last_episodes <- 0;
+  t.last_rejoin_skipped <- 0;
   let outcome =
     match skipped with
     | None -> run_full ?deadline t ~workload ~reach target ~wall0
@@ -749,6 +948,11 @@ let run_one ?deadline t ~workload (target : Target.t) =
          M.incr m "inj.hang_proven";
          M.incr m ~by:p.pr_skipped "inj.hang_skipped_cycles")
        t.last_proof;
+     if t.last_rejoin <> None then M.incr m "inj.rejoined";
+     if t.last_episodes > 0 then begin
+       M.incr m ~by:t.last_episodes "inj.rejoin_episodes";
+       M.incr m ~by:t.last_rejoin_skipped "inj.rejoin_skipped_cycles"
+     end;
      let rungs, bytes = ladder_size t in
      M.set_gauge m "ladder.rungs" (float_of_int rungs);
      M.set_gauge m "ladder.bytes" (float_of_int bytes);

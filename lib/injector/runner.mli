@@ -40,13 +40,24 @@ val create : ?max_cycles:int -> unit -> t
     the boot snapshot ({!baseline}, the one full machine image), capture
     each workload's {!start} as a checkpoint over it and record the
     golden runs.  Each golden run follows [run_one]'s prefix (restore,
-    {!poke_hardening}, run) and records a reach map: for every
-    kernel-text address, the cycle offset at which the debug compare can
-    first see it (if ever), plus the run's cycle count.  The maps for
-    hardening on are recorded on first use.  The starts are rung 0 of
-    every ladder; the later rungs fill during injections (see
-    {!run_one}).  Runs on the reference {!Kfi_isa.Backend.Interp}
-    backend until {!set_backend} says otherwise.
+    {!poke_hardening}, run) and records:
+    - a reach map: for every kernel-text address, the cycle offset at
+      which the debug compare can first see it (if ever), plus the
+      run's cycle count;
+    - the complete checkpoint ladder: rung 0 is the {!start}, rung
+      [j >= 1] the golden state, TLB included, at the first instruction
+      boundary at or after [rung_spacing * j] cycles past it, with the
+      flight recorder a [Ring] run has there.  Only a window of records
+      before each boundary is traced, counted on from the instructions
+      the run decoded; a rung whose window holds fewer than a ring is
+      left out.  Consecutive rungs share their unchanged pages and
+      blocks;
+    - per interval between boundaries, the kernel-text bytes the run
+      read: every byte of each instruction it executed and every byte
+      it loaded.
+    The maps and ladders for hardening on are recorded the same way on
+    first use.  Runs on the reference {!Kfi_isa.Backend.Interp} backend
+    until {!set_backend} says otherwise.
     @raise Failure if the pristine kernel cannot complete a workload. *)
 
 (** {2 Modes} *)
@@ -71,11 +82,10 @@ val set_metrics : t -> Kfi_obs.Metrics.t option -> unit
 val set_backend : t -> Backend.kind -> unit
 (** Swap the execution backend for subsequent runs.  A no-op when the
     kind is unchanged; otherwise the old backend is detached (hooks and
-    dirty tracking removed), a fresh one attached, and every captured
-    rung above rung 0 dropped, so a new cached backend starts with the
-    workload starts only, as it starts with an empty block cache.
-    Outcomes are byte-identical across backends — only the wall clock
-    moves. *)
+    dirty tracking removed) and a fresh one attached, with an empty
+    block cache.  The golden ladders stay: {!create} recorded them with
+    the golden runs, and no injected run adds to them.  Outcomes are
+    byte-identical across backends — only the wall clock moves. *)
 
 val backend_kind : t -> Backend.kind
 
@@ -94,6 +104,12 @@ val start : t -> int -> Machine.checkpoint
     checkpoint over {!baseline} with an empty TLB: restore it with
     [Machine.restore_checkpoint ~base:(baseline t)]. *)
 
+val ladder : t -> workload:int -> Machine.checkpoint option array
+(** The golden checkpoint ladder of a workload under the current
+    hardening mode (recorded now if the mode's golden run has not
+    been): [ladder t ~workload].(j) is rung [j] (see {!create}), [None]
+    for a rung left out. *)
+
 val golden : t -> int -> golden
 (** The fault-free run of one workload, recorded by {!create} with
     hardening off. *)
@@ -110,6 +126,12 @@ val last_injected_at : t -> int option
 
 val last_proof : t -> proof option
 (** The last run's proof that its state recurs, when it found one. *)
+
+val last_rejoin : t -> int option
+(** Where the last run first matched the golden state, in cycles past
+    the start (a rung boundary after the injection), when it did (see
+    {!run_one}).  The error was masked by then, so this bounds its
+    masking latency. *)
 
 (** {2 Running} *)
 
@@ -138,21 +160,33 @@ val run_one : ?deadline:float -> t -> workload:int -> Target.t -> Outcome.t
 
     Any other target restores one rung of the (hardening, workload)
     golden checkpoint ladder with a single
-    [Machine.restore_checkpoint ~base:(baseline t)].  Rung 0 is the
-    workload's start; rung [j >= 1] is the golden state, TLB included,
-    at the first instruction boundary at or after [rung_spacing * j]
-    cycles past the start.  On the cached backend the run restores the
-    latest captured rung at or before the target's first-mark cycle (by
-    its actual cycle) and inside [max_cycles].  Runs traced at [Ring]
-    capture the missing rungs below their target's first mark before
-    DR0 fires; an [Off] run may start above rung 0 and empties the ring;
-    a [Full] run, and every run on the interpreter, starts at rung 0.
-    Cycle counts, the watchdog limit and the deadline slices stay
-    counted from the start, so every record is what the plain run
-    reports.  The metrics count runs that started above rung 0 in
-    [inj.ladder] and their skipped cycles in [inj.prefix_skipped_cycles],
-    and gauge the captured rungs above rung 0 in [ladder.rungs] and
-    [ladder.bytes].
+    [Machine.restore_checkpoint ~base:(baseline t)].  On the cached
+    backend the run restores the latest rung at or before the target's
+    first-mark cycle (by its actual cycle) and inside [max_cycles]; a
+    run traced at [Ring] keeps the rung's flight recorder, an [Off] run
+    empties it, and a [Full] run, like every run on the interpreter,
+    starts at rung 0.  Cycle counts, the watchdog limit and the deadline
+    slices stay counted from the start, so every record is what the
+    plain run reports.  The metrics count runs that started above rung
+    0 in [inj.ladder] and their skipped cycles in
+    [inj.prefix_skipped_cycles], and gauge the rungs above rung 0 in
+    [ladder.rungs] and their footprint in [ladder.bytes].
+
+    The same runs, at [Off] or [Ring], rejoin the golden run.  After
+    the injection they pause at each rung boundary and compare their
+    state with the rung's ({!Kfi_isa.Machine.matches}, the flipped byte
+    masked).  On a match ({!last_rejoin}), the run is the golden run
+    until the golden run next reads the flipped byte.  So it restores
+    the latest rung no later than the start of the interval holding
+    that read, puts the flip back and goes on comparing.  With no read left, or for a register
+    flip, it restores a rung near the end and runs the tail.  The
+    flight recorder keeps its own count plus the golden records in
+    between, the last fault's cycle is the rung's when the golden run
+    faulted in between, and a restore is left out when the ring it
+    carries would not be the run's.  Records, flight recorder and final
+    machine state are the plain run's.  The metrics count runs that
+    matched in [inj.rejoined], the restores in [inj.rejoin_episodes]
+    and the cycles they skipped in [inj.rejoin_skipped_cycles].
 
     [deadline] is an absolute wall-clock bound on top of the simulated
     watchdog: the run is executed in short cycle slices and abandoned

@@ -58,6 +58,7 @@ type t = {
   scratch : int32 array;          (* register snapshot for faulting restarts *)
   mutable last_fault_cycle : int; (* cycle count at the most recent exception *)
   mutable cycle_reads : int;      (* rdtsc instructions executed, ever *)
+  mutable decoded : int;          (* instructions [step] fetched and decoded, ever *)
   trace : Trace.t;                (* flight recorder, fed from [step] *)
 }
 
@@ -94,6 +95,7 @@ let create ~phys ~disk ~idt_base =
     scratch = Array.make 8 0l;
     last_fault_cycle = 0;
     cycle_reads = 0;
+    decoded = 0;
     trace = Trace.create ();
   }
 
@@ -272,11 +274,15 @@ let do_iret cpu =
   cpu.regs.(Insn.esp) <- new_esp
 
 (* Fetch + decode at eip, with a physically-keyed decoded-instruction
-   cache.  Instructions that cross a page boundary are not cached. *)
+   cache.  Instructions that cross a page boundary are not cached.  A
+   cached fetch reads no memory, so it reports its bytes to the read
+   watch itself. *)
 let fetch_decode cpu =
   let pa0 = translate cpu ~write:false cpu.eip in
   match Hashtbl.find_opt cpu.icache pa0 with
-  | Some res -> res
+  | Some ((_, len) as res) ->
+    Phys.touch cpu.phys pa0 len;
+    res
   | None ->
     let in_page = Mmu.page_size - (pa0 land (Mmu.page_size - 1)) in
     let fetch i =
@@ -640,6 +646,7 @@ let step cpu =
     Array.blit cpu.regs 0 cpu.scratch 0 8;
     (try
        let insn, len = fetch_decode cpu in
+       cpu.decoded <- cpu.decoded + 1;
        if Trace.enabled cpu.trace then trace_insn cpu insn;
        cpu.eip <- cpu.eip +% i32 len;
        execute cpu insn

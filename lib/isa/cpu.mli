@@ -62,6 +62,11 @@ type t = {
       (** [rdtsc] instructions executed so far on this CPU (both backends
           run them through {!execute}): a run that leaves it unchanged
           never read the cycle counter *)
+  mutable decoded : int;
+      (** instructions {!step} has fetched and decoded so far: over a
+          run of steps at trace level {!Trace.Ring}, exactly the records
+          the flight recorder adds (the block engine does not count its
+          own) *)
   trace : Trace.t;
       (** the flight recorder, fed from {!step}; level {!Trace.Off}
           (the default) costs one compare per instruction *)

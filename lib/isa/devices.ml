@@ -67,6 +67,15 @@ module Disk = struct
   let written_blocks t = List.sort_uniq compare t.written_list
 
   let is_synced t s = match t.synced with Some s' -> s' == s | None -> false
+  let synced t ~base = t.track && is_synced t base
+
+  let block_equal t block bytes =
+    let rec go i =
+      i = block_size
+      || (Bytes.unsafe_get t.data ((block * block_size) + i) = Bytes.unsafe_get bytes i
+          && go (i + 1))
+    in
+    go 0
 
   let copy t =
     let s = of_bytes (Bytes.copy t.data) in

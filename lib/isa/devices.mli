@@ -48,6 +48,12 @@ module Disk : sig
       protocol at block granularity).  Writes through {!image} bypass
       it. *)
 
+  val synced : t -> base:t -> bool
+  (** Tracking is on and the unwritten blocks equal [base]'s. *)
+
+  val block_equal : t -> int -> bytes -> bool
+  (** Whether a block holds exactly the given bytes. *)
+
   val written_blocks : t -> int list
   (** Blocks written since the last sync point (sorted, deduplicated);
       empty when tracking is off. *)

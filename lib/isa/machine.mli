@@ -51,7 +51,10 @@ type checkpoint
 val checkpoint : t -> base:snapshot -> checkpoint
 (** Capture the current state against [base], which must be the last
     snapshot restored.  Needs dirty tracking on memory and disk, as the
-    cached backend turns on.
+    cached backend turns on.  Pages and blocks equal to those of the
+    checkpoint last captured or restored share their bytes, and only
+    pages written since then are compared: checkpoints taken along one
+    run store each unchanged page once.
     @raise Invalid_argument if memory is not tracked against [base]. *)
 
 val restore_checkpoint : t -> base:snapshot -> checkpoint -> unit
@@ -61,6 +64,23 @@ val restore_checkpoint : t -> base:snapshot -> checkpoint -> unit
 
 val checkpoint_cycles : checkpoint -> int
 (** The cycle counter at capture. *)
+
+val checkpoint_seen : checkpoint -> int
+(** The flight recorder's {!Trace.seen} at capture. *)
+
+val checkpoint_last_fault : checkpoint -> int
+(** The last fault's cycle at capture. *)
+
+val matches : ?flip:int * int -> t -> base:snapshot -> checkpoint -> bool
+(** Whether the live machine equals [k] as {!same_state} compares two
+    checkpoints, and its cycle counter equals [k]'s, without capturing
+    the live state.  CPU fields come first; then only the pages and
+    blocks written since [base] on either side are compared, and a page
+    unchanged since it was restored from (or captured into) a checkpoint
+    sharing its bytes with [k] is not compared at all.  With
+    [flip = (pa, x)], the byte at physical address [pa] must hold [k]'s
+    byte xor [x].  [false] unless memory and disk are tracked against
+    [base]. *)
 
 val same_state : base:snapshot -> checkpoint -> checkpoint -> bool
 (** Whether two checkpoints over [base] hold the same state as far as the
@@ -73,5 +93,6 @@ val same_state : base:snapshot -> checkpoint -> checkpoint -> bool
     which the caller must rule out.  So are the debug registers, which a
     checkpoint takes from [base] and no instruction writes. *)
 
-val checkpoint_bytes : checkpoint -> int
-(** Approximate heap footprint: pages, blocks, TLB, console and ring. *)
+val checkpoint_bytes : ?prev:checkpoint -> checkpoint -> int
+(** Approximate heap footprint: pages, blocks, TLB, console and ring,
+    leaving out the pages and blocks shared with [prev]. *)

@@ -39,19 +39,53 @@ let flush t =
 (* The TLB is state the guest can see: a page-table update takes effect
    only once its entry is flushed or evicted (the kernel downgrades a
    fork's PTEs in a loop and flushes once, after it).  A checkpoint taken
-   mid-run keeps a copy. *)
-type tlb = { s_tag : int array; s_frame : int array; s_perm : int array }
+   mid-run keeps a copy of the valid entries, in slot order, each packed
+   as [vpn lsl 23 lor frame lsl 3 lor perm] (a slot is [vpn]'s low bits);
+   an invalid slot's stale fields are never read. *)
+type tlb = int array
+
+let pack t i = (t.tlb_tag.(i) lsl 23) lor (t.tlb_frame.(i) lsl 3) lor t.tlb_perm.(i)
 
 let save t =
-  { s_tag = Array.copy t.tlb_tag; s_frame = Array.copy t.tlb_frame; s_perm = Array.copy t.tlb_perm }
+  let n = ref 0 in
+  for i = 0 to tlb_size - 1 do
+    if t.tlb_tag.(i) >= 0 then incr n
+  done;
+  let a = Array.make !n 0 and k = ref 0 in
+  for i = 0 to tlb_size - 1 do
+    if t.tlb_tag.(i) >= 0 then begin
+      a.(!k) <- pack t i;
+      incr k
+    end
+  done;
+  a
 
 let load t s =
-  Array.blit s.s_tag 0 t.tlb_tag 0 tlb_size;
-  Array.blit s.s_frame 0 t.tlb_frame 0 tlb_size;
-  Array.blit s.s_perm 0 t.tlb_perm 0 tlb_size;
+  Array.fill t.tlb_tag 0 tlb_size (-1);
+  Array.iter
+    (fun e ->
+      let vpn = e lsr 23 in
+      let i = vpn land (tlb_size - 1) in
+      t.tlb_tag.(i) <- vpn;
+      t.tlb_frame.(i) <- (e lsr 3) land 0xFFFFF;
+      t.tlb_perm.(i) <- e land 7)
+    s;
   t.gen <- t.gen + 1
 
-let tlb_bytes = 3 * tlb_size * (Sys.word_size / 8)
+(* Whether the live TLB holds exactly the saved entries. *)
+let holds t s =
+  let n = ref 0 in
+  for i = 0 to tlb_size - 1 do
+    if t.tlb_tag.(i) >= 0 then incr n
+  done;
+  !n = Array.length s
+  && Array.for_all
+       (fun e ->
+         let i = (e lsr 23) land (tlb_size - 1) in
+         t.tlb_tag.(i) >= 0 && pack t i = e)
+       s
+
+let tlb_bytes s = (Array.length s + 1) * (Sys.word_size / 8)
 
 (* While [generation] is unchanged no TLB entry has been filled, evicted
    or flushed, so any translation that hit the TLB would hit the same

@@ -25,16 +25,20 @@ val flush : t -> unit
 (** Drop every TLB entry (the effect of reloading CR3). *)
 
 type tlb
-(** A copy of the TLB.  Its contents are visible to the guest: a
+(** A copy of the TLB's valid entries.  They are visible to the guest: a
     page-table update takes effect only once the entry is flushed or
-    evicted, so a mid-run checkpoint must keep them. *)
+    evicted, so a mid-run checkpoint must keep them.  Copies of TLBs
+    holding the same entries are equal. *)
 
 val save : t -> tlb
 
 val load : t -> tlb -> unit
 (** Replace the TLB's contents with a saved copy. *)
 
-val tlb_bytes : int
+val holds : t -> tlb -> bool
+(** Whether the TLB holds exactly the saved entries. *)
+
+val tlb_bytes : tlb -> int
 (** The heap footprint of a {!tlb}. *)
 
 val translate : t -> cr3:int32 -> user:bool -> write:bool -> int32 -> int

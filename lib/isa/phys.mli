@@ -2,7 +2,11 @@
     dirty-page tracking so a restore touches O(dirty pages) instead of
     the whole image (the cached execution backend's snapshot protocol).
     Only the snapshot the memory is synchronized to restores
-    incrementally; other states are kept as {!delta}s over it. *)
+    incrementally; other states are kept as {!delta}s over it.
+
+    A dirty page is {e fresh} until the next {!settle}, and settled
+    after it until it is written again.  An optional read watch records
+    which bytes of one physical range are read. *)
 
 type t
 
@@ -58,9 +62,45 @@ val tracking : t -> bool
 val dirty_pages : t -> int list
 (** Pages written since the last sync point (sorted, deduplicated). *)
 
-val delta : t -> base:t -> (int * bytes) list
+val synced : t -> base:t -> bool
+(** Tracking is on and the clean pages equal [base]. *)
+
+val settle : t -> unit
+(** Mark every dirty page settled; a later write makes it fresh again. *)
+
+val is_dirty : t -> int -> bool
+val is_fresh : t -> int -> bool
+
+val delta : t -> base:t -> settled:(int -> bytes option) -> (int * bytes) list
 (** [(page, contents)] for every page written since the last restore to
     [base] whose contents differ from [base]'s: writing them back (with
     {!blit_in}) after a restore to [base] rebuilds the present contents.
+    [settled p] names the bytes a settled page [p] holds, or [None] when
+    it equals [base]'s: settled pages are taken from it without a
+    compare, and a fresh page equal to it shares those bytes.
     @raise Invalid_argument unless tracking is on and the memory was
     last synchronized to [base]. *)
+
+val page_holds : t -> int -> bytes -> skip:int -> xor:int -> bool
+(** [page_holds t p data ~skip ~xor]: page [p] holds [data], except that
+    the byte at physical address [skip] (if on the page) holds [data]'s
+    byte xor [xor]. *)
+
+val page_is_base : t -> base:t -> int -> skip:int -> xor:int -> bool
+(** {!page_holds} against [base]'s page. *)
+
+(** {2 Read watch} *)
+
+val watch : t -> lo:int -> len:int -> unit
+(** Start recording reads of [lo, lo + len) into a fresh bit map, one
+    bit per byte: every {!read8} and {!read32}, and {!touch}. *)
+
+val unwatch : t -> unit
+
+val take_watched : t -> bytes
+(** The bit map so far (bit [a - lo] set: byte [a] was read), replaced
+    by an empty one. *)
+
+val touch : t -> int -> int -> unit
+(** [touch t addr n] records a read of [n] bytes at [addr] without
+    reading them: a fetch served by a decoded-instruction cache. *)

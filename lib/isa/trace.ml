@@ -177,57 +177,106 @@ let events t =
         ev_b = t.ev_bs.(i);
       })
 
-(* Snapshot/restore: deep copies, sized to the owning recorder. *)
+(* Recount the records written so far: [n] replaces [seen], keeping the
+   retained entries where they are.  Only for [n >= length t], which
+   retains the same entries. *)
+let set_seen t n =
+  if n < length t then invalid_arg "Trace.set_seen: fewer than the retained entries";
+  t.seen <- n
+
+(* Snapshot/restore: the retained entries only, oldest first, packed
+   into bytes (eip, memory operand, cycle offset from the first entry,
+   opcode and flags: 14 bytes each), and the retained events.  A slot
+   outside the retained window is never read, so restoring the
+   retained ones rebuilds everything observable. *)
 type snapshot = {
-  s_cycles : int array;
-  s_tws : int array;
-  s_mems : int array;
+  s_entries : Bytes.t;
+  s_cycle0 : int;  (* the first retained entry's cycle *)
+  s_cycles : int array;  (* the cycles in full when they span 2^32 or more *)
   s_pos : int;
   s_seen : int;
-  s_ev_cycles : int array;
-  s_ev_kinds : int array;
-  s_ev_as : int array;
-  s_ev_bs : int array;
+  s_events : int array;  (* cycle, kind, a, b per retained event *)
   s_ev_pos : int;
-  s_ev_len : int;
   s_ev_seen : int;
   s_level : level;
 }
 
+let entry_bytes = 14
+let has_mem = 0x400
+
 let snapshot t =
+  let len = length t in
+  let first = (t.pos - len + t.capacity) mod t.capacity in
+  let slot k = (first + k) mod t.capacity in
+  let cycle0 = if len = 0 then 0 else t.cycles.(slot 0) in
+  let wide = ref false in
+  for k = 0 to len - 1 do
+    let d = t.cycles.(slot k) - cycle0 in
+    if d < 0 || d > 0xFFFF_FFFF then wide := true
+  done;
+  let wide = !wide in
+  let b = Bytes.create (len * entry_bytes) in
+  for k = 0 to len - 1 do
+    let i = slot k and o = k * entry_bytes in
+    let tw = t.tws.(i) and mem = t.mems.(i) in
+    Bytes.set_int32_le b o (Int32.of_int (tw land 0xFFFFFFFF));
+    Bytes.set_int32_le b (o + 4) (Int32.of_int (max mem 0));
+    Bytes.set_int32_le b (o + 8) (Int32.of_int (if wide then 0 else t.cycles.(i) - cycle0));
+    Bytes.set_uint16_le b (o + 12) ((tw lsr 32) lor if mem >= 0 then has_mem else 0)
+  done;
+  let ev_first = (t.ev_pos - t.ev_len + t.ev_capacity) mod t.ev_capacity in
   {
-    s_cycles = Array.copy t.cycles;
-    s_tws = Array.copy t.tws;
-    s_mems = Array.copy t.mems;
+    s_entries = b;
+    s_cycle0 = cycle0;
+    s_cycles = (if wide then Array.init len (fun k -> t.cycles.(slot k)) else [||]);
     s_pos = t.pos;
     s_seen = t.seen;
-    s_ev_cycles = Array.copy t.ev_cycles;
-    s_ev_kinds = Array.copy t.ev_kinds;
-    s_ev_as = Array.copy t.ev_as;
-    s_ev_bs = Array.copy t.ev_bs;
+    s_events =
+      Array.init (4 * t.ev_len) (fun j ->
+          let i = (ev_first + (j / 4)) mod t.ev_capacity in
+          match j mod 4 with
+          | 0 -> t.ev_cycles.(i)
+          | 1 -> t.ev_kinds.(i)
+          | 2 -> t.ev_as.(i)
+          | _ -> t.ev_bs.(i));
     s_ev_pos = t.ev_pos;
-    s_ev_len = t.ev_len;
     s_ev_seen = t.ev_seen;
     s_level = t.level;
   }
 
 let restore t s =
-  Array.blit s.s_cycles 0 t.cycles 0 t.capacity;
-  Array.blit s.s_tws 0 t.tws 0 t.capacity;
-  Array.blit s.s_mems 0 t.mems 0 t.capacity;
+  let len = Bytes.length s.s_entries / entry_bytes in
+  let first = (s.s_pos - len + t.capacity) mod t.capacity in
+  for k = 0 to len - 1 do
+    let i = (first + k) mod t.capacity and o = k * entry_bytes in
+    let meta = Bytes.get_uint16_le s.s_entries (o + 12) in
+    t.tws.(i) <- (Int32.to_int (Bytes.get_int32_le s.s_entries o) land 0xFFFFFFFF)
+                 lor ((meta land 0x3FF) lsl 32);
+    t.mems.(i) <-
+      (if meta land has_mem = 0 then -1
+       else Int32.to_int (Bytes.get_int32_le s.s_entries (o + 4)) land 0xFFFFFFFF);
+    t.cycles.(i) <-
+      (if Array.length s.s_cycles > 0 then s.s_cycles.(k)
+       else s.s_cycle0 + (Int32.to_int (Bytes.get_int32_le s.s_entries (o + 8)) land 0xFFFFFFFF))
+  done;
   t.pos <- s.s_pos;
   t.seen <- s.s_seen;
-  Array.blit s.s_ev_cycles 0 t.ev_cycles 0 t.ev_capacity;
-  Array.blit s.s_ev_kinds 0 t.ev_kinds 0 t.ev_capacity;
-  Array.blit s.s_ev_as 0 t.ev_as 0 t.ev_capacity;
-  Array.blit s.s_ev_bs 0 t.ev_bs 0 t.ev_capacity;
+  let ev_len = Array.length s.s_events / 4 in
+  let ev_first = (s.s_ev_pos - ev_len + t.ev_capacity) mod t.ev_capacity in
+  for k = 0 to ev_len - 1 do
+    let i = (ev_first + k) mod t.ev_capacity in
+    t.ev_cycles.(i) <- s.s_events.(4 * k);
+    t.ev_kinds.(i) <- s.s_events.((4 * k) + 1);
+    t.ev_as.(i) <- s.s_events.((4 * k) + 2);
+    t.ev_bs.(i) <- s.s_events.((4 * k) + 3)
+  done;
   t.ev_pos <- s.s_ev_pos;
-  t.ev_len <- s.s_ev_len;
+  t.ev_len <- ev_len;
   t.ev_seen <- s.s_ev_seen;
   t.level <- s.s_level
 
+let snapshot_seen s = s.s_seen
+
 let snapshot_bytes s =
-  (Sys.word_size / 8)
-  * (Array.length s.s_cycles + Array.length s.s_tws + Array.length s.s_mems
-     + Array.length s.s_ev_cycles + Array.length s.s_ev_kinds
-     + Array.length s.s_ev_as + Array.length s.s_ev_bs)
+  Bytes.length s.s_entries
+  + ((Array.length s.s_cycles + Array.length s.s_events + 10) * (Sys.word_size / 8))

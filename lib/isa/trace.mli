@@ -94,10 +94,21 @@ val entries : t -> entry list
 val events : t -> event list
 (** Retained events, oldest first. *)
 
+val set_seen : t -> int -> unit
+(** [set_seen t n] makes {!seen} [n] and keeps the retained entries: for
+    a run that continues from another run's recorder, whose record
+    count differs from its own.
+    @raise Invalid_argument if [n] is below {!length}. *)
+
 type snapshot
+(** The retained entries and events, the counts and the level: what
+    {!fold}, {!events}, {!seen} and further recording can observe. *)
 
 val snapshot : t -> snapshot
 val restore : t -> snapshot -> unit
 
+val snapshot_seen : snapshot -> int
+(** {!seen} at the snapshot. *)
+
 val snapshot_bytes : snapshot -> int
-(** Heap bytes held by a snapshot's arrays. *)
+(** Heap bytes held by a snapshot. *)

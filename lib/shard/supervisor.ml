@@ -636,7 +636,10 @@ let run_campaign ~(config : C.t) runner profile campaign =
                     restart_at = 0.;
                   });
             rbuf = Bytes.create 65536;
-            ev_oc = Option.map open_out sup.C.sup_event_log;
+            ev_oc =
+              Option.map
+                (open_out_gen [ Open_wronly; Open_creat; Open_append; Open_text ] 0o644)
+                sup.C.sup_event_log;
             metrics = config.C.metrics;
             t0 = now ();
           }

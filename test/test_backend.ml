@@ -608,6 +608,96 @@ let test_detach_hands_machine_back () =
   check int "machine usable after detach" 99
     (Testbed.exit_code (Machine.run m ~max_cycles:100_000))
 
+(* [Machine.matches] is [same_state] against the live machine plus an
+   equal cycle counter: a state one cycle later (timer distance kept)
+   does not match, a flipped byte matches only when the compare is told
+   about it, and a page or block written since does not match until its
+   bytes are back.  Pages the checkpoint shares are not compared, so the
+   second checkpoint of an unchanged run must still be told apart from a
+   changed one. *)
+let test_matches () =
+  let r = Testbed.assemble_items selfmod_items in
+  let m = Testbed.make_machine () in
+  let phys = Machine.phys m and cpu = Machine.cpu m and disk = Machine.disk m in
+  Phys.blit_in phys ~dst:Testbed.code_base r.code;
+  let b = Backend.create Backend.Cached m in
+  let base = Backend.snapshot b in
+  ignore (Backend.run b ~max_cycles:6);
+  Phys.write8 phys 0x30000 7;
+  Devices.Disk.write_block disk 3 (Bytes.make Devices.block_size 'k');
+  let k = Machine.checkpoint m ~base in
+  check bool "the state just captured" true (Machine.matches m ~base k);
+  cpu.Cpu.cycles <- cpu.Cpu.cycles + 1;
+  if cpu.Cpu.next_timer <> max_int then cpu.Cpu.next_timer <- cpu.Cpu.next_timer + 1;
+  check bool "one cycle later" false (Machine.matches m ~base k);
+  cpu.Cpu.cycles <- cpu.Cpu.cycles - 1;
+  if cpu.Cpu.next_timer <> max_int then cpu.Cpu.next_timer <- cpu.Cpu.next_timer - 1;
+  check bool "back on time" true (Machine.matches m ~base k);
+  let text = Testbed.code_base + 1 in
+  Cpu.poke_phys cpu text (Phys.read8 phys text lxor 0x10);
+  check bool "a flipped text byte" false (Machine.matches m ~base k);
+  check bool "the flip, masked" true (Machine.matches ~flip:(text, 0x10) m ~base k);
+  check bool "another bit, masked" false (Machine.matches ~flip:(text, 0x20) m ~base k);
+  Cpu.poke_phys cpu text (Phys.read8 phys text lxor 0x10);
+  check bool "the flip undone" true (Machine.matches m ~base k);
+  Phys.write8 phys 0x30000 8;
+  check bool "a captured page written again" false (Machine.matches m ~base k);
+  Phys.write8 phys 0x30000 7;
+  check bool "and written back" true (Machine.matches m ~base k);
+  let block4 = Devices.Disk.read_block disk 4 in
+  Devices.Disk.write_block disk 4 (Bytes.make Devices.block_size 'z');
+  check bool "a block written since" false (Machine.matches m ~base k);
+  Devices.Disk.write_block disk 4 block4;
+  check bool "and written back" true (Machine.matches m ~base k)
+
+(* The read watch behind the rejoin's touch maps: a run marks every byte
+   of each instruction it executes and every byte it loads, in the
+   watched range, and nothing else.  The second pass runs the same code
+   again with every fetch served by the decode cache, which reads no
+   memory and reports its bytes itself. *)
+let touch_items =
+  [
+    Ins_sym ((fun a -> Mov_r_rm (eax, Mem (mabs a))), "table");
+    Label "add";
+    Ins (Alu_rm_i (Add, Reg eax, 0x12345678l));
+    Jmp_sym "over";
+    Label "never";
+    Ins Nop;
+    Label "over";
+  ]
+  @ exit_with_al
+  @ [ Label "table"; Word32 0x0badf00dl; Label "after"; Word32 0l ]
+
+let test_touch_map () =
+  let r = Testbed.assemble_items touch_items in
+  let sym name = Int32.to_int (Hashtbl.find r.symbols name) in
+  let m = Testbed.make_machine () in
+  let phys = Machine.phys m and cpu = Machine.cpu m in
+  Phys.blit_in phys ~dst:Testbed.code_base r.code;
+  List.iter
+    (fun pass ->
+      cpu.Cpu.eip <- Int32.of_int Testbed.code_base;
+      cpu.Cpu.halted <- false;
+      cpu.Cpu.exit_code <- None;
+      Phys.watch phys ~lo:Testbed.code_base ~len:(Bytes.length r.code);
+      ignore (Machine.run m ~max_cycles:100);
+      let map = Phys.take_watched phys in
+      Phys.unwatch phys;
+      let read a =
+        let i = a - Testbed.code_base in
+        Char.code (Bytes.get map (i lsr 3)) land (1 lsl (i land 7)) <> 0
+      in
+      let name what = Printf.sprintf "pass %d: %s" pass what in
+      check bool (name "an instruction's first byte") true (read (sym "add"));
+      check bool (name "a byte inside a multi-byte instruction") true (read (sym "add" + 3));
+      check bool (name "its last byte") true (read (sym "never" - 3));
+      List.iter
+        (fun k -> check bool (name (Printf.sprintf "loaded text byte %d" k)) true (read (sym "table" + k)))
+        [ 0; 1; 2; 3 ];
+      check bool (name "an instruction never executed") false (read (sym "never"));
+      check bool (name "text never loaded") false (read (sym "after")))
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "dirty marking" `Quick test_dirty_marking;
@@ -633,6 +723,8 @@ let suite =
     Alcotest.test_case "checkpoint drops stale decoded code" `Quick
       test_checkpoint_drops_stale_code;
     Alcotest.test_case "checkpoint keeps the TLB" `Quick test_checkpoint_keeps_tlb;
+    Alcotest.test_case "read watch: fetched and loaded text bytes" `Quick test_touch_map;
+    Alcotest.test_case "matches: cycle counter, flipped byte, written pages" `Quick test_matches;
     Alcotest.test_case "rewritten end byte rebuilds its block" `Quick
       test_rewritten_end_byte;
     Alcotest.test_case "fetch beyond physical memory" `Quick test_fetch_beyond_memory;

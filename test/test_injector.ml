@@ -174,9 +174,10 @@ let record r o =
 
 let same_record name a b = check Alcotest.bool name true (a = b)
 
-(* run [f] on a cached backend with empty ladders; back to the
-   interpreter (the shared runner's default) afterwards *)
-let on_fresh_ladder r f =
+(* run [f] on a fresh cached backend (the ladders are the golden runs'
+   and stay); back to the interpreter (the shared runner's default)
+   afterwards *)
+let on_cached r f =
   Runner.set_backend r Kfi_isa.Backend.Interp;
   Runner.set_backend r Kfi_isa.Backend.Cached;
   Fun.protect ~finally:(fun () -> Runner.set_backend r Kfi_isa.Backend.Interp) f
@@ -186,12 +187,14 @@ let run_late r =
   let o = Runner.run_one r ~workload:(Kfi_workload.Progs.index_of "pipe") t in
   record r o
 
+(* The ladder is recorded with the golden run, so even the first cached
+   run starts from a rung. *)
 let test_ladder_starts_from_rung () =
   let r = Lazy.force runner in
   let plain = run_late r in
-  on_fresh_ladder r (fun () ->
+  on_cached r (fun () ->
       let first, n1 = counting_rungs r (fun () -> run_late r) in
-      check int "an empty ladder starts from the baseline" 0 n1;
+      check int "the first cached run starts from a rung" 1 n1;
       let again, n2 = counting_rungs r (fun () -> run_late r) in
       let _, skipped = counting "inj.prefix_skipped_cycles" r (fun () -> run_late r) in
       check int "the rerun starts from a rung" 1 n2;
@@ -199,20 +202,21 @@ let test_ladder_starts_from_rung () =
       same_record "same record as the first cached run" first again;
       same_record "same record as the interpreter" plain again)
 
-let test_ladder_dropped_on_backend_switch () =
+let test_ladder_kept_on_backend_switch () =
   let r = Lazy.force runner in
-  on_fresh_ladder r (fun () ->
+  on_cached r (fun () ->
       ignore (run_late r);
       Runner.set_backend r Kfi_isa.Backend.Interp;
+      let _, n0 = counting_rungs r (fun () -> run_late r) in
+      check int "the interpreter starts from the workload's start" 0 n0;
       Runner.set_backend r Kfi_isa.Backend.Cached;
       let _, n = counting_rungs r (fun () -> run_late r) in
-      check int "a new cached backend starts without rungs" 0 n)
+      check int "a new cached backend starts from a rung" 1 n)
 
 let test_ladder_respects_budget () =
   let r = Lazy.force runner in
   let saved = Runner.max_cycles r in
-  on_fresh_ladder r (fun () ->
-      ignore (run_late r);
+  on_cached r (fun () ->
       Fun.protect
         ~finally:(fun () -> Runner.set_max_cycles r saved)
         (fun () ->
@@ -232,27 +236,112 @@ let test_ladder_unused_at_full () =
     Fun.protect ~finally:(fun () -> Runner.set_trace_level r Kfi_isa.Trace.Ring) f
   in
   let plain = traced (fun () -> run_late r) in
-  on_fresh_ladder r (fun () ->
-      ignore (run_late r);
+  on_cached r (fun () ->
       let full, n = counting_rungs r (fun () -> traced (fun () -> run_late r)) in
       check int "a Full run starts from the baseline" 0 n;
       same_record "same record as the interpreter" plain full)
 
+(* The hardened ladder is recorded with the hardened golden run, on
+   first use; the plain one stays. *)
 let test_ladder_per_hardening () =
   let r = Lazy.force runner in
-  on_fresh_ladder r (fun () ->
-      ignore (run_late r);
-      Fun.protect
-        ~finally:(fun () -> Runner.set_hardening r false)
-        (fun () ->
-          Runner.set_hardening r true;
-          let first, n1 = counting_rungs r (fun () -> run_late r) in
-          check int "the hardened ladder starts empty" 0 n1;
-          let again, n2 = counting_rungs r (fun () -> run_late r) in
-          check int "and fills like the plain one" 1 n2;
-          same_record "same hardened record" first again);
-      let _, n3 = counting_rungs r (fun () -> run_late r) in
-      check int "the plain ladder is kept" 1 n3)
+  let hardened f =
+    Runner.set_hardening r true;
+    Fun.protect ~finally:(fun () -> Runner.set_hardening r false) f
+  in
+  let plain = hardened (fun () -> run_late r) in
+  on_cached r (fun () ->
+      let first, n1 = counting_rungs r (fun () -> hardened (fun () -> run_late r)) in
+      check int "the hardened ladder serves the first run" 1 n1;
+      same_record "same hardened record as the interpreter" plain first;
+      let _, n2 = counting_rungs r (fun () -> run_late r) in
+      check int "the plain ladder is kept" 1 n2)
+
+(* Every rung, restored, is the plain run's state at its boundary:
+   registers, cycle counter, memory, disk and TLB ([Machine.matches]),
+   and the flight recorder of a [Ring] run from the start.  Consecutive
+   rungs share unchanged pages, so a wrong share shows here. *)
+let test_rungs_equal_plain_run () =
+  let r = Lazy.force runner in
+  let w = Kfi_workload.Progs.index_of "spawn" in
+  let m = Runner.machine r in
+  let cpu = Kfi_isa.Machine.cpu m in
+  let base = Runner.baseline r in
+  on_cached r (fun () ->
+      let ladder = Runner.ladder r ~workload:w in
+      check Alcotest.bool "spawn's ladder has more than 20 rungs" true (Array.length ladder > 20);
+      (* the plain run, stopped at each boundary: what a rung must be *)
+      let start = Runner.start r w in
+      Kfi_isa.Machine.restore_checkpoint m ~base start;
+      Runner.poke_hardening r;
+      Kfi_isa.Trace.set_level cpu.Kfi_isa.Cpu.trace Kfi_isa.Trace.Ring;
+      Kfi_isa.Trace.clear cpu.Kfi_isa.Cpu.trace;
+      let c0 = cpu.Kfi_isa.Cpu.cycles in
+      let plain =
+        Array.mapi
+          (fun j _ ->
+            if j > 0 then
+              ignore
+                (Kfi_isa.Machine.run m
+                   ~max_cycles:(c0 + (j * Runner.rung_spacing) - cpu.Kfi_isa.Cpu.cycles));
+            ( cpu.Kfi_isa.Cpu.cycles,
+              Digest.bytes (Kfi_isa.Phys.blit_out (Kfi_isa.Machine.phys m) ~src:0
+                              ~len:(Kfi_isa.Phys.size (Kfi_isa.Machine.phys m))),
+              Kfi_isa.Trace.seen cpu.Kfi_isa.Cpu.trace,
+              Kfi_isa.Trace.entries cpu.Kfi_isa.Cpu.trace ))
+          ladder
+      in
+      let restored = ref 0 in
+      Array.iteri
+        (fun j rung ->
+          match rung with
+          | None -> ()
+          | Some k ->
+            incr restored;
+            Kfi_isa.Machine.restore_checkpoint m ~base k;
+            let cycles, digest, seen, entries = plain.(j) in
+            let name what = Printf.sprintf "rung %d: %s" j what in
+            check int (name "cycle") cycles cpu.Kfi_isa.Cpu.cycles;
+            check Alcotest.string (name "memory") (Digest.to_hex digest)
+              (Digest.to_hex
+                 (Digest.bytes (Kfi_isa.Phys.blit_out (Kfi_isa.Machine.phys m) ~src:0
+                                  ~len:(Kfi_isa.Phys.size (Kfi_isa.Machine.phys m)))));
+            if j > 0 then begin
+              check int (name "records seen") seen (Kfi_isa.Trace.seen cpu.Kfi_isa.Cpu.trace);
+              check Alcotest.bool (name "ring") true
+                (entries = Kfi_isa.Trace.entries cpu.Kfi_isa.Cpu.trace)
+            end)
+        ladder;
+      check int "every rung of spawn's ladder was recorded" (Array.length ladder) !restored)
+
+(* Two CI-population targets (campaign A, seed 42) that rejoin the golden
+   run on the cached backend: a masked flip in valid_user_region that
+   restores seven later rungs, and one in ext2_truncate that rejoins,
+   restores a rung, then reads the flipped byte again and crashes.  Each
+   record, flight recorder included, is the interpreter's. *)
+let test_rejoin_ci_targets () =
+  let r = Lazy.force runner in
+  let find fn addr byte =
+    List.find
+      (fun t -> t.Target.t_addr = addr && t.Target.t_byte = byte)
+      (Target.enumerate (Runner.build r) ~campaign:Target.A ~seed:42 [ fn ])
+  in
+  List.iter
+    (fun (fn, addr, byte, workload, category) ->
+      let t = find fn addr byte and w = Kfi_workload.Progs.index_of workload in
+      let plain = record r (Runner.run_one r ~workload:w t) in
+      let cached, episodes =
+        on_cached r (fun () ->
+            counting "inj.rejoin_episodes" r (fun () -> record r (Runner.run_one r ~workload:w t)))
+      in
+      let cat, _, _, _, _, _ = cached in
+      check Alcotest.string (fn ^ ": outcome") category cat;
+      check Alcotest.bool (fn ^ ": restored a later rung") true (episodes >= 1);
+      same_record (fn ^ ": same record as the interpreter") plain cached)
+    [
+      ("valid_user_region", 0xc01012cal, 0, "looper", "not manifested");
+      ("ext2_truncate", 0xc0102e0cl, 0, "fstime", "crash (dumped)");
+    ]
 
 (* The block cache's counters reach the metrics registry per injection
    on the cached backend; the interpreter publishes none.  A rerun keeps
@@ -270,7 +359,7 @@ let test_block_cache_counters () =
   in
   check int "the interpreter publishes no block-cache counter" 0
     (List.length (bb_counters (fun () -> run_late r)));
-  on_fresh_ladder r (fun () ->
+  on_cached r (fun () ->
       let first = bb_counters (fun () -> run_late r) in
       let again = bb_counters (fun () -> run_late r) in
       let get l k = Option.value ~default:0 (List.assoc_opt k l) in
@@ -302,7 +391,7 @@ let test_proven_hang_wall () =
     Target.enumerate (Runner.build r) ~campaign:Target.A ~seed:42 [ "schedule" ]
     |> List.filteri (fun i _ -> i mod 16 = 0)
   in
-  on_fresh_ladder r (fun () ->
+  on_cached r (fun () ->
       Runner.set_trace_level r Kfi_isa.Trace.Full;
       let t0 = Unix.gettimeofday () in
       let o =
@@ -437,11 +526,15 @@ let suite =
       test_skip_needs_whole_golden;
     Alcotest.test_case "golden skip: hardened map" `Slow test_skip_hardened_map;
     Alcotest.test_case "ladder: rerun starts from a rung" `Slow test_ladder_starts_from_rung;
-    Alcotest.test_case "ladder: dropped on backend switch" `Slow
-      test_ladder_dropped_on_backend_switch;
+    Alcotest.test_case "ladder: kept on backend switch" `Slow
+      test_ladder_kept_on_backend_switch;
     Alcotest.test_case "ladder: budget below a rung" `Slow test_ladder_respects_budget;
     Alcotest.test_case "ladder: unused at Full" `Slow test_ladder_unused_at_full;
     Alcotest.test_case "ladder: one per hardening" `Slow test_ladder_per_hardening;
+    Alcotest.test_case "ladder: every rung is the plain run's state" `Slow
+      test_rungs_equal_plain_run;
+    Alcotest.test_case "rejoin: CI targets equal the interpreter's" `Slow
+      test_rejoin_ci_targets;
     Alcotest.test_case "block-cache counters per injection" `Slow test_block_cache_counters;
     Alcotest.test_case "proven hangs: wall time per outcome class" `Slow test_proven_hang_wall;
     Alcotest.test_case "golden reproducible" `Slow test_golden_reproducible;

@@ -453,6 +453,19 @@ let test_worker_metrics_merged () =
              if String.starts_with ~prefix:"outcome." k then acc + n else acc)
            0 s.M.sn_counters))
 
+(* The supervisor log appends: a run of two supervised campaigns keeps
+   both campaigns' events, one start event each. *)
+let test_event_log_keeps_every_campaign () =
+  let r = Lazy.force runner and p = Lazy.force profile in
+  let dir = tmp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let config = sup_config ~dir ~shards:1 () in
+      List.iter (fun c -> ignore (Supervisor.run_campaign ~config r p c)) [ Target.A; Target.C ];
+      check int "one start event per campaign" 2 (count_ev dir "start");
+      check int "one finish event per campaign" 2 (count_ev dir "finish"))
+
 (* The coordinator journals each entry as it arrives, so a pulse of
    the supervision loop sees the campaign journal grow before the
    worker phase ends.  The coordinator then dies there (the pulse
@@ -530,6 +543,8 @@ let suite =
       test_retired_slot_runs_inline;
     Alcotest.test_case "worker metrics merged into the campaign's" `Slow
       test_worker_metrics_merged;
+    Alcotest.test_case "supervisor log keeps every campaign" `Slow
+      test_event_log_keeps_every_campaign;
     Alcotest.test_case "journal written during the worker phase" `Slow
       test_journal_written_during_worker_phase;
     Alcotest.test_case "no temp files left, run or raise" `Slow

@@ -99,6 +99,29 @@ let test_ring_snapshot_restore () =
   check bool "events restored" true (Trace.events t = events0);
   check int "seen restored" 5 (Trace.seen t)
 
+(* A wrapped ring survives the packed snapshot: cycle stamps that span
+   more than 2^32 cycles, memory operands up to 0xffffffff, user and
+   kernel entries.  [set_seen] then recounts the records and keeps the
+   retained entries. *)
+let test_ring_packed_snapshot_and_set_seen () =
+  let t = Trace.create ~capacity:8 () in
+  Trace.set_level t Trace.Ring;
+  for i = 0 to 11 do
+    Trace.record t ~cycle:(i * 0x4000_0000) ~eip:(Int32.of_int (0xc0100000 + i)) ~op:(i * 20)
+      ~user:(i mod 2 = 0) ~mem:(if i mod 3 = 0 then -1 else 0xFFFFFFFF - i)
+  done;
+  let snap = Trace.snapshot t in
+  let entries0 = Trace.entries t in
+  Trace.clear t;
+  Trace.restore t snap;
+  check bool "entries restored" true (Trace.entries t = entries0);
+  check int "seen restored" 12 (Trace.seen t);
+  Trace.set_seen t 1000;
+  check int "recounted" 1000 (Trace.seen t);
+  check bool "same entries" true (Trace.entries t = entries0);
+  check bool "fewer than the retained entries" true
+    (match Trace.set_seen t 7 with exception Invalid_argument _ -> true | () -> false)
+
 (* ----- machine snapshot/restore with a live trace ----- *)
 
 let test_machine_snapshot_roundtrip () =
@@ -407,6 +430,8 @@ let suite =
     Alcotest.test_case "ring op encoding" `Quick test_ring_op_encoding;
     Alcotest.test_case "ring events by level" `Quick test_ring_events_level;
     Alcotest.test_case "ring snapshot/restore" `Quick test_ring_snapshot_restore;
+    Alcotest.test_case "ring packed snapshot, set_seen" `Quick
+      test_ring_packed_snapshot_and_set_seen;
     Alcotest.test_case "json round trip" `Quick test_json_roundtrip;
     Alcotest.test_case "jsonl schema lint" `Quick test_jsonl_lint;
     Alcotest.test_case "csv escaping" `Quick test_csv_escaping;
