@@ -259,7 +259,7 @@ let run lint dump_journal fn byte bit addr workload level trace_n backend =
                 ?injected_at:(Runner.last_injected_at runner) ~inject_desc
                 ~trace_n build machine)
          | Outcome.Not_activated ->
-           (* resolved from the golden reach map without running: the
+           (* resolved from the golden touch maps without running: the
               machine still holds whatever the previous run left *)
            Printf.printf "not activated: the %s golden run never reaches 0x%08lx\n"
              (List.nth Kfi.Workload.Progs.names workload)

@@ -62,7 +62,7 @@ cmp _artifacts/campaign_serial.jsonl _artifacts/campaign.jsonl || {
 
 echo "== reference gate: serial campaign must match the committed full-run artifacts =="
 # Every other gate compares two runs that both resolve never-reached
-# targets from the golden reach map.  results/ci_A_sub60.{csv,jsonl}
+# targets from the golden touch maps.  results/ci_A_sub60.{csv,jsonl}
 # were written by the plain full-run path (every target executed), so a
 # skip that changes any row or any per-target cycle count fails here.
 cmp results/ci_A_sub60.csv _artifacts/campaign_serial.csv || {
@@ -201,7 +201,7 @@ cmp _artifacts/cached1.journal.dump _artifacts/cached4.journal.dump || {
 }
 
 echo "== sweep gate: the cached reference sweep must match the interpreter's =="
-# The shortcuts (reach-map skips, ladder starts, proven hangs, rejoins)
+# The shortcuts (touch-map skips, ladder starts, proven hangs, rejoins)
 # each change what executes for more than a thousand targets of the
 # reference sweep.  results/campaign_subsample2.csv and the MD5 of its
 # telemetry JSONL (per-target cycles) were written by one interpreter
@@ -227,6 +227,18 @@ retried=$(awk -F, 'NR > 1 && $16 > 0' _artifacts/sweep.csv | wc -l)
 }
 dune exec bin/kfi_stats.exe -- _artifacts/sweep.metrics.jsonl > _artifacts/sweep_summary.txt
 grep -E 'elapsed|rejoined|hangs proven' _artifacts/sweep_summary.txt
+# Every golden run fits the default budget, so every not-activated target
+# must be resolved without running: a reach record that over-marks runs
+# some in full, which each cmp above accepts.  The exact counts are read
+# from the rollup (kfi-stats prints 10,000 and more as k).
+rollup=_artifacts/sweep.metrics.jsonl.rollup
+sweep_skipped=$(sed -n 's/.*"inj\.skipped":\([0-9]*\).*/\1/p' $rollup)
+sweep_not_activated=$(sed -n 's/.*"outcome\.not activated":\([0-9]*\).*/\1/p' $rollup)
+echo "  resolved without running: ${sweep_skipped:-none} of ${sweep_not_activated:-no} not activated"
+[ -n "$sweep_skipped" ] && [ "$sweep_skipped" = "$sweep_not_activated" ] || {
+  echo "sweep gate failed: not every not-activated target was resolved without running" >&2
+  exit 1
+}
 
 echo "== observability overhead cap: metrics must cost < 5% wall clock =="
 dune exec bench/main.exe -- obs --subsample 60 --max-overhead-pct 5 \

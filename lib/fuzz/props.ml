@@ -639,11 +639,17 @@ let slice_sound =
 (* ---------- runner.fastforward_equiv ---------- *)
 
 (* [Runner.run_one] resolves a target its golden run never reaches
-   without running it.  The reference here is the plain full run through
-   the public API only: restore the workload's start, write the
-   hardening flag, arm DR0 with a hook that records the hit cycle and
-   changes nothing, run.  Never hit: [run_one] must say [Not_activated] with the same
-   cycle count.  Hit: [run_one] must have injected at that cycle. *)
+   without running it, and starts other runs on the cached backend at
+   [Off] or [Ring] from a golden rung.  The reference here is the plain
+   full run through the public API only: restore the workload's start,
+   write the hardening flag, arm DR0 with a hook that records the hit
+   cycle and changes nothing, run.  Never hit: [run_one] must say
+   [Not_activated] with the same cycle count.  Hit: [run_one] must have
+   injected at that cycle.  Its metrics must show that it saved all it
+   may: [inj.skipped] = 1 for a never-hit run ending inside the budget,
+   else [inj.prefix_skipped_cycles] = the offset of the latest rung of
+   [Runner.ladder] at or before the hit and inside the budget (cached, at
+   [Off] or [Ring]; 0 otherwise). *)
 
 let ff_campaigns = Kfi_injector.Target.[| A; B; C; R |]
 let ff_targets = lazy (Array.map campaign_targets ff_campaigns)
@@ -655,6 +661,7 @@ type ff_case = {
   ff_hardening : bool;
   ff_cached : bool;
   ff_budget : int option;  (** a reduced watchdog budget *)
+  ff_level : Trace.level;
 }
 
 let gen_ff_case rng =
@@ -667,21 +674,25 @@ let gen_ff_case rng =
     if Kfi_fuzz.Rng.int rng 4 = 0 then Some (Kfi_fuzz.Rng.int_range rng 1_000 2_000_000)
     else None
   in
-  { ff_campaign; ff_index; ff_workload; ff_hardening; ff_cached; ff_budget }
+  let ff_level =
+    match Kfi_fuzz.Rng.int rng 4 with 0 -> Trace.Off | 1 -> Trace.Full | _ -> Trace.Ring
+  in
+  { ff_campaign; ff_index; ff_workload; ff_hardening; ff_cached; ff_budget; ff_level }
 
 let runner_fastforward_equiv =
-  Fuzz.make ~name:"runner.fastforward_equiv"
+  Fuzz.make_counting ~counts:"skipped or started from a rung" ~name:"runner.fastforward_equiv"
     ~doc:
-      "a target resolved from the golden reach map reports exactly what its \
-       full run reports"
+      "a target the golden touch maps skip or start from a rung reports exactly \
+       what its full run reports, and saves exactly what they allow"
     (Fuzz.arb ~shrink:Shrink.nil
        ~print:(fun c ->
-         spf "campaign %s target#%d workload %d%s%s%s"
+         spf "campaign %s target#%d workload %d%s%s%s %s"
            (Kfi_injector.Target.campaign_letter ff_campaigns.(c.ff_campaign))
            c.ff_index c.ff_workload
            (if c.ff_hardening then " hardened" else "")
            (if c.ff_cached then " cached" else "")
-           (match c.ff_budget with Some b -> spf " budget %d" b | None -> ""))
+           (match c.ff_budget with Some b -> spf " budget %d" b | None -> "")
+           (Trace.level_name c.ff_level))
        gen_ff_case)
     (fun c ->
       let open Kfi_injector in
@@ -689,14 +700,18 @@ let runner_fastforward_equiv =
       let targets = (Lazy.force ff_targets).(c.ff_campaign) in
       let t = targets.(c.ff_index mod Array.length targets) in
       let saved_cycles = Runner.max_cycles runner
-      and saved_backend = Runner.backend_kind runner in
+      and saved_backend = Runner.backend_kind runner
+      and saved_level = Runner.trace_level runner in
       Fun.protect
         ~finally:(fun () ->
+          Runner.set_metrics runner None;
           Runner.set_hardening runner false;
           Runner.set_max_cycles runner saved_cycles;
+          Runner.set_trace_level runner saved_level;
           Runner.set_backend runner saved_backend)
         (fun () ->
           Runner.set_hardening runner c.ff_hardening;
+          Runner.set_trace_level runner c.ff_level;
           Option.iter (Runner.set_max_cycles runner) c.ff_budget;
           Runner.set_backend runner (if c.ff_cached then Backend.Cached else Backend.Interp);
           let m = Runner.machine runner in
@@ -717,8 +732,31 @@ let runner_fastforward_equiv =
           cpu.Cpu.on_debug_hit <- None;
           cpu.Cpu.dr7 <- 0;
           let full_cycles = cpu.Cpu.cycles - start in
+          let metrics = Kfi_obs.Metrics.create () in
+          Runner.set_metrics runner (Some metrics);
           let o = Runner.run_one runner ~workload:c.ff_workload t in
+          Runner.set_metrics runner None;
           let at = Runner.last_injected_at runner in
+          let budget = Runner.max_cycles runner in
+          let expected_skipped = if !hit = None && full_cycles < budget then 1 else 0 in
+          let expected_prefix =
+            let last = Option.value !hit ~default:max_int in
+            if expected_skipped = 1 || (not c.ff_cached) || c.ff_level = Trace.Full then 0
+            else
+              Array.fold_left
+                (fun acc k ->
+                  match Option.map Machine.checkpoint_cycles k with
+                  | Some cycle when cycle <= last && cycle - start < budget -> cycle - start
+                  | _ -> acc)
+                0 (Runner.ladder runner ~workload:c.ff_workload)
+          in
+          let counter = Kfi_obs.Metrics.(counter (snapshot metrics)) in
+          let skipped = counter "inj.skipped" and prefix = counter "inj.prefix_skipped_cycles" in
+          if skipped <> expected_skipped then
+            Error (spf "inj.skipped %d, expected %d" skipped expected_skipped)
+          else if prefix <> expected_prefix then
+            Error (spf "started %d cycles past the start, expected %d" prefix expected_prefix)
+          else
           match !hit with
           | None ->
             if o <> Outcome.Not_activated then
@@ -728,9 +766,9 @@ let runner_fastforward_equiv =
                 (spf "never hit: %d cycles, run_one reports %d" full_cycles
                    (Runner.last_cycles runner))
             else if at <> None then Error "never hit, but run_one reports an injection"
-            else Ok ()
+            else Ok (skipped + prefix > 0)
           | Some h ->
-            if at = Some h then Ok ()
+            if at = Some h then Ok (prefix > 0)
             else
               Error
                 (spf "hit at cycle %d, run_one %s" h

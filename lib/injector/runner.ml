@@ -12,7 +12,7 @@ open Kfi_isa
 module L = Kfi_kernel.Layout
 module Build = Kfi_kernel.Build
 
-type golden = { g_exit : int; g_console : string; g_cycles : int }
+type golden = { g_console : string; g_cycles : int }
 
 (* A run's state seen twice, [pr_period] cycles apart, first at cycle
    [pr_cycle] with eip [pr_eip]; [pr_skipped] cycles of the periods that
@@ -20,11 +20,8 @@ type golden = { g_exit : int; g_console : string; g_cycles : int }
 type proof = { pr_cycle : int; pr_period : int; pr_eip : int32; pr_skipped : int }
 
 (* What one fault-free run of a workload executed, and its checkpoint
-   ladder.  [r_first] holds, per kernel-text byte, the cycle offset (4
-   bytes, little-endian) of the first step on which the debug compare in
-   [Cpu.step] could see that address, [never] if none.  [r_cycles] is the
-   run's length, [max_int] when it ended without a terminal state (so it
-   never proves anything); [r_len] is what it recorded either way.
+   ladder.  [r_cycles] is the run's length, [max_int] when it ended
+   without a terminal state (so it never proves anything).
    [r_rungs.(j)] is rung [j]: rung 0 is the workload's start, rung
    [j >= 1] the golden state at the first instruction boundary at or
    after [rung_spacing * j] cycles past it, [None] when the recorder
@@ -35,9 +32,7 @@ type proof = { pr_cycle : int; pr_period : int; pr_eip : int32; pr_skipped : int
    run adds; [r_rejoin] says no text page was written, so the touch
    maps hold; [r_bytes] is the ladder's footprint. *)
 type reach = {
-  r_first : Bytes.t;
   r_cycles : int;
-  r_len : int;
   r_rungs : Machine.checkpoint option array;
   r_touch : Bytes.t array;
   r_seen : int;
@@ -45,11 +40,17 @@ type reach = {
   r_bytes : int;
 }
 
-let never = -1l
+(* An address's bit in the touch maps (out of range outside the kernel
+   text). *)
+let text_bit addr = (Int32.to_int addr land 0xFFFFFFFF) - L.kernel_text_base
 
-(* Where an address's first-mark cycle lives in [r_first] (out of range
-   outside the kernel text). *)
-let map_offset addr = 4 * ((Int32.to_int addr land 0xFFFFFFFF) - L.kernel_text_base)
+let touched map bit = Char.code (Bytes.get map (bit lsr 3)) land (1 lsl (bit land 7)) <> 0
+
+(* The first interval from [i] on whose touch map holds [bit], if any. *)
+let rec next_touch r bit i =
+  if i >= Array.length r.r_touch then None
+  else if touched r.r_touch.(i) bit then Some i
+  else next_touch r bit (i + 1)
 
 (* Rung [j] is the golden state at the first instruction boundary at or
    after [rung_spacing * j] cycles past the workload's start. *)
@@ -67,7 +68,7 @@ type t = {
          (the injector never sees the program-load path) *)
   golden : golden array; (* per workload *)
   reach : reach option array array;
-      (* [reach.(h).(w)]: the golden reach map and checkpoint ladder of
+      (* [reach.(h).(w)]: the golden touch maps and checkpoint ladder of
          workload [w] with hardening off ([h = 0], recorded at boot) or
          on ([h = 1], recorded on first use) *)
   manifest : (string * Digest.t) list;
@@ -77,18 +78,9 @@ type t = {
   mutable trace_level : Trace.level;
       (* flight-recorder level during injections; Ring by default so
          crash records carry a propagation path *)
-  mutable last_wall : float;
-      (* seconds spent restoring + executing in the last run_one *)
-  mutable last_restore : float;   (* of which restoring the snapshot *)
-  mutable last_classify : float;
-      (* seconds classifying the last run's outcome (golden compare,
-         fsck, dump reading, propagation) — after [last_wall] stops *)
   mutable last_cycles : int;      (* simulated cycles of the last run *)
   mutable last_injected_at : int option;
       (* cycle at which the last run's fault was injected *)
-  mutable last_skipped : int;
-      (* golden-prefix cycles the last run did not replay: its rung's
-         offset, 0 when it started from rung 0 *)
   mutable last_proof : proof option;
       (* the last run's proof that its state recurs, if it had one *)
   mutable last_rejoin : int option;
@@ -141,23 +133,16 @@ let write_hardening build machine on =
   Phys.write32 (Machine.phys machine) pa (if on then 1l else 0l)
 
 (* The fault-free run of one workload, with exactly [run_one]'s prefix
-   (restore the start, write the hardening flag, run) and
-   [Machine.run]'s exit checks, stepped one instruction at a time so the
-   reach map can be recorded.  Marking is conservative: the pre-step eip,
-   and on a step where the timer IRQ is due the timer gate's handler,
-   which is what the debug compare sees after delivery.  Each address
-   keeps the cycle offset of its first mark, so no debug compare sees it
-   earlier.  Too many or too early marks only skip less; a missing or
-   late one would misclassify a target.
-
-   The run also records the complete checkpoint ladder, under dirty
-   tracking, and per interval between rungs the text bytes it read
-   (through [Phys]'s read watch, which also sees cached fetches).  A
-   rung's flight recorder is what a [Ring] run holds there: the run
-   records only a window of [window_rings] rings before each boundary,
-   its count starting from the instructions [Cpu.step] decoded so far,
-   and a rung whose window holds fewer than a ring of records (disk
-   transfers and fetch faults take cycles without one) is left out. *)
+   (restore the start, write the hardening flag, run), on [Machine.run]
+   with a pause at each recorder window's start and each boundary.  It
+   records the complete checkpoint ladder, under dirty tracking,
+   and per interval between rungs the text bytes it read (through
+   [Phys]'s read watch, which also sees cached fetches).  A rung's flight
+   recorder is what a [Ring] run holds there: the run records only a
+   window of [window_rings] rings before each boundary, its count
+   starting from the instructions [Cpu.step] decoded so far, and a rung
+   whose window holds fewer than a ring of records (disk transfers and
+   fetch faults take cycles without one) is left out. *)
 let window_rings = 4
 
 let golden_run build machine ~base ~start ~hardening ~max_cycles =
@@ -169,78 +154,61 @@ let golden_run build machine ~base ~start ~hardening ~max_cycles =
   write_hardening build machine hardening;
   let cpu = Machine.cpu machine in
   let tr = cpu.Cpu.trace in
-  let first = Bytes.make (4 * build.Build.text_size) '\255' in
   let start_cycles = cpu.Cpu.cycles and decoded0 = cpu.Cpu.decoded in
-  let mark a =
-    let off = map_offset a in
-    (* most steps revisit a marked address: one byte settles that *)
-    if off >= 0 && off < Bytes.length first && Bytes.unsafe_get first off = '\255'
-       && Bytes.get_int32_le first off = never
-    then Bytes.set_int32_le first off (Int32.of_int (min (cpu.Cpu.cycles - start_cycles) 0xFFFF_FFFE))
-  in
-  let timer_gate = cpu.Cpu.idt_base + (Trap.number Trap.Timer_irq * 4) in
   let limit = start_cycles + max_cycles in
   let rungs = Array.make ((max_cycles / rung_spacing) + 2) None in
   rungs.(0) <- Some start;
   let touches = ref [] in
-  let boundary j = start_cycles + (j * rung_spacing) in
   let window = window_rings * Trace.capacity tr in
-  (* the next boundary, and the cycle of the next event: its window's
-     start, then the boundary itself *)
-  let next = ref 1 and event = ref (boundary 1 - window) and window_seen = ref (-1) in
-  let on_event () =
-    let j = !next in
-    if cpu.Cpu.cycles < boundary j then begin
-      Trace.clear tr;
-      Trace.advance tr (cpu.Cpu.decoded - decoded0);
-      Trace.set_level tr Trace.Ring;
-      window_seen := Trace.seen tr;
-      event := boundary j
-    end
-    else begin
-      touches := Phys.take_watched phys :: !touches;
-      if !window_seen >= 0 && Trace.seen tr - !window_seen >= Trace.capacity tr then
-        rungs.(j) <- Some (Machine.checkpoint machine ~base);
-      Trace.set_level tr Trace.Off;
-      window_seen := -1;
-      next := j + 1;
-      event := boundary (j + 1) - window
-    end
+  (* run on to [stop]: [None] when only paused there, below the watchdog *)
+  let run_to stop =
+    match Machine.run machine ~max_cycles:(min stop limit - cpu.Cpu.cycles) with
+    | Machine.Watchdog when cpu.Cpu.cycles < limit -> None
+    | r -> Some r
+  in
+  (* interval [j - 1], up to boundary [j]: the ring goes on for the
+     window before the boundary, and the interval's touch map and rung
+     [j] are taken there *)
+  let rec interval j =
+    let boundary = start_cycles + (j * rung_spacing) in
+    match run_to (boundary - window) with
+    | Some r -> r
+    | None -> (
+      let window_seen =
+        if cpu.Cpu.cycles >= boundary then None
+        else begin
+          Trace.clear tr;
+          Trace.advance tr (cpu.Cpu.decoded - decoded0);
+          Trace.set_level tr Trace.Ring;
+          Some (Trace.seen tr)
+        end
+      in
+      match run_to boundary with
+      | Some r -> r
+      | None ->
+        touches := Phys.take_watched phys :: !touches;
+        (match window_seen with
+         | Some seen when Trace.seen tr - seen >= Trace.capacity tr ->
+           rungs.(j) <- Some (Machine.checkpoint machine ~base)
+         | _ -> ());
+        Trace.set_level tr Trace.Off;
+        interval (j + 1))
   in
   Trace.set_level tr Trace.Off;
   Phys.watch phys ~lo:(L.kernel_text_base - L.page_offset) ~len:build.Build.text_size;
-  let rec loop () =
-    if cpu.Cpu.snapshot_request then Machine.Snapshot_point
-    else if cpu.Cpu.halted then
-      match cpu.Cpu.exit_code with
-      | Some code -> Machine.Powered_off code
-      | None -> Machine.Halted
-    else if cpu.Cpu.cycles >= limit then Machine.Watchdog
-    else begin
-      while cpu.Cpu.cycles >= !event do
-        on_event ()
-      done;
-      mark cpu.Cpu.eip;
-      if cpu.Cpu.cycles >= cpu.Cpu.next_timer && Flags.get cpu.Cpu.eflags Flags.if_ then
-        mark
-          (try Phys.read32 cpu.Cpu.phys timer_gate
-           with Phys.Bad_physical_address _ -> 0l);
-      Cpu.step cpu;
-      loop ()
-    end
-  in
   let result =
     Fun.protect
       ~finally:(fun () -> Phys.unwatch phys)
       (fun () ->
-        let r = try loop () with Cpu.Triple_fault trap -> Machine.Reset trap in
+        let r = interval 1 in
         touches := Phys.take_watched phys :: !touches;
         r)
   in
   Trace.set_level tr Trace.Off;
-  let r_len = cpu.Cpu.cycles - start_cycles in
   let r_cycles =
-    match result with Machine.Watchdog | Machine.Snapshot_point -> max_int | _ -> r_len
+    match result with
+    | Machine.Watchdog | Machine.Snapshot_point -> max_int
+    | _ -> cpu.Cpu.cycles - start_cycles
   in
   let text_page p =
     p >= (L.kernel_text_base - L.page_offset) lsr Phys.page_shift
@@ -264,9 +232,7 @@ let golden_run build machine ~base ~start ~hardening ~max_cycles =
   in
   ( result,
     {
-      r_first = first;
       r_cycles;
-      r_len;
       r_rungs;
       r_touch = Array.of_list (List.rev !touches);
       r_seen = cpu.Cpu.decoded - decoded0;
@@ -301,8 +267,7 @@ let create ?(max_cycles = default_max_cycles) () =
           golden_run build machine ~base:baseline ~start:starts.(w) ~hardening:false ~max_cycles
         with
         | Machine.Powered_off 0, reach ->
-          let g_console = Machine.tty_contents machine in
-          ({ g_exit = 0; g_console; g_cycles = reach.r_cycles }, Some reach)
+          ({ g_console = Machine.tty_contents machine; g_cycles = reach.r_cycles }, Some reach)
         | Machine.Powered_off code, _ ->
           failwith (Printf.sprintf "golden run for workload %d exited %d" w code)
         | _ -> failwith (Printf.sprintf "golden run for workload %d did not complete" w))
@@ -320,12 +285,8 @@ let create ?(max_cycles = default_max_cycles) () =
     max_cycles;
     hardening = false;
     trace_level = Trace.Ring;
-    last_wall = 0.;
-    last_restore = 0.;
-    last_classify = 0.;
     last_cycles = 0;
     last_injected_at = None;
-    last_skipped = 0;
     last_proof = None;
     last_rejoin = None;
     last_episodes = 0;
@@ -412,8 +373,8 @@ let propagation t ~injected_at (target : Target.t) ~crash_fn ~crash_subsys =
 
 let poke_hardening t = write_hardening t.build t.machine t.hardening
 
-(* The reach map for [workload] under the current hardening mode; the
-   hardened ones cost a golden run each, so they wait for first use.
+(* The golden record for [workload] under the current hardening mode;
+   the hardened ones cost a golden run each, so they wait for first use.
    They are recorded with at least the default budget, so a reduced
    [max_cycles] in force at first use does not spoil them for good. *)
 let reach_for t ~workload =
@@ -430,52 +391,46 @@ let reach_for t ~workload =
 
 let ladder t ~workload = (reach_for t ~workload).r_rungs
 
-(* Until DR0 fires, an injection replays the golden run exactly.  So a
-   target the golden run never fetches is [Not_activated] without
-   running, provided the whole golden run fits the watchdog budget (a
-   shorter budget cuts the full run short: its cycle count differs). *)
-let never_reached t r (target : Target.t) =
-  let off = map_offset target.Target.t_addr in
-  if r.r_cycles < t.max_cycles && off >= 0 && off < Bytes.length r.r_first
-     && Bytes.get_int32_le r.r_first off = never
-  then Some r.r_cycles
-  else None
+(* The first interval whose touch map holds the target's address byte:
+   [None] when the golden run never reads it, interval 0 for an address
+   outside the kernel text.  One [Cpu.step] delivers a due tick, compares
+   DR0 with the eip that leaves and fetches that instruction, so the
+   debug compare first sees the target in this interval or later; a byte
+   read earlier as data only moves it earlier. *)
+let first_interval t r (target : Target.t) =
+  let bit = text_bit target.Target.t_addr in
+  if bit < 0 || bit >= t.build.Build.text_size then Some 0 else next_touch r bit 0
 
-(* The earliest cycle offset at which the debug compare can see the
-   target: its first mark, the recorded length when it has none, 0 when
-   it lies outside the map. *)
-let first_hit r (target : Target.t) =
-  let off = map_offset target.Target.t_addr in
-  if off < 0 || off >= Bytes.length r.r_first then 0
-  else
-    let c = Bytes.get_int32_le r.r_first off in
-    if c = never then r.r_len else Int32.to_int c land 0xFFFF_FFFF
+(* Until DR0 fires, an injection replays the golden run exactly.  So a
+   target the golden run never reads is [Not_activated] without running,
+   provided the whole golden run fits the watchdog budget (a shorter
+   budget cuts the full run short: its cycle count differs). *)
+let never_reached t r target =
+  if r.r_cycles < t.max_cycles && first_interval t r target = None then Some r.r_cycles
+  else None
 
 (* The golden checkpoint ladder.  Until DR0 fires an injection is the
    golden run, so its state at each rung boundary is the rung: runs on
-   the cached backend start from the latest rung at or before their
-   target's first hit.  Rungs carry a [Ring]-level flight recorder, so a
-   [Full] run (which also records events) starts at rung 0, and an [Off]
-   run empties the ring.  The same runs rejoin the golden run (see
-   [rejoin_at]). *)
+   the cached backend start from the latest rung no later than the
+   interval in which the golden run first reads their target.  Rungs
+   carry a [Ring]-level flight recorder, so a [Full] run (which also
+   records events) starts at rung 0, and an [Off] run empties the ring.
+   The same runs rejoin the golden run (see [rejoin_at]). *)
 let ladder_usable t = Backend.kind t.backend = Backend.Cached && t.trace_level <> Trace.Full
 
-(* The latest rung a run may start from: rung 0, or one at or before the
-   target's first hit and inside the watchdog budget, both judged by the
-   rung's actual cycle, which a disk transfer can carry past its
-   boundary. *)
-let pick_rung t r ~start ~first =
+(* The latest rung a run may start from: rung 0, or a present one no
+   later than [interval] whose actual cycle, which a disk transfer can
+   carry past its boundary, lies inside the watchdog budget. *)
+let pick_rung t r ~start ~interval =
   let rec find j =
     if j < 1 then start
     else
       match r.r_rungs.(j) with
-      | Some k
-        when let off = Machine.checkpoint_cycles k - Machine.checkpoint_cycles start in
-             off <= first && off < t.max_cycles ->
+      | Some k when Machine.checkpoint_cycles k - Machine.checkpoint_cycles start < t.max_cycles ->
         k
       | _ -> find (j - 1)
   in
-  find (min (Array.length r.r_rungs - 1) (first / rung_spacing))
+  find interval
 
 exception Deadline_exceeded of float
 (* the wall-clock budget (seconds) that was exceeded *)
@@ -569,16 +524,15 @@ type rejoin = {
       (* the flipped text byte's physical address and xor mask; [None]
          for a register flip *)
   rj_bit : int;  (* its index in the touch maps *)
-  rj_first : int;  (* the target's first hit, cycles past the start *)
 }
 
-let rejoin_for t reach ~first (target : Target.t) =
+let rejoin_for t reach (target : Target.t) =
   if not (ladder_usable t && reach.r_rejoin) then None
   else
     match target.Target.t_kind with
-    | Target.Register -> Some { rj_reach = reach; rj_flip = None; rj_bit = -1; rj_first = first }
+    | Target.Register -> Some { rj_reach = reach; rj_flip = None; rj_bit = -1 }
     | Target.Text ->
-      let bit = (map_offset target.Target.t_addr / 4) + target.Target.t_byte in
+      let bit = text_bit target.Target.t_addr + target.Target.t_byte in
       if bit < 0 || bit >= 8 * Bytes.length reach.r_touch.(0) then None
       else
         Some
@@ -590,10 +544,7 @@ let rejoin_for t reach ~first (target : Target.t) =
                   + target.Target.t_byte,
                   1 lsl target.Target.t_bit );
             rj_bit = bit;
-            rj_first = first;
           }
-
-let touched map bit = Char.code (Bytes.get map (bit lsr 3)) land (1 lsl (bit land 7)) <> 0
 
 (* The rung to restore after matching rung [j] ([m]), if any.  It lies
    past [m] and before the watchdog, and no later than the interval in
@@ -620,12 +571,7 @@ let jump_target t rj ~start ~j m =
       | Some k when ok ~tail k -> Some k
       | _ -> latest ~tail (i - 1)
   in
-  let rec next_touch i =
-    if i >= Array.length r.r_touch then None
-    else if touched r.r_touch.(i) rj.rj_bit then Some i
-    else next_touch (i + 1)
-  in
-  match Option.bind rj.rj_flip (fun _ -> next_touch j) with
+  match Option.bind rj.rj_flip (fun _ -> next_touch r rj.rj_bit j) with
   | Some i -> latest ~tail:false i
   | None -> latest ~tail:true (Array.length r.r_rungs - 1)
 
@@ -668,9 +614,8 @@ let rejoin_at t rj ~start j =
    cycles past [start].  Raises [Deadline_exceeded] if the host clock
    passes the deadline first.
 
-   With [rejoin], the run also pauses at each rung boundary past the
-   target's first hit, and after the injection ([injected ()]) tries to
-   rejoin the golden run there.
+   With [rejoin], the run also pauses at each rung boundary, and after
+   the injection ([injected ()]) tries to rejoin the golden run there.
 
    On the cached backend, a pause after the injection at which the timer
    tick has been due, and masked, for at least a whole slice is a hang
@@ -701,9 +646,7 @@ let run_with_deadline t ~start ~deadline ~injected ~rejoin =
   (* the next rung boundary to pause at, if any *)
   let next_rung rj =
     let j = ((cpu.Cpu.cycles - start) / rung_spacing) + 1 in
-    if j < Array.length rj.rj_reach.r_rungs && (injected () || j * rung_spacing > rj.rj_first)
-    then boundary j
-    else max_int
+    if j < Array.length rj.rj_reach.r_rungs then boundary j else max_int
   in
   let rec go () =
     (match deadline with
@@ -730,23 +673,31 @@ let run_with_deadline t ~start ~deadline ~injected ~rejoin =
 (* Run one injection experiment in full.  [deadline], if given, is an
    absolute wall-clock time past which the run is abandoned with
    [Deadline_exceeded]; the machine is left mid-flight but every
-   injection restores a checkpoint first, so the runner stays usable. *)
+   injection restores a checkpoint first, so the runner stays usable.
+   Returns the outcome, the golden-prefix cycles not replayed (the
+   rung's offset), and the seconds since [wall0] spent restoring,
+   restoring and executing, and then classifying. *)
 let run_full ?deadline t ~workload ~reach (target : Target.t) ~wall0 =
   let start = t.starts.(workload) in
   let start_cycles = Machine.checkpoint_cycles start in
-  let first = if ladder_usable t then first_hit reach target else 0 in
-  Machine.restore_checkpoint t.machine ~base:t.baseline (pick_rung t reach ~start ~first);
-  t.last_restore <- Unix.gettimeofday () -. wall0;
+  let interval =
+    if not (ladder_usable t) then 0
+    else
+      (* never read: the budget is shorter than the golden run *)
+      Option.value (first_interval t reach target) ~default:(Array.length reach.r_rungs - 1)
+  in
+  Machine.restore_checkpoint t.machine ~base:t.baseline (pick_rung t reach ~start ~interval);
+  let restore = Unix.gettimeofday () -. wall0 in
   poke_hardening t;
   let cpu = Machine.cpu t.machine in
-  t.last_skipped <- cpu.Cpu.cycles - start_cycles;
+  let prefix = cpu.Cpu.cycles - start_cycles in
   (* the start carries the (empty, Off) boot-time trace state: arm the
      recorder afresh so each injection's trace is isolated; a later rung
      carries the ring a [Ring] run has recorded by then *)
   Trace.set_level cpu.Cpu.trace t.trace_level;
-  if t.last_skipped = 0 || t.trace_level = Trace.Off then Trace.clear cpu.Cpu.trace;
+  if prefix = 0 || t.trace_level = Trace.Off then Trace.clear cpu.Cpu.trace;
   let injected_at = ref None in
-  let rejoin = rejoin_for t reach ~first target in
+  let rejoin = rejoin_for t reach target in
   cpu.Cpu.dr.(0) <- target.Target.t_addr;
   cpu.Cpu.dr7 <- 1;
   cpu.Cpu.on_debug_hit <-
@@ -777,11 +728,7 @@ let run_full ?deadline t ~workload ~reach (target : Target.t) ~wall0 =
       ~finally:(fun () ->
         cpu.Cpu.on_debug_hit <- None;
         cpu.Cpu.dr7 <- 0;
-        t.last_wall <- Unix.gettimeofday () -. wall0;
         t.last_cycles <- cpu.Cpu.cycles - start_cycles;
-        (* stale on the deadline-abandoned path otherwise: the
-           classification below never runs then *)
-        t.last_classify <- 0.;
         t.last_injected_at <- !injected_at)
       (fun () ->
         run_with_deadline t ~start:start_cycles ~deadline ~rejoin
@@ -789,6 +736,7 @@ let run_full ?deadline t ~workload ~reach (target : Target.t) ~wall0 =
   in
   let golden = t.golden.(workload) in
   let classify0 = Unix.gettimeofday () in
+  let wall = classify0 -. wall0 in
   let outcome =
   match !injected_at with
   | None -> Outcome.Not_activated
@@ -797,7 +745,7 @@ let run_full ?deadline t ~workload ~reach (target : Target.t) ~wall0 =
     match result with
     | Machine.Powered_off code ->
       let console = Machine.tty_contents t.machine in
-      if code = golden.g_exit && String.equal console golden.g_console then begin
+      if code = 0 && String.equal console golden.g_console then begin
         (* output clean; the file system must also have survived *)
         match fsck_severity t with
         | Outcome.Normal -> Outcome.Not_manifested
@@ -805,7 +753,7 @@ let run_full ?deadline t ~workload ~reach (target : Target.t) ~wall0 =
       end
       else begin
         let why =
-          if code <> golden.g_exit then Printf.sprintf "exit code %d" code
+          if code <> 0 then Printf.sprintf "exit code %d" code
           else "console output differs"
         in
         Outcome.Fail_silence_violation (why, fsck_severity t)
@@ -870,8 +818,7 @@ let run_full ?deadline t ~workload ~reach (target : Target.t) ~wall0 =
     | Machine.Watchdog -> Outcome.Hang (fsck_severity t)
     | Machine.Snapshot_point -> failwith "unexpected snapshot point during experiment")
   in
-  t.last_classify <- Unix.gettimeofday () -. classify0;
-  outcome
+  (outcome, prefix, restore, wall, Unix.gettimeofday () -. classify0)
 
 (* Rungs above rung 0 over all ladders, and their footprint. *)
 let ladder_size t =
@@ -899,31 +846,27 @@ let bb_counters =
     ]
 
 (* Resolve a target the golden run never reaches straight from its
-   reach map, leaving exactly what a full run would report: the golden
+   touch maps, leaving exactly what a full run would report: the golden
    cycle count, no injection cycle, and a fresh (empty) trace ring. *)
 let run_one ?deadline t ~workload (target : Target.t) =
   let wall0 = Unix.gettimeofday () in
   let bb0 = match t.metrics with None -> None | Some _ -> Backend.stats t.backend in
   let reach = reach_for t ~workload in
   let skipped = never_reached t reach target in
-  t.last_skipped <- 0;
   t.last_proof <- None;
   t.last_rejoin <- None;
   t.last_episodes <- 0;
   t.last_rejoin_skipped <- 0;
-  let outcome =
+  let outcome, prefix, restore, wall, classify =
     match skipped with
     | None -> run_full ?deadline t ~workload ~reach target ~wall0
     | Some cycles ->
       let trace = (Machine.cpu t.machine).Cpu.trace in
       Trace.set_level trace t.trace_level;
       Trace.clear trace;
-      t.last_restore <- 0.;
-      t.last_wall <- Unix.gettimeofday () -. wall0;
-      t.last_classify <- 0.;
       t.last_cycles <- cycles;
       t.last_injected_at <- None;
-      Outcome.Not_activated
+      (Outcome.Not_activated, 0, 0., Unix.gettimeofday () -. wall0, 0.)
   in
   (* phase spans + outcome counters; pure observation — nothing here
      feeds back into the outcome or any determinism-gated artifact *)
@@ -931,17 +874,16 @@ let run_one ?deadline t ~workload (target : Target.t) =
    | None -> ()
    | Some m ->
      let module M = Kfi_obs.Metrics in
-     M.observe m "phase.restore" t.last_restore;
-     M.observe m "phase.execute"
-       (Float.max 0. (t.last_wall -. t.last_restore));
-     M.observe m "phase.classify" t.last_classify;
-     M.observe m "inj.wall" (t.last_wall +. t.last_classify);
-     M.observe m ("inj.wall." ^ Outcome.category outcome) (t.last_wall +. t.last_classify);
+     M.observe m "phase.restore" restore;
+     M.observe m "phase.execute" (Float.max 0. (wall -. restore));
+     M.observe m "phase.classify" classify;
+     M.observe m "inj.wall" (wall +. classify);
+     M.observe m ("inj.wall." ^ Outcome.category outcome) (wall +. classify);
      M.incr m "inj.count";
      if skipped <> None then M.incr m "inj.skipped";
-     if t.last_skipped > 0 then begin
+     if prefix > 0 then begin
        M.incr m "inj.ladder";
-       M.incr m ~by:t.last_skipped "inj.prefix_skipped_cycles"
+       M.incr m ~by:prefix "inj.prefix_skipped_cycles"
      end;
      Option.iter
        (fun p ->

@@ -13,9 +13,9 @@
 
 open Kfi_isa
 
-type golden = { g_exit : int; g_console : string; g_cycles : int }
-(** Exit code, tty output and length in simulated cycles of a
-    fault-free run (hardening off). *)
+type golden = { g_console : string; g_cycles : int }
+(** Tty output and length in simulated cycles of a fault-free run
+    (hardening off), which exits with code 0. *)
 
 type proof = {
   pr_cycle : int;  (** where the state was first seen: cycles past the start *)
@@ -40,10 +40,8 @@ val create : ?max_cycles:int -> unit -> t
     the boot snapshot ({!baseline}, the one full machine image), capture
     each workload's {!start} as a checkpoint over it and record the
     golden runs.  Each golden run follows [run_one]'s prefix (restore,
-    {!poke_hardening}, run) and records:
-    - a reach map: for every kernel-text address, the cycle offset at
-      which the debug compare can first see it (if ever), plus the
-      run's cycle count;
+    {!poke_hardening}, run on [Machine.run]) and records:
+    - the run's cycle count;
     - the complete checkpoint ladder: rung 0 is the {!start}, rung
       [j >= 1] the golden state, TLB included, at the first instruction
       boundary at or after [rung_spacing * j] cycles past it, with the
@@ -52,9 +50,10 @@ val create : ?max_cycles:int -> unit -> t
       the run decoded; a rung whose window holds fewer than a ring is
       left out.  Consecutive rungs share their unchanged pages and
       blocks;
-    - per interval between boundaries, the kernel-text bytes the run
-      read: every byte of each instruction it executed and every byte
-      it loaded.
+    - per interval between boundaries, a touch map of the kernel-text
+      bytes the run read: every byte of each instruction it executed
+      and every byte it loaded.  {!run_one} skips and picks rungs by
+      these maps alone.
     The maps and ladders for hardening on are recorded the same way on
     first use.  Runs on the reference {!Kfi_isa.Backend.Interp} backend
     until {!set_backend} says otherwise.
@@ -149,10 +148,10 @@ exception Deadline_exceeded of float
 val run_one : ?deadline:float -> t -> workload:int -> Target.t -> Outcome.t
 (** Run one injection experiment from the chosen workload's {!start}.
 
-    A target whose address the workload's golden run never reaches
-    (under the current hardening mode) is resolved from the reach map
-    without running, provided the golden run fits the current
-    [max_cycles]: it returns {!Outcome.Not_activated} with
+    A target whose address byte no touch map of the workload's golden
+    run holds (under the current hardening mode) is resolved without
+    running, provided the golden run fits the current [max_cycles]: it
+    returns {!Outcome.Not_activated} with
     {!last_cycles} set to the golden cycle count, {!last_injected_at}
     [= None] and the trace ring cleared, exactly what the full run would
     report.  The metrics still see every phase span (near zero) and
@@ -161,10 +160,12 @@ val run_one : ?deadline:float -> t -> workload:int -> Target.t -> Outcome.t
     Any other target restores one rung of the (hardening, workload)
     golden checkpoint ladder with a single
     [Machine.restore_checkpoint ~base:(baseline t)].  On the cached
-    backend the run restores the latest rung at or before the target's
-    first-mark cycle (by its actual cycle) and inside [max_cycles]; a
-    run traced at [Ring] keeps the rung's flight recorder, an [Off] run
-    empties it, and a [Full] run, like every run on the interpreter,
+    backend the run restores the latest rung inside [max_cycles] (by its
+    actual cycle) no later than the first interval whose touch map holds
+    the target's address byte, which the debug compare cannot see
+    earlier (interval 0 outside the kernel text; the last one for a byte
+    never read).  A run traced at [Ring] keeps the rung's flight
+    recorder, an [Off] run empties it, and a [Full] run, like every run on the interpreter,
     starts at rung 0.  Cycle counts, the watchdog limit and the deadline
     slices stay counted from the start, so every record is what the
     plain run reports.  The metrics count runs that started above rung

@@ -93,7 +93,7 @@ let counting key r f =
   let v = Fun.protect ~finally:(fun () -> Runner.set_metrics r None) f in
   (v, Kfi_obs.Metrics.counter (Kfi_obs.Metrics.snapshot m) key)
 
-(* how many were resolved from the golden reach map without running *)
+(* how many were resolved from the golden touch maps without running *)
 let counting_skips = counting "inj.skipped"
 
 (* how many started from a golden checkpoint above the baseline *)

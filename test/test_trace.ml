@@ -192,7 +192,7 @@ let test_trace_isolation () =
    | o -> Alcotest.fail ("re-run did not crash: " ^ Outcome.category o));
   check int "same instruction count" seen1 (Trace.seen cpu.Cpu.trace);
   check bool "same entries" true (Trace.entries cpu.Cpu.trace = entries1);
-  (* a never-reached target resolves from the golden reach map without
+  (* a never-reached target resolves from the golden touch maps without
      running: nothing of the crash's trace may survive it *)
   let quiet =
     Target.enumerate (Runner.build r) ~campaign:Target.C ~seed:1 [ "sys_pipe" ]
