@@ -71,6 +71,15 @@ let render ~header (s : Metrics.snap) =
       (Printf.sprintf "               hangs proven by state recurrence: %s (%s cycles not executed)\n"
          (fmt_count (c "inj.hang_proven"))
          (fmt_count (c "inj.hang_skipped_cycles")));
+    (* cached hangs left to run into the watchdog, by why no proof *)
+    let untried = c "inj.hang_unproven.untried"
+    and no_recurrence = c "inj.hang_unproven.no_recurrence"
+    and differs = c "inj.hang_unproven.state_differs" in
+    Buffer.add_string buf
+      (Printf.sprintf
+         "               hangs not proven: %s (untried %s, no recurrence %s, state differs %s)\n"
+         (fmt_count (untried + no_recurrence + differs))
+         (fmt_count untried) (fmt_count no_recurrence) (fmt_count differs));
     Buffer.add_string buf
       (Printf.sprintf "               rejoined the golden run: %s (%s episodes, %s cycles not executed)\n"
          (fmt_count (c "inj.rejoined"))
@@ -159,14 +168,17 @@ let render ~header (s : Metrics.snap) =
     Buffer.add_string buf
       (Printf.sprintf
          "  block cache  built: %s, re-verified after a page write: %s, page invalidations: %s; \
-          fallbacks to Cpu.step: timer %s, debug address %s, fetch %s, undecodable entry %s\n"
+          fallbacks to Cpu.step: timer %s, debug address %s, fetch %s, undecodable entry %s; \
+          loops summarized: %s (%s cycles not executed)\n"
          (fmt_count (c "bb.built"))
          (fmt_count (c "bb.reverified"))
          (fmt_count (c "bb.invalidated_pages"))
          (fmt_count (c "bb.fallback.timer"))
          (fmt_count (c "bb.fallback.debug"))
          (fmt_count (c "bb.fallback.fetch"))
-         (fmt_count (c "bb.fallback.undecodable")));
+         (fmt_count (c "bb.fallback.undecodable"))
+         (fmt_count (c "bb.loops"))
+         (fmt_count (c "bb.loop_skipped_cycles")));
   if c "journal.appends" > 0 then
     Buffer.add_string buf
       (Printf.sprintf "  journal      %s appends\n" (fmt_count (c "journal.appends")));

@@ -209,9 +209,21 @@ let run lint dump_journal fn byte bit addr workload level trace_n backend =
            | "ring" -> Kfi.Isa.Trace.Ring
            | "off" -> Kfi.Isa.Trace.Off
            | _ -> Kfi.Isa.Trace.Full);
+        (* the loops the block engine summarised in the last cached run *)
+        let loops = ref None in
         let run_under kind =
           Runner.set_backend runner kind;
-          Runner.run_one runner ~workload target
+          let s0 = Runner.block_stats runner in
+          let o = Runner.run_one runner ~workload target in
+          (match (s0, Runner.block_stats runner) with
+           | Some s0, Some s1 ->
+             loops :=
+               Some
+                 ( s1.Kfi.Isa.Bbexec.st_loops - s0.Kfi.Isa.Bbexec.st_loops,
+                   s1.Kfi.Isa.Bbexec.st_loop_skipped_cycles
+                   - s0.Kfi.Isa.Bbexec.st_loop_skipped_cycles )
+           | _ -> ());
+          o
         in
         (* with --backend both, replay under each backend and insist the
            outcomes match in every detail before printing forensics
@@ -246,6 +258,10 @@ let run lint dump_journal fn byte bit addr workload level trace_n backend =
          | None -> ());
         print_string (outcome_lines outcome);
         Option.iter (fun p -> print_string (proof_line build p)) (Runner.last_proof runner);
+        Option.iter
+          (fun (n, cycles) ->
+            Printf.printf "loops summarized: %d (%s cycles not executed)\n" n (with_commas cycles))
+          !loops;
         Option.iter
           (fun at -> print_string (rejoin_line runner ~workload at))
           (Runner.last_rejoin runner);

@@ -167,6 +167,13 @@ if ! grep -q 're-verified after a page write: [1-9]' _artifacts/cached1_summary.
   echo "backend gate failed: no block re-verified after a page write" >&2
   exit 1
 fi
+# and the loop summaries: the kernel's page-zeroing and copy loops must
+# be applied a page at a time, so the cmps below check summarised runs
+# too (a change that turns summaries off still passes every cmp)
+if ! grep -q 'loops summarized: [1-9]' _artifacts/cached1_summary.txt; then
+  echo "backend gate failed: no loop summarized" >&2
+  exit 1
+fi
 dune exec bin/kfi_campaign.exe -- -c A --subsample 60 -q -j 4 --backend cached \
   --csv _artifacts/cached4.csv --jsonl _artifacts/cached4.jsonl \
   --journal _artifacts/cached4.journal > /dev/null
@@ -226,7 +233,7 @@ retried=$(awk -F, 'NR > 1 && $16 > 0' _artifacts/sweep.csv | wc -l)
   exit 1
 }
 dune exec bin/kfi_stats.exe -- _artifacts/sweep.metrics.jsonl > _artifacts/sweep_summary.txt
-grep -E 'elapsed|rejoined|hangs proven' _artifacts/sweep_summary.txt
+grep -E 'elapsed|rejoined|hangs (not )?proven|block cache|inj\.wall\.hang' _artifacts/sweep_summary.txt
 # Every golden run fits the default budget, so every not-activated target
 # must be resolved without running: a reach record that over-marks runs
 # some in full, which each cmp above accepts.  The exact counts are read

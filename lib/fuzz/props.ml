@@ -992,6 +992,191 @@ let runner_ladder_equiv =
           | None -> Ok (Kfi_obs.Metrics.(counter (snapshot m) "inj.ladder") > 0)
           | Some msg -> Error msg))
 
+(* ---------- backend.loop_equiv ---------- *)
+
+(* The block engine summarises affine loops ([Loopsum]): it applies the
+   iterations left on the current page at once instead of executing
+   them.  A case builds one loop as kcc compiles the kernel's bulk-memory
+   loops (a pointer and a count in stack cells, the pointer pushed and
+   popped into ecx): a word store, a byte store, a copy (its destination
+   a random distance from its source, so it may overlap either way), a
+   clear_page-style loop that compares the pointer with an end cell, or
+   a register counter.  Strides, alignment (a word access may straddle a
+   page), iteration counts and the start (now and then just below the
+   stack cells, which the stores then reach) are random; so are an
+   unmapped page next to the start (its fault halts), a running timer
+   with IF set, the trace level and up to two pauses inside the loop.
+   The cached run must leave the interpreter's result, registers,
+   eflags, cycle counter, cr2, flight recorder and low memory at every
+   pause.  It counts the cases in which a loop was summarised. *)
+
+type loop_case = {
+  lc_kind : int;  (* 0 word store, 1 byte store, 2 copy, 3 pointer vs end, 4 counter *)
+  lc_step : int;
+  lc_start : int;
+  lc_count : int;
+  lc_delta : int;  (* copy: source minus destination *)
+  lc_unmap : bool;
+  lc_timer : int;  (* 0: off *)
+  lc_level : Trace.level;
+  lc_slices : int list;
+}
+
+let gen_loop_case rng =
+  let module R = Kfi_fuzz.Rng in
+  let pick a = a.(R.int rng (Array.length a)) in
+  let lc_kind = R.int rng 5 in
+  let lc_step =
+    match lc_kind with
+    | 1 -> pick [| 1; -1; 2; 3; -3; 1; 1 |]
+    | 3 -> pick [| 4; 4; 8; 1; 12 |]
+    | _ -> pick [| 4; -4; 8; -8; 4; 12; 2; 4096; 4 |]
+  in
+  let lc_start =
+    if R.int rng 8 = 0 then 0x7F000 + R.int rng 0xF00
+    else 0x20000 + (R.int rng 0x30 * Mmu.page_size) + R.int rng Mmu.page_size
+  in
+  {
+    lc_kind;
+    lc_step;
+    lc_start;
+    lc_count = (if R.bool rng then R.int rng 3000 else R.int rng 60);
+    lc_delta = pick [| 4; -4; 8; 0x1000; -0x2000; 3; 0x800 |];
+    lc_unmap = R.int rng 4 = 0;
+    lc_timer = (if R.int rng 3 = 0 then R.int_range rng 500 20_000 else 0);
+    lc_level = (if R.bool rng then Trace.Ring else Trace.Off);
+    lc_slices = List.init (R.int rng 3) (fun _ -> R.int_range rng 1 40_000);
+  }
+
+let loop_program c =
+  let open Kfi_asm.Assembler in
+  let open Insn in
+  let cell d = Mem (mb ebp d) in
+  let advance d = [ Ins (Mov_r_rm (eax, cell d)); Ins (Alu_rm_i (Add, Reg eax, Int32.of_int c.lc_step)); Ins (Mov_rm_r (cell d, eax)) ] in
+  let body =
+    match c.lc_kind with
+    | 4 ->
+      [
+        Ins (Mov_ri (ecx, Int32.of_int (c.lc_count + 1)));
+        Label "head";
+        Ins (Alu_rm_i (Add, Reg ebx, Int32.of_int c.lc_step));
+        Ins (Alu_rm_i8 (Sub, Reg ecx, 1l));
+        Ins (Alu_rm_i8 (Cmp, Reg ecx, 0l));
+        Jcc_sym (NE, "head");
+      ]
+    | 3 ->
+      [
+        Ins (Mov_ri (eax, Int32.of_int (c.lc_start + (c.lc_count * c.lc_step))));
+        Ins (Mov_rm_r (cell (-8), eax));
+        Label "head";
+        Ins (Mov_r_rm (eax, cell (-4)));
+        Ins (Alu_r_rm (Cmp, eax, cell (-8)));
+        Jcc_sym (AE, "done");
+        Ins (Mov_r_rm (eax, cell (-4)));
+        Ins (Push_r eax);
+        Ins (Mov_ri (eax, 0l));
+        Ins (Pop_r ecx);
+        Ins (Mov_rm_r (Mem (mb ecx 0), eax));
+      ]
+      @ advance (-4)
+      @ [ Jmp_sym "head" ]
+    | kind ->
+      [
+        Ins (Mov_ri (eax, Int32.of_int (c.lc_start + c.lc_delta)));
+        Ins (Mov_rm_r (cell (-8), eax));
+        Label "head";
+        Ins (Mov_r_rm (eax, cell (-12)));
+        Ins (Alu_rm_i (Cmp, Reg eax, 0l));
+        Jcc_sym (BE, "done");
+        Ins (Mov_r_rm (eax, cell (-4)));
+        Ins (Push_r eax);
+      ]
+      @ (if kind = 2 then [ Ins (Mov_r_rm (eax, cell (-8))); Ins (Mov_r_rm (eax, Mem (mb eax 0))) ]
+         else [ Ins (Mov_ri (eax, 0x5a5a5a5al)) ])
+      @ [
+          Ins (Pop_r ecx);
+          Ins (if kind = 1 then Movb_rm_r (Mem (mb ecx 0), eax) else Mov_rm_r (Mem (mb ecx 0), eax));
+        ]
+      @ advance (-4)
+      @ (if kind = 2 then advance (-8) else [])
+      @ [
+          Ins (Mov_r_rm (eax, cell (-12)));
+          Ins (Alu_rm_i (Sub, Reg eax, 1l));
+          Ins (Mov_rm_r (cell (-12), eax));
+          Jmp_sym "head";
+        ]
+  in
+  [
+    Ins (if c.lc_timer > 0 then Sti else Nop);
+    Ins (Mov_rm_r (Reg ebp, esp));
+    Ins (Alu_rm_i8 (Sub, Reg esp, 12l));
+    Ins (Mov_ri (eax, Int32.of_int c.lc_start));
+    Ins (Mov_rm_r (cell (-4), eax));
+    Ins (Mov_ri (eax, Int32.of_int c.lc_count));
+    Ins (Mov_rm_r (cell (-12), eax));
+  ]
+  @ body
+  @ [
+      Label "done";
+      Ins (Mov_ri (edx, Int32.of_int Devices.poweroff_port));
+      Ins Out_al;
+      Ins Hlt;
+      Label "fault";
+      Ins Hlt;
+      Label "tick";
+      Ins (Alu_rm_i8 (Add, Reg esp, 4l));
+      Ins (Inc_rm (Mem (mabs 0x70000l)));
+      Ins Iret;
+    ]
+
+let loop_state m stop =
+  let cpu = Machine.cpu m in
+  spf "%s;cr2=%lx;%s;mem=%s" (fingerprint m stop) cpu.Cpu.cr2 (trace_repr cpu.Cpu.trace)
+    (Digest.to_hex (Digest.bytes (Phys.blit_out (Machine.phys m) ~src:0 ~len:0x80000)))
+
+let backend_loop_equiv =
+  Fuzz.make_counting ~counts:"summarised" ~name:"backend.loop_equiv"
+    ~doc:
+      "the block engine's loop summaries leave the interpreter's state and \
+       flight recorder at every pause"
+    (Fuzz.arb ~shrink:Shrink.nil
+       ~print:(fun c ->
+         spf "kind %d step %d start %x count %d delta %d unmap %b timer %d %s pauses [%s]"
+           c.lc_kind c.lc_step c.lc_start c.lc_count c.lc_delta c.lc_unmap c.lc_timer
+           (Trace.level_name c.lc_level)
+           (String.concat ";" (List.map string_of_int c.lc_slices)))
+       gen_loop_case)
+    (fun c ->
+      let r = Kfi_asm.Assembler.assemble ~base:(Int32.of_int code_base) (loop_program c) in
+      let run kind =
+        let m = make_machine () in
+        let phys = Machine.phys m and cpu = Machine.cpu m in
+        Phys.blit_in phys ~dst:code_base r.Kfi_asm.Assembler.code;
+        let idt v l = Phys.write32 phys (idt_base + (Trap.number v * 4)) (Kfi_asm.Assembler.symbol r l) in
+        idt Trap.Page_fault "fault";
+        idt Trap.Timer_irq "tick";
+        if c.lc_unmap then begin
+          let page = (c.lc_start / Mmu.page_size) + if c.lc_step < 0 then -1 else 1 in
+          Phys.write32 phys (0x3000 + (page * 4)) 0l
+        end;
+        Phys.write32 phys (c.lc_start + c.lc_delta) 0x11223344l;
+        if c.lc_timer > 0 then Cpu.set_timer cpu c.lc_timer;
+        Trace.set_level cpu.Cpu.trace c.lc_level;
+        let b = Backend.create kind m in
+        let states =
+          List.map
+            (fun n -> loop_state m (result_name (Backend.run b ~max_cycles:n)))
+            (c.lc_slices @ [ 200_000 ])
+        in
+        (states, Backend.stats b)
+      in
+      let interp, _ = run Backend.Interp and cached, stats = run Backend.Cached in
+      match
+        List.find_opt (fun (_, (a, b)) -> a <> b) (List.mapi (fun i p -> (i, p)) (List.combine interp cached))
+      with
+      | Some (i, (a, b)) -> Error (spf "pause %d differs:\n  interp %s\n  cached %s" i a b)
+      | None -> Ok (match stats with Some s -> s.Bbexec.st_loops > 0 | None -> false))
+
 (* ---------- runner.hang_equiv ---------- *)
 
 (* On the cached backend, a hang whose machine state recurs skips whole
@@ -1781,6 +1966,7 @@ let all =
     cpu_snapshot_restore;
     cpu_trace_transparent;
     backend_equiv;
+    backend_loop_equiv;
     mmu_translate_ref;
     oracle_equivalent_sound;
     slice_sound;

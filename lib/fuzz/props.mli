@@ -27,6 +27,14 @@ val backend_equiv : Kfi_fuzz.Fuzz.t
     random debug-register-triggered text injections, across an
     incremental snapshot restore. *)
 
+val backend_loop_equiv : Kfi_fuzz.Fuzz.t
+(** Loop-summary differential: store, copy and counter loops as kcc
+    compiles the kernel's, with random strides, bounds, overlaps, page
+    crossings, unmapped next pages, timer, trace level and pauses inside
+    the loop; the cached run must leave the interpreter's state and
+    flight recorder at every pause.  Counts the cases that summarised a
+    loop. *)
+
 val mmu_translate_ref : Kfi_fuzz.Fuzz.t
 val oracle_equivalent_sound : Kfi_fuzz.Fuzz.t
 val slice_sound : Kfi_fuzz.Fuzz.t

@@ -14,6 +14,15 @@ module Build = Kfi_kernel.Build
 
 type golden = { g_console : string; g_cycles : int }
 
+(* Why a hang was not proven: no attempt was made, the registers did not
+   recur within the search, or they did and the state then differed. *)
+type unproven = Untried | No_recurrence | State_differs
+
+let unproven_name = function
+  | Untried -> "untried"
+  | No_recurrence -> "no_recurrence"
+  | State_differs -> "state_differs"
+
 (* A run's state seen twice, [pr_period] cycles apart, first at cycle
    [pr_cycle] with eip [pr_eip]; [pr_skipped] cycles of the periods that
    followed were not executed. *)
@@ -86,6 +95,8 @@ type t = {
   mutable last_rejoin : int option;
       (* the boundary (cycles past the start) where the last run first
          matched the golden state, if it did *)
+  mutable last_unproven : unproven option;
+      (* why the last run's latest proof attempt failed, if it made one *)
   mutable last_episodes : int;  (* rungs the last run restored after a match *)
   mutable last_rejoin_skipped : int;  (* golden cycles those restores skipped *)
   mutable metrics : Kfi_obs.Metrics.t option;
@@ -289,6 +300,7 @@ let create ?(max_cycles = default_max_cycles) () =
     last_injected_at = None;
     last_proof = None;
     last_rejoin = None;
+    last_unproven = None;
     last_episodes = 0;
     last_rejoin_skipped = 0;
     metrics = None;
@@ -340,6 +352,7 @@ let last_cycles t = t.last_cycles
 let last_injected_at t = t.last_injected_at
 let last_proof t = t.last_proof
 let last_rejoin t = t.last_rejoin
+let block_stats t = Backend.stats t.backend
 
 (* The full corruption-site -> crash-site path from the flight recorder.
    A bounded ring can lose the earliest hops and the crash handler's own
@@ -450,7 +463,7 @@ let deadline_slice = 200_000
    counter read in between repeats that period until the watchdog.  Whole
    periods can then be added to the counter instead of executed. *)
 
-type recurrence = Proven of proof | Unproven | Reset of Trap.t
+type recurrence = Proven of proof | Unproven of unproven | Reset of Trap.t
 
 (* Steps one search for a recurring register state may take; the loops
    seen in hangs repeat every 41 to 341 cycles. *)
@@ -485,20 +498,20 @@ let skip_recurrence machine ~base ~limit =
   in
   let trace = cpu.Cpu.trace in
   match
-    if cpu.Cpu.dr7 <> 0 || Trace.level trace = Trace.Full || not (search recurrence_steps)
-    then None
+    if cpu.Cpu.dr7 <> 0 || Trace.level trace = Trace.Full then Error Untried
+    else if not (search recurrence_steps) then Error No_recurrence
     else begin
       let k = Machine.checkpoint machine ~base in
       let c1 = cpu.Cpu.cycles and seen = Trace.seen trace and reads = cpu.Cpu.cycle_reads in
       if search recurrence_steps && cpu.Cpu.cycle_reads = reads
          && Machine.same_state ~base k (Machine.checkpoint machine ~base)
-      then Some (c1, Trace.seen trace - seen)
-      else None
+      then Ok (c1, Trace.seen trace - seen)
+      else Error State_differs
     end
   with
   | exception Cpu.Triple_fault trap -> Reset trap
-  | None -> Unproven
-  | Some (c1, records) ->
+  | Error why -> Unproven why
+  | Ok (c1, records) ->
     let period = cpu.Cpu.cycles - c1 in
     let tail = if records = 0 then 1 else max 1 ((Trace.capacity trace + records - 1) / records) in
     let n = max 0 (((limit - cpu.Cpu.cycles) / period) - tail) in
@@ -637,7 +650,9 @@ let run_with_deadline t ~start ~deadline ~injected ~rejoin =
         | Proven p ->
           t.last_proof <- Some { p with pr_cycle = p.pr_cycle - start };
           None
-        | Unproven -> None
+        | Unproven why ->
+          t.last_unproven <- Some why;
+          None
         | Reset trap -> Some (Machine.Reset trap)
     end
     else None
@@ -843,6 +858,8 @@ let bb_counters =
       ("bb.fallback.debug", fun s -> s.st_fallback_debug);
       ("bb.fallback.fetch", fun s -> s.st_fallback_fetch);
       ("bb.fallback.undecodable", fun s -> s.st_fallback_undecodable);
+      ("bb.loops", fun s -> s.st_loops);
+      ("bb.loop_skipped_cycles", fun s -> s.st_loop_skipped_cycles);
     ]
 
 (* Resolve a target the golden run never reaches straight from its
@@ -854,6 +871,7 @@ let run_one ?deadline t ~workload (target : Target.t) =
   let reach = reach_for t ~workload in
   let skipped = never_reached t reach target in
   t.last_proof <- None;
+  t.last_unproven <- None;
   t.last_rejoin <- None;
   t.last_episodes <- 0;
   t.last_rejoin_skipped <- 0;
@@ -890,6 +908,12 @@ let run_one ?deadline t ~workload (target : Target.t) =
          M.incr m "inj.hang_proven";
          M.incr m ~by:p.pr_skipped "inj.hang_skipped_cycles")
        t.last_proof;
+     (match outcome with
+      | Outcome.Hang _ when t.last_proof = None && Backend.kind t.backend = Backend.Cached ->
+        M.incr m
+          ("inj.hang_unproven."
+          ^ unproven_name (Option.value t.last_unproven ~default:Untried))
+      | _ -> ());
      if t.last_rejoin <> None then M.incr m "inj.rejoined";
      if t.last_episodes > 0 then begin
        M.incr m ~by:t.last_episodes "inj.rejoin_episodes";

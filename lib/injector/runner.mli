@@ -27,6 +27,16 @@ type proof = {
     period until the watchdog (see {!run_one}).  {!skip_recurrence}
     reports [pr_cycle] as an absolute cycle count. *)
 
+type unproven =
+  | Untried
+      (** no proof was attempted: no deadline-slice pause after the
+          injection found the tick due and masked for a whole slice *)
+  | No_recurrence  (** the registers did not recur within the search *)
+  | State_differs
+      (** they recurred, but a second search, the [rdtsc] count or the
+          whole-state compare failed *)
+(** Why a hang on the cached backend has no proof (see {!run_one}). *)
+
 type t
 
 val default_max_cycles : int
@@ -126,6 +136,10 @@ val last_injected_at : t -> int option
 val last_proof : t -> proof option
 (** The last run's proof that its state recurs, when it found one. *)
 
+val block_stats : t -> Bbexec.stats option
+(** The attached backend's block-cache counters ([None] on the
+    interpreter); differences across a {!run_one} are that run's. *)
+
 val last_rejoin : t -> int option
 (** Where the last run first matched the golden state, in cycles past
     the start (a rung boundary after the injection), when it did (see
@@ -206,14 +220,22 @@ val run_one : ?deadline:float -> t -> workload:int -> Target.t -> Outcome.t
     machine state are the full run's; {!last_proof} keeps the proof.
     Interpreter runs, and runs traced at [Full], never skip.  The metrics
     count proven runs in [inj.hang_proven] and the cycles not executed
-    in [inj.hang_skipped_cycles], and time every run in
-    [inj.wall.<category>] besides [inj.wall]. *)
+    in [inj.hang_skipped_cycles], cached hangs without a proof in
+    [inj.hang_unproven.<reason>] (the latest attempt's {!unproven}
+    reason, [untried] when none was made), and time every run in
+    [inj.wall.<category>] besides [inj.wall].  On the cached backend
+    they also publish the block cache's counters as [bb.*], among them
+    [bb.loops] and [bb.loop_skipped_cycles]: the loops the block engine
+    summarised during the run and the cycles those summaries did not
+    execute. *)
 
 (** {2 Provable hangs} *)
 
 type recurrence =
   | Proven of proof  (** whole periods were skipped *)
-  | Unproven  (** no recurrence found; the machine ran on normally *)
+  | Unproven of unproven
+      (** no recurrence found, or none tried; the machine ran on
+          normally *)
   | Reset of Trap.t  (** a triple fault during the search ended the run *)
 
 val skip_recurrence : Machine.t -> base:Machine.snapshot -> limit:int -> recurrence

@@ -32,7 +32,13 @@
    perturbs them ends a block, so both are maintained lazily and the
    timer/watchdog compares collapse into one entry-time bound) and the
    rollback register save (a per-instruction rollback class; only
-   read-modify-write forms and the [execute] fallback save anything). *)
+   read-modify-write forms and the [execute] fallback save anything).
+
+   A block dispatched again within [Loopsum.window] cycles,
+   [Loopsum.streak] times in a row, is a loop head: [Loopsum.summarize]
+   applies the rest of an affine loop's iterations on the current page
+   at once.  A head whose loop does not qualify backs off, waiting out
+   twice as many heads after each failure. *)
 
 let max_block = 64
 
@@ -62,6 +68,10 @@ type block = {
   mutable b_eips : int32 array;   (* pre-boxed eips, [b_n + 1] entries; [||] = unset *)
   mutable b_user : bool;          (* mode the memoized trace words encode *)
   mutable b_tws : int array;      (* pre-packed [Trace.record_tw] words *)
+  mutable b_last : int;           (* cycle of its last dispatch *)
+  mutable b_streak : int;         (* dispatches in a row within [Loopsum.window] *)
+  mutable b_fails : int;          (* loop analyses in a row that failed here *)
+  mutable b_wait : int;           (* loop heads to pass before the next one *)
 }
 
 let empty_block =
@@ -78,6 +88,10 @@ let empty_block =
     b_eips = [||];
     b_user = false;
     b_tws = [||];
+    b_last = min_int / 2;
+    b_streak = 0;
+    b_fails = 0;
+    b_wait = 0;
   }
 
 (* Direct-mapped front of the block table: most dispatches are to a
@@ -108,6 +122,8 @@ type t = {
   mutable fb_debug : int;
   mutable fb_fetch : int;
   mutable fb_undecodable : int;
+  mutable loops : int;            (* loop summaries applied *)
+  mutable loop_skipped : int;     (* cycles they did not execute *)
 }
 
 type stats = {
@@ -120,6 +136,8 @@ type stats = {
   st_fallback_debug : int;
   st_fallback_fetch : int;
   st_fallback_undecodable : int;
+  st_loops : int;
+  st_loop_skipped_cycles : int;
 }
 
 let stats t =
@@ -133,6 +151,8 @@ let stats t =
     st_fallback_debug = t.fb_debug;
     st_fallback_fetch = t.fb_fetch;
     st_fallback_undecodable = t.fb_undecodable;
+    st_loops = t.loops;
+    st_loop_skipped_cycles = t.loop_skipped;
   }
 
 let flush t =
@@ -172,6 +192,8 @@ let create cpu =
       fb_debug = 0;
       fb_fetch = 0;
       fb_undecodable = 0;
+      loops = 0;
+      loop_skipped = 0;
     }
   in
   cpu.Cpu.on_code_invalidate <- Some (invalidate_page t);
@@ -265,6 +287,10 @@ let build t pa0 =
       b_eips = [||];
       b_user = false;
       b_tws = [||];
+      b_last = min_int / 2;
+      b_streak = 0;
+      b_fails = 0;
+      b_wait = 0;
     }
   in
   Hashtbl.replace t.cache pa0 b;
@@ -528,6 +554,27 @@ let recheck t b pa0 slot =
     b
   end
 
+(* A loop head: summarise the loop ([Loopsum]) unless this head is
+   backing off after failed analyses; run the block when that executed
+   nothing. *)
+let loop t b pa0 limit =
+  b.b_streak <- 0;
+  let cpu = t.cpu in
+  let c = cpu.Cpu.cycles in
+  if b.b_wait > 0 then b.b_wait <- b.b_wait - 1
+  else begin
+    match Loopsum.summarize cpu ~limit ~code_gen:(fun () -> t.gen) with
+    | 0 -> ()
+    | -1 ->
+      b.b_fails <- b.b_fails + 1;
+      b.b_wait <- (1 lsl min b.b_fails 12) - 1
+    | skipped ->
+      b.b_fails <- 0;
+      t.loops <- t.loops + 1;
+      t.loop_skipped <- t.loop_skipped + skipped
+  end;
+  if cpu.Cpu.cycles = c then exec_block t b pa0 limit
+
 let dispatch t pa0 limit =
   if pa0 >= Phys.size t.cpu.Cpu.phys then begin
     (* A mapping points outside physical memory: the reference step
@@ -563,7 +610,18 @@ let dispatch t pa0 limit =
       t.fb_undecodable <- t.fb_undecodable + 1;
       Cpu.step t.cpu
     end
-    else exec_block t b pa0 limit
+    else begin
+      (* a loop head: dispatched again within a window, a few times in
+         a row; never with a debug register armed or events recorded *)
+      let cpu = t.cpu in
+      let c = cpu.Cpu.cycles in
+      b.b_streak <- (if c - b.b_last <= Loopsum.window then b.b_streak + 1 else 0);
+      b.b_last <- c;
+      if b.b_streak >= Loopsum.streak && cpu.Cpu.dr7 = 0
+         && Trace.level cpu.Cpu.trace <> Trace.Full
+      then loop t b pa0 limit
+      else exec_block t b pa0 limit
+    end
   end
 
 (* Make some forward progress (at least one instruction or event).  The

@@ -6,7 +6,12 @@
     bytes it was decoded from, kept on a match and rebuilt otherwise.
     Per-instruction semantics are bit-for-bit the interpreter's; anything
     the fast path cannot prove identical falls back to a literal
-    {!Cpu.step}. *)
+    {!Cpu.step}.  At a loop head (a block re-dispatched within a few
+    cycles, a few times in a row) the engine hands the loop to
+    {!Loopsum}, which applies an affine loop's remaining iterations on
+    the current page at once; a loop that does not qualify backs off
+    for that head.  Never with a debug register armed or at trace
+    level {!Trace.Full}. *)
 
 type t
 
@@ -45,6 +50,10 @@ type stats = {
   st_fallback_undecodable : int;
       (** ... because the entry instruction does not decode within its
           page *)
+  st_loops : int;
+      (** loops summarised: iterations applied at once instead of
+          executed (see {!Loopsum}) *)
+  st_loop_skipped_cycles : int;  (** the cycles those summaries did not execute *)
 }
 
 val stats : t -> stats

@@ -537,7 +537,7 @@ let recurrence_case ?(at = 5_000) ?(limit = 200_000) items =
 
 let proven = function
   | Kfi_injector.Runner.Proven p -> Some p
-  | Kfi_injector.Runner.Unproven | Kfi_injector.Runner.Reset _ -> None
+  | Kfi_injector.Runner.Unproven _ | Kfi_injector.Runner.Reset _ -> None
 
 let test_masked_spin_proven () =
   match
@@ -698,6 +698,262 @@ let test_touch_map () =
       check bool (name "text never loaded") false (read (sym "after")))
     [ 1; 2 ]
 
+(* ---------- loop summaries ---------- *)
+
+(* The kernel's store loops as kcc compiles them (clear_page, memset): p
+   in [ebp-4], the end in [ebp-8], p pushed and popped into ecx, then
+   [value] stored at p ([size] bytes) and p advanced by [step]. *)
+let store_loop ?(size = 4) ~from ~until ~step ~value () =
+  [
+    Ins (Mov_rm_r (Reg ebp, esp));
+    Ins (Alu_rm_i8 (Sub, Reg esp, 8l));
+    Ins (Mov_ri (eax, Int32.of_int from));
+    Ins (Mov_rm_r (Mem (mb ebp (-4)), eax));
+    Ins (Mov_ri (eax, Int32.of_int until));
+    Ins (Mov_rm_r (Mem (mb ebp (-8)), eax));
+    Label "head";
+    Ins (Mov_r_rm (eax, Mem (mb ebp (-4))));
+    Ins (Alu_r_rm (Cmp, eax, Mem (mb ebp (-8))));
+    Jcc_sym (AE, "done");
+    Ins (Mov_r_rm (eax, Mem (mb ebp (-4))));
+    Ins (Push_r eax);
+    Ins (Mov_ri (eax, value));
+    Ins (Pop_r ecx);
+    Ins (if size = 4 then Mov_rm_r (Mem (mb ecx 0), eax) else Movb_rm_r (Mem (mb ecx 0), eax));
+    Ins (Mov_r_rm (eax, Mem (mb ebp (-4))));
+    Ins (Alu_rm_i (Add, Reg eax, Int32.of_int step));
+    Ins (Mov_rm_r (Mem (mb ebp (-4)), eax));
+    Jmp_sym "head";
+    Label "done";
+  ]
+
+(* Everything a campaign can observe at a pause: the result, eip,
+   registers, eflags, cycle counter, cr2, the flight recorder and the
+   whole memory. *)
+let loop_state m result =
+  let cpu = Machine.cpu m in
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "%s eip=%lx regs=%s eflags=%x cycles=%d cr2=%lx seen=%d\n" result cpu.Cpu.eip
+    (String.concat "," (List.map Int32.to_string (Array.to_list cpu.Cpu.regs)))
+    cpu.Cpu.eflags cpu.Cpu.cycles cpu.Cpu.cr2 (Trace.seen cpu.Cpu.trace);
+  List.iter
+    (fun (e : Trace.entry) ->
+      Printf.bprintf b "%d:%lx:%d:%s " e.Trace.en_cycle e.Trace.en_eip e.Trace.en_op
+        (match e.Trace.en_mem with None -> "-" | Some a -> string_of_int a))
+    (Trace.entries cpu.Cpu.trace);
+  Printf.bprintf b "\nmemory %s" (digest (Machine.phys m));
+  Buffer.contents b
+
+(* Run [items] on the interpreter and on the cached backend, pausing
+   after each of [slices] cycles, and require the same state at every
+   pause; the loops the cached run summarised. *)
+let loop_case ?(level = Trace.Ring) ?(timer = 0) ?(setup = fun _ _ -> ()) ?(slices = [ 400_000 ])
+    items =
+  let r = Testbed.assemble_items items in
+  let run kind =
+    let m = Testbed.make_machine () in
+    Phys.blit_in (Machine.phys m) ~dst:Testbed.code_base r.code;
+    setup r m;
+    let cpu = Machine.cpu m in
+    if timer > 0 then Cpu.set_timer cpu timer;
+    Trace.set_level cpu.Cpu.trace level;
+    let b = Backend.create kind m in
+    let pauses =
+      List.map (fun n -> loop_state m (result_name (Backend.run b ~max_cycles:n))) slices
+    in
+    (pauses, Backend.stats b)
+  in
+  let interp, _ = run Backend.Interp and cached, stats = run Backend.Cached in
+  List.iteri
+    (fun i (a, b) -> check Alcotest.string (Printf.sprintf "same state at pause %d" i) a b)
+    (List.combine interp cached);
+  match stats with Some s -> s.Bbexec.st_loops | None -> 0
+
+let summarised n = check bool "a loop was summarised" true (n > 0)
+
+(* The loop climbs into its own frame: the push slot, then the end and
+   p themselves.  A summary must stop before the first cell the
+   iteration reads. *)
+let test_loop_own_stack_cell () =
+  let top = Testbed.stack_top in
+  summarised
+    (loop_case
+       (store_loop ~from:(top - 0x1000) ~until:top ~step:4 ~value:(Int32.of_int (top - 0x10)) ()
+       @ exit_with_al))
+
+let set_idt m vector addr =
+  Phys.write32 (Machine.phys m) (Testbed.idt_base + (vector * 4)) addr
+
+(* The store reaches an unmapped page: real execution must take the
+   fault, with the interpreter's cr2 and pushed eflags (the trap frame
+   sits in memory, which every pause compares; the frame's words are
+   checked by name too). *)
+let fault_items =
+  store_loop ~from:0x20000 ~until:0x22000 ~step:4 ~value:7l ()
+  @ exit_with_al
+  @ [ Label "pf"; Ins Hlt ]
+
+let unmap_next_page r m =
+  Phys.write32 (Machine.phys m) (0x3000 + (0x21 * 4)) 0l;
+  set_idt m (Trap.number Trap.Page_fault) (symbol r "pf")
+
+let test_loop_unmapped_next_page () =
+  summarised (loop_case ~setup:unmap_next_page ~slices:[ 100_000; 1 ] fault_items)
+
+let test_loop_fault_frame () =
+  let frame kind =
+    let r = Testbed.assemble_items fault_items in
+    let m = Testbed.make_machine () in
+    Phys.blit_in (Machine.phys m) ~dst:Testbed.code_base r.code;
+    unmap_next_page r m;
+    let b = Backend.create kind m in
+    check Alcotest.string "halted in the fault handler" "halted"
+      (result_name (Backend.run b ~max_cycles:100_000));
+    let cpu = Machine.cpu m in
+    let esp = Int32.to_int cpu.Cpu.regs.(Insn.esp) in
+    (* the trap frame: error code on top, then eip, mode, eflags, esp *)
+    ( Int32.to_int cpu.Cpu.cr2,
+      Int32.to_int (Phys.read32 (Machine.phys m) (esp + 12)),
+      Int32.to_int (Phys.read32 (Machine.phys m) (esp + 4)),
+      Option.fold ~none:0 ~some:(fun s -> s.Bbexec.st_loops) (Backend.stats b) )
+  in
+  let cr2, eflags, eip, _ = frame Backend.Interp in
+  let cr2', eflags', eip', loops = frame Backend.Cached in
+  summarised loops;
+  check int "the fault's cr2" 0x21000 cr2;
+  check int "same cr2" cr2 cr2';
+  check int "same pushed eflags" eflags eflags';
+  check int "same pushed eip" eip eip'
+
+(* Pauses inside a summarisable loop, at Ring and Off: each pause must
+   find the plain run's instruction and state. *)
+let test_loop_limit_inside () =
+  List.iter
+    (fun level ->
+      summarised
+        (loop_case ~level ~slices:[ 3_001; 5_000; 7_777; 1; 12_289; 400_000 ]
+           (store_loop ~from:0x20000 ~until:0x24000 ~step:4 ~value:0x5a5a5a5al () @ exit_with_al)))
+    [ Trace.Ring; Trace.Off ]
+
+(* Interrupts on, the tick coming due mid-loop: a summary ends before
+   it, and the handler (which counts ticks) runs when it would. *)
+let test_loop_tick_mid_loop () =
+  let ticks = 0x30000 in
+  summarised
+    (loop_case ~timer:2_500
+       ~setup:(fun r m -> set_idt m (Trap.number Trap.Timer_irq) (symbol r "tick"))
+       ((Ins Sti :: store_loop ~size:1 ~from:0x20000 ~until:0x24000 ~step:1 ~value:0xa5l ())
+       @ [ Ins (Mov_r_rm (eax, Mem (mabs (Int32.of_int ticks)))) ]
+       @ exit_with_al
+       @ [
+           Label "tick";
+           Ins (Alu_rm_i8 (Add, Reg esp, 4l));
+           Ins (Inc_rm (Mem (mabs (Int32.of_int ticks))));
+           Ins Iret;
+         ]))
+
+(* memcpy's word loop with the destination one word past the source:
+   every load reads the word the previous iteration stored, which the
+   replay must read again. *)
+let test_loop_overlapping_copy () =
+  let copy =
+    [
+      Ins (Mov_rm_r (Reg ebp, esp));
+      Ins (Alu_rm_i8 (Sub, Reg esp, 12l));
+      Ins (Mov_ri (eax, 0x20004l));
+      Ins (Mov_rm_r (Mem (mb ebp (-4)), eax));
+      Ins (Mov_ri (eax, 0x20000l));
+      Ins (Mov_rm_r (Mem (mb ebp (-8)), eax));
+      Ins (Mov_ri (eax, 3000l));
+      Ins (Mov_rm_r (Mem (mb ebp (-12)), eax));
+      Label "head";
+      Ins (Mov_r_rm (eax, Mem (mb ebp (-12))));
+      Ins (Alu_rm_i (Cmp, Reg eax, 0l));
+      Jcc_sym (BE, "done");
+      Ins (Mov_r_rm (eax, Mem (mb ebp (-4))));
+      Ins (Push_r eax);
+      Ins (Mov_r_rm (eax, Mem (mb ebp (-8))));
+      Ins (Mov_r_rm (eax, Mem (mb eax 0)));
+      Ins (Pop_r ecx);
+      Ins (Mov_rm_r (Mem (mb ecx 0), eax));
+      Ins (Mov_r_rm (eax, Mem (mb ebp (-4))));
+      Ins (Alu_rm_i (Add, Reg eax, 4l));
+      Ins (Mov_rm_r (Mem (mb ebp (-4)), eax));
+      Ins (Mov_r_rm (eax, Mem (mb ebp (-8))));
+      Ins (Alu_rm_i (Add, Reg eax, 4l));
+      Ins (Mov_rm_r (Mem (mb ebp (-8)), eax));
+      Ins (Mov_r_rm (eax, Mem (mb ebp (-12))));
+      Ins (Alu_rm_i (Sub, Reg eax, 1l));
+      Ins (Mov_rm_r (Mem (mb ebp (-12)), eax));
+      Jmp_sym "head";
+      Label "done";
+    ]
+  in
+  List.iter
+    (fun level ->
+      summarised
+        (loop_case ~level
+           ~setup:(fun _ m -> Phys.write32 (Machine.phys m) 0x20000 0x12345678l)
+           (copy @ exit_with_al)))
+    [ Trace.Off; Trace.Ring ]
+
+(* A byte loop that turns another function's decoded code into nops,
+   between two calls of it: the second call must run the new bytes. *)
+let test_loop_writes_decoded_code () =
+  let f = 0x11800 in
+  let items =
+    [ Ins (Mov_ri (eax, 5l)); Call_sym "f"; Ins (Push_r eax) ]
+    @ store_loop ~size:1 ~from:(f - 0x800) ~until:(f + 2) ~step:1 ~value:0x90l ()
+    @ [ Ins (Alu_rm_i8 (Add, Reg esp, 8l)); Ins (Pop_r eax); Call_sym "f" ]
+    @ exit_with_al
+    @ [ Align 4096; Zeros 0x800; Label "f"; Ins (Inc_r eax); Ins (Inc_r eax); Ins Ret ]
+  in
+  check int "f where the loop expects it" f (Int32.to_int (symbol (Testbed.assemble_items items) "f"));
+  summarised (loop_case items);
+  let m = Testbed.make_machine () in
+  Phys.blit_in (Machine.phys m) ~dst:Testbed.code_base (Testbed.assemble_items items).code;
+  (* a run serving f's stale block would exit 9 *)
+  check int "the second call runs the nops" 7
+    (Testbed.exit_code (Backend.run (Backend.create Backend.Cached m) ~max_cycles:400_000))
+
+(* A-cached's two long runs are page-zeroing fault loops: the unproven
+   map_page hang on context1 and the 6.0M-cycle undumped do_anonymous_page
+   crash on fstime.  Cached, with the loops summarised, each must leave
+   the interpreter's record, flight recorder and final machine state. *)
+let test_kernel_loop_summaries () =
+  let open Kfi_injector in
+  let r = Runner.create () in
+  let target fn addr byte bit =
+    List.find
+      (fun t -> t.Target.t_addr = addr && t.Target.t_byte = byte && t.Target.t_bit = bit)
+      (Target.enumerate (Runner.build r) ~campaign:Target.A ~seed:42 [ fn ])
+  in
+  let record workload t =
+    let o = Runner.run_one r ~workload t in
+    let m = Runner.machine r in
+    let cpu = Machine.cpu m in
+    ( o,
+      Runner.last_cycles r,
+      Runner.last_injected_at r,
+      loop_state m (Outcome.category o),
+      Array.to_list cpu.Cpu.regs )
+  in
+  List.iter
+    (fun (workload, t) ->
+      let workload = Kfi_workload.Progs.index_of workload in
+      Runner.set_backend r Backend.Cached;
+      let loops () = Option.fold ~none:0 ~some:(fun s -> s.Bbexec.st_loops) (Runner.block_stats r) in
+      let before = loops () in
+      let cached = record workload t in
+      summarised (loops () - before);
+      Runner.set_backend r Backend.Interp;
+      let interp = record workload t in
+      check bool (t.Target.t_fn ^ ": the interpreter's record") true (cached = interp))
+    [
+      ("context1", target "map_page" 0xc0101147l 0 4);
+      ("fstime", target "do_anonymous_page" 0xc0101156l 1 3);
+    ]
+
 let suite =
   [
     Alcotest.test_case "dirty marking" `Quick test_dirty_marking;
@@ -732,6 +988,20 @@ let suite =
     Alcotest.test_case "rdtsc-guarded loop is not proven" `Quick test_rdtsc_loop_unproven;
     Alcotest.test_case "counting loop is not proven" `Quick test_counting_loop_unproven;
     Alcotest.test_case "console loop is not proven" `Quick test_console_loop_unproven;
+    Alcotest.test_case "loop summary stops before its own stack cell" `Quick
+      test_loop_own_stack_cell;
+    Alcotest.test_case "loop summary leaves the unmapped next page to the fault" `Quick
+      test_loop_unmapped_next_page;
+    Alcotest.test_case "loop summary: the fault's cr2 and pushed eflags" `Quick
+      test_loop_fault_frame;
+    Alcotest.test_case "loop summary pauses at the run's limit" `Quick test_loop_limit_inside;
+    Alcotest.test_case "loop summary ends before a tick" `Quick test_loop_tick_mid_loop;
+    Alcotest.test_case "loop summary replays an overlapping copy" `Quick
+      test_loop_overlapping_copy;
+    Alcotest.test_case "loop summary writes another function's code" `Quick
+      test_loop_writes_decoded_code;
+    Alcotest.test_case "loop summaries on the kernel's page-zeroing loops" `Slow
+      test_kernel_loop_summaries;
     Alcotest.test_case "record independent of the previous target" `Slow
       test_record_independent_of_order;
   ]
