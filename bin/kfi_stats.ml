@@ -169,7 +169,8 @@ let render ~header (s : Metrics.snap) =
       (Printf.sprintf
          "  block cache  built: %s, re-verified after a page write: %s, page invalidations: %s; \
           fallbacks to Cpu.step: timer %s, debug address %s, fetch %s, undecodable entry %s; \
-          loops summarized: %s (%s cycles not executed)\n"
+          loops summarized: %s (%s cycles not executed, %s over scanned entries, %s short-loop \
+          back-offs)\n"
          (fmt_count (c "bb.built"))
          (fmt_count (c "bb.reverified"))
          (fmt_count (c "bb.invalidated_pages"))
@@ -178,7 +179,9 @@ let render ~header (s : Metrics.snap) =
          (fmt_count (c "bb.fallback.fetch"))
          (fmt_count (c "bb.fallback.undecodable"))
          (fmt_count (c "bb.loops"))
-         (fmt_count (c "bb.loop_skipped_cycles")));
+         (fmt_count (c "bb.loop_skipped_cycles"))
+         (fmt_count (c "bb.loop_scans"))
+         (fmt_count (c "bb.loop_backoffs")));
   if c "journal.appends" > 0 then
     Buffer.add_string buf
       (Printf.sprintf "  journal      %s appends\n" (fmt_count (c "journal.appends")));

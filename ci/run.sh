@@ -174,6 +174,12 @@ if ! grep -q 'loops summarized: [1-9]' _artifacts/cached1_summary.txt; then
   echo "backend gate failed: no loop summarized" >&2
   exit 1
 fi
+# and the page-table scans among them: a change that refuses every loop
+# reading a run of equal words still passes every cmp
+if ! grep -q ' [1-9][0-9.]*[kM]\? over scanned entries' _artifacts/cached1_summary.txt; then
+  echo "backend gate failed: no loop summarized over scanned entries" >&2
+  exit 1
+fi
 dune exec bin/kfi_campaign.exe -- -c A --subsample 60 -q -j 4 --backend cached \
   --csv _artifacts/cached4.csv --jsonl _artifacts/cached4.jsonl \
   --journal _artifacts/cached4.journal > /dev/null

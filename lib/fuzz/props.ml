@@ -1006,12 +1006,20 @@ let runner_ladder_equiv =
    stack cells, which the stores then reach) are random; so are an
    unmapped page next to the start (its fault halts), a running timer
    with IF set, the trace level and up to two pauses inside the loop.
-   The cached run must leave the interpreter's result, registers,
+   Two kinds follow the page-table scans: a kcc [idx32] loop over a
+   table of mostly-zero words (the index shifted left by 2, the entry
+   loaded, [and] with the present bit, [cmp]/[je]), with non-zero words
+   at random indices, often where the first summary starts, and now and
+   then a store that writes a word ahead of the scan; and a short-trip
+   loop of 2 to 12 iterations run over and over, whose summaries back
+   off.  The cached run must leave the interpreter's result, registers,
    eflags, cycle counter, cr2, flight recorder and low memory at every
    pause.  It counts the cases in which a loop was summarised. *)
 
 type loop_case = {
-  lc_kind : int;  (* 0 word store, 1 byte store, 2 copy, 3 pointer vs end, 4 counter *)
+  lc_kind : int;
+      (* 0 word store, 1 byte store, 2 copy, 3 pointer vs end, 4 counter,
+         5 table scan, 6 short trip *)
   lc_step : int;
   lc_start : int;
   lc_count : int;
@@ -1020,16 +1028,20 @@ type loop_case = {
   lc_timer : int;  (* 0: off *)
   lc_level : Trace.level;
   lc_slices : int list;
+  lc_marks : (int * int32) list;  (* table scan: non-zero words, by index *)
+  lc_ahead : int;  (* table scan: the store's distance ahead, in words; 0: none *)
+  lc_put : int32;  (* ... and the word it stores *)
 }
 
 let gen_loop_case rng =
   let module R = Kfi_fuzz.Rng in
   let pick a = a.(R.int rng (Array.length a)) in
-  let lc_kind = R.int rng 5 in
+  let lc_kind = R.int rng 7 in
   let lc_step =
     match lc_kind with
     | 1 -> pick [| 1; -1; 2; 3; -3; 1; 1 |]
     | 3 -> pick [| 4; 4; 8; 1; 12 |]
+    | 6 -> pick [| 2; 3; 5; 8; 12 |]
     | _ -> pick [| 4; -4; 8; -8; 4; 12; 2; 4096; 4 |]
   in
   let lc_start =
@@ -1046,6 +1058,12 @@ let gen_loop_case rng =
     lc_timer = (if R.int rng 3 = 0 then R.int_range rng 500 20_000 else 0);
     lc_level = (if R.bool rng then Trace.Ring else Trace.Off);
     lc_slices = List.init (R.int rng 3) (fun _ -> R.int_range rng 1 40_000);
+    lc_marks =
+      List.init (R.int rng 4) (fun _ ->
+          ( (if R.bool rng then R.int_range rng 3 8 else R.int rng 1024),
+            pick [| 1l; 0x1000l; 0x01000000l; 0x80000000l; 7l; 0x100l |] ));
+    lc_ahead = (if R.int rng 3 = 0 then pick [| 1; 2; 5; 40; 700 |] else 0);
+    lc_put = pick [| 0l; 1l; 0x1000l |];
   }
 
 let loop_program c =
@@ -1053,8 +1071,75 @@ let loop_program c =
   let open Insn in
   let cell d = Mem (mb ebp d) in
   let advance d = [ Ins (Mov_r_rm (eax, cell d)); Ins (Alu_rm_i (Add, Reg eax, Int32.of_int c.lc_step)); Ins (Mov_rm_r (cell d, eax)) ] in
+  let base = Int32.of_int (c.lc_start land lnot 3) in
+  (* eax <- the table's base + 4 * (i + plus), kcc's idx32 address *)
+  let entry plus =
+    [
+      Ins (Mov_ri (eax, base));
+      Ins (Push_r eax);
+      Ins (Mov_r_rm (eax, cell (-4)));
+    ]
+    @ (if plus = 0 then [] else [ Ins (Alu_rm_i (Add, Reg eax, Int32.of_int plus)) ])
+    @ [
+        Ins (Shift_i (Shl, Reg eax, 2));
+        Ins (Mov_rm_r (Reg edx, eax));
+        Ins (Pop_r eax);
+        Ins (Alu_rm_r (Add, Reg eax, edx));
+      ]
+  in
+  let next_i = [ Ins (Mov_r_rm (eax, cell (-4))); Ins (Alu_rm_i (Add, Reg eax, 1l)); Ins (Mov_rm_r (cell (-4), eax)) ] in
   let body =
     match c.lc_kind with
+    | 5 ->
+      [ Ins (Mov_ri (eax, 0l)); Ins (Mov_rm_r (cell (-4), eax)); Label "head" ]
+      @ [
+          Ins (Mov_r_rm (eax, cell (-4)));
+          Ins (Alu_rm_i (Cmp, Reg eax, Int32.of_int (min c.lc_count 0x400)));
+          Jcc_sym (AE, "done");
+        ]
+      @ (if c.lc_ahead = 0 then []
+         else
+           entry c.lc_ahead
+           @ [ Ins (Push_r eax); Ins (Mov_ri (eax, c.lc_put)); Ins (Pop_r ecx); Ins (Mov_rm_r (Mem (mb ecx 0), eax)) ])
+      @ entry 0
+      @ [
+          Ins (Mov_r_rm (eax, Mem (mb eax 0)));
+          Ins (Mov_rm_r (cell (-12), eax));
+          Ins (Mov_r_rm (eax, cell (-12)));
+          Ins (Alu_rm_i (And, Reg eax, 1l));
+          Ins (Alu_rm_i (Cmp, Reg eax, 0l));
+          Jcc_sym (E, "skip");
+          Ins (Mov_r_rm (eax, Mem (mabs 0x70010l)));
+          Ins (Alu_rm_i (Add, Reg eax, 1l));
+          Ins (Mov_rm_r (Mem (mabs 0x70010l), eax));
+          Label "skip";
+        ]
+      @ next_i
+      @ [ Jmp_sym "head" ]
+    | 6 ->
+      [
+        Label "outer";
+        Ins (Mov_r_rm (eax, cell (-12)));
+        Ins (Alu_rm_i (Cmp, Reg eax, 0l));
+        Jcc_sym (BE, "done");
+        Ins (Mov_ri (eax, 0l));
+        Ins (Mov_rm_r (cell (-4), eax));
+        Label "head";
+        Ins (Mov_r_rm (eax, cell (-4)));
+        Ins (Alu_rm_i (Cmp, Reg eax, Int32.of_int c.lc_step));
+        Jcc_sym (AE, "next");
+      ]
+      @ entry 0
+      @ [ Ins (Push_r eax); Ins (Mov_r_rm (eax, cell (-12))); Ins (Pop_r ecx); Ins (Mov_rm_r (Mem (mb ecx 0), eax)) ]
+      @ next_i
+      @ [
+          Jmp_sym "head";
+          Label "next";
+          Ins (Mov_r_rm (eax, cell (-12)));
+          Ins (Alu_rm_i (Sub, Reg eax, 1l));
+          Ins (Mov_rm_r (cell (-12), eax));
+          Jmp_sym "outer";
+        ]
     | 4 ->
       [
         Ins (Mov_ri (ecx, Int32.of_int (c.lc_count + 1)));
@@ -1141,10 +1226,12 @@ let backend_loop_equiv =
        flight recorder at every pause"
     (Fuzz.arb ~shrink:Shrink.nil
        ~print:(fun c ->
-         spf "kind %d step %d start %x count %d delta %d unmap %b timer %d %s pauses [%s]"
+         spf "kind %d step %d start %x count %d delta %d unmap %b timer %d %s pauses [%s] marks [%s] ahead %d put %lx"
            c.lc_kind c.lc_step c.lc_start c.lc_count c.lc_delta c.lc_unmap c.lc_timer
            (Trace.level_name c.lc_level)
-           (String.concat ";" (List.map string_of_int c.lc_slices)))
+           (String.concat ";" (List.map string_of_int c.lc_slices))
+           (String.concat ";" (List.map (fun (i, v) -> spf "%d=%lx" i v) c.lc_marks))
+           c.lc_ahead c.lc_put)
        gen_loop_case)
     (fun c ->
       let r = Kfi_asm.Assembler.assemble ~base:(Int32.of_int code_base) (loop_program c) in
@@ -1160,6 +1247,8 @@ let backend_loop_equiv =
           Phys.write32 phys (0x3000 + (page * 4)) 0l
         end;
         Phys.write32 phys (c.lc_start + c.lc_delta) 0x11223344l;
+        if c.lc_kind = 5 then
+          List.iter (fun (i, v) -> Phys.write32 phys ((c.lc_start land lnot 3) + (4 * i)) v) c.lc_marks;
         if c.lc_timer > 0 then Cpu.set_timer cpu c.lc_timer;
         Trace.set_level cpu.Cpu.trace c.lc_level;
         let b = Backend.create kind m in

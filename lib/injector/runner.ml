@@ -860,6 +860,8 @@ let bb_counters =
       ("bb.fallback.undecodable", fun s -> s.st_fallback_undecodable);
       ("bb.loops", fun s -> s.st_loops);
       ("bb.loop_skipped_cycles", fun s -> s.st_loop_skipped_cycles);
+      ("bb.loop_scans", fun s -> s.st_loop_scans);
+      ("bb.loop_backoffs", fun s -> s.st_loop_backoffs);
     ]
 
 (* Resolve a target the golden run never reaches straight from its

@@ -227,7 +227,10 @@ val run_one : ?deadline:float -> t -> workload:int -> Target.t -> Outcome.t
     they also publish the block cache's counters as [bb.*], among them
     [bb.loops] and [bb.loop_skipped_cycles]: the loops the block engine
     summarised during the run and the cycles those summaries did not
-    execute. *)
+    execute; [bb.loop_scans], those of them over scanned entries (a
+    loop reading a run of equal words, such as a page-table scan over
+    empty entries); and [bb.loop_backoffs], the loop heads backed off
+    because their loop ended a summary too soon to pay. *)
 
 (** {2 Provable hangs} *)
 

@@ -37,8 +37,9 @@
    A block dispatched again within [Loopsum.window] cycles,
    [Loopsum.streak] times in a row, is a loop head: [Loopsum.summarize]
    applies the rest of an affine loop's iterations on the current page
-   at once.  A head whose loop does not qualify backs off, waiting out
-   twice as many heads after each failure. *)
+   at once.  A head whose loop does not qualify, or whose summary the
+   loop itself ends after fewer than [Loopsum.min_skip] cycles, backs
+   off, waiting out twice as many heads after each such attempt. *)
 
 let max_block = 64
 
@@ -70,7 +71,7 @@ type block = {
   mutable b_tws : int array;      (* pre-packed [Trace.record_tw] words *)
   mutable b_last : int;           (* cycle of its last dispatch *)
   mutable b_streak : int;         (* dispatches in a row within [Loopsum.window] *)
-  mutable b_fails : int;          (* loop analyses in a row that failed here *)
+  mutable b_fails : int;          (* loop attempts in a row that backed off here *)
   mutable b_wait : int;           (* loop heads to pass before the next one *)
 }
 
@@ -124,6 +125,8 @@ type t = {
   mutable fb_undecodable : int;
   mutable loops : int;            (* loop summaries applied *)
   mutable loop_skipped : int;     (* cycles they did not execute *)
+  mutable loop_scans : int;       (* ... of loops reading a run of equal words *)
+  mutable loop_backoffs : int;    (* heads backed off for a short summary *)
 }
 
 type stats = {
@@ -138,6 +141,8 @@ type stats = {
   st_fallback_undecodable : int;
   st_loops : int;
   st_loop_skipped_cycles : int;
+  st_loop_scans : int;
+  st_loop_backoffs : int;
 }
 
 let stats t =
@@ -153,6 +158,8 @@ let stats t =
     st_fallback_undecodable = t.fb_undecodable;
     st_loops = t.loops;
     st_loop_skipped_cycles = t.loop_skipped;
+    st_loop_scans = t.loop_scans;
+    st_loop_backoffs = t.loop_backoffs;
   }
 
 let flush t =
@@ -194,6 +201,8 @@ let create cpu =
       fb_undecodable = 0;
       loops = 0;
       loop_skipped = 0;
+      loop_scans = 0;
+      loop_backoffs = 0;
     }
   in
   cpu.Cpu.on_code_invalidate <- Some (invalidate_page t);
@@ -555,23 +564,31 @@ let recheck t b pa0 slot =
   end
 
 (* A loop head: summarise the loop ([Loopsum]) unless this head is
-   backing off after failed analyses; run the block when that executed
-   nothing. *)
+   backing off; run the block when that executed nothing. *)
 let loop t b pa0 limit =
   b.b_streak <- 0;
   let cpu = t.cpu in
   let c = cpu.Cpu.cycles in
   if b.b_wait > 0 then b.b_wait <- b.b_wait - 1
   else begin
-    match Loopsum.summarize cpu ~limit ~code_gen:(fun () -> t.gen) with
-    | 0 -> ()
-    | -1 ->
+    let back_off =
+      match Loopsum.summarize cpu ~limit ~code_gen:(fun () -> t.gen) with
+      | Loopsum.Paused -> false
+      | Loopsum.Unfit -> true
+      | Loopsum.Summarised { skipped; short; uniform } ->
+        if skipped > 0 then begin
+          t.loops <- t.loops + 1;
+          t.loop_skipped <- t.loop_skipped + skipped;
+          if uniform then t.loop_scans <- t.loop_scans + 1
+        end;
+        if short then t.loop_backoffs <- t.loop_backoffs + 1
+        else b.b_fails <- 0;
+        short
+    in
+    if back_off then begin
       b.b_fails <- b.b_fails + 1;
       b.b_wait <- (1 lsl min b.b_fails 12) - 1
-    | skipped ->
-      b.b_fails <- 0;
-      t.loops <- t.loops + 1;
-      t.loop_skipped <- t.loop_skipped + skipped
+    end
   end;
   if cpu.Cpu.cycles = c then exec_block t b pa0 limit
 

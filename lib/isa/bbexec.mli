@@ -9,8 +9,9 @@
     {!Cpu.step}.  At a loop head (a block re-dispatched within a few
     cycles, a few times in a row) the engine hands the loop to
     {!Loopsum}, which applies an affine loop's remaining iterations on
-    the current page at once; a loop that does not qualify backs off
-    for that head.  Never with a debug register armed or at trace
+    the current page at once; a loop that does not qualify, or whose
+    summary skips fewer than {!Loopsum.min_skip} cycles, backs off for
+    that head.  Never with a debug register armed or at trace
     level {!Trace.Full}. *)
 
 type t
@@ -54,6 +55,12 @@ type stats = {
       (** loops summarised: iterations applied at once instead of
           executed (see {!Loopsum}) *)
   st_loop_skipped_cycles : int;  (** the cycles those summaries did not execute *)
+  st_loop_scans : int;
+      (** summaries over scanned entries: their loop reads a run of equal
+          words (a uniform load), which bounds them *)
+  st_loop_backoffs : int;
+      (** loop heads backed off because the loop itself ended their
+          summary before {!Loopsum.min_skip} cycles *)
 }
 
 val stats : t -> stats

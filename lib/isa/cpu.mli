@@ -148,17 +148,10 @@ val insn_rollback : Insn.t -> rollback
 (** What the block engine must save before running this instruction's
     {!compile_insn} closure to roll it back exactly on a fault. *)
 
-(** {2 The memory path}
+(** {2 Effective addresses}
 
     Declared last, so the values above keep their places in the module
     block (and the code that reads them its size). *)
 
 val ea : t -> Insn.mem -> int32
 (** Effective address of a memory operand under the current registers. *)
-
-val rd32 : t -> int32 -> int32
-val wr32 : t -> int32 -> int32 -> unit
-val wr8 : t -> int32 -> int -> unit
-(** The instructions' own memory path: translation in the current mode,
-    and for writes the code-page guard that fires
-    {!field-on_code_invalidate}.  @raise Mmu.Page_fault *)

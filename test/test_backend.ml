@@ -746,9 +746,10 @@ let loop_state m result =
 
 (* Run [items] on the interpreter and on the cached backend, pausing
    after each of [slices] cycles, and require the same state at every
-   pause; the loops the cached run summarised. *)
+   pause; the loops the cached run summarised ([count] picks another
+   of its counters). *)
 let loop_case ?(level = Trace.Ring) ?(timer = 0) ?(setup = fun _ _ -> ()) ?(slices = [ 400_000 ])
-    items =
+    ?(count = fun s -> s.Bbexec.st_loops) items =
   let r = Testbed.assemble_items items in
   let run kind =
     let m = Testbed.make_machine () in
@@ -767,7 +768,7 @@ let loop_case ?(level = Trace.Ring) ?(timer = 0) ?(setup = fun _ _ -> ()) ?(slic
   List.iteri
     (fun i (a, b) -> check Alcotest.string (Printf.sprintf "same state at pause %d" i) a b)
     (List.combine interp cached);
-  match stats with Some s -> s.Bbexec.st_loops | None -> 0
+  match stats with Some s -> count s | None -> 0
 
 let summarised n = check bool "a loop was summarised" true (n > 0)
 
@@ -916,11 +917,136 @@ let test_loop_writes_decoded_code () =
   check int "the second call runs the nops" 7
     (Testbed.exit_code (Backend.run (Backend.create Backend.Cached m) ~max_cycles:400_000))
 
-(* A-cached's two long runs are page-zeroing fault loops: the unproven
-   map_page hang on context1 and the 6.0M-cycle undumped do_anonymous_page
-   crash on fstime.  Cached, with the loops summarised, each must leave
-   the interpreter's record, flight recorder and final machine state. *)
-let test_kernel_loop_summaries () =
+(* The page-table scans as kcc compiles them (copy_page_tables): i in
+   [ebp-4] up to [n]; the table's base pushed, i shifted left by 2 and
+   added; the entry loaded and kept in [ebp-8] ([keep] runs next: a copy
+   of it, say); [and] with the present bit, [cmp]/[je] past the present
+   path, which counts present entries at [present].  [pre] runs first
+   in each iteration. *)
+let present = 0x70010
+
+let scan_loop ?(pre = []) ?(keep = []) ~table ~n () =
+  [
+    Ins (Mov_rm_r (Reg ebp, esp));
+    Ins (Alu_rm_i8 (Sub, Reg esp, 8l));
+    Ins (Mov_ri (eax, 0l));
+    Ins (Mov_rm_r (Mem (mb ebp (-4)), eax));
+    Label "head";
+    Ins (Mov_r_rm (eax, Mem (mb ebp (-4))));
+    Ins (Alu_rm_i (Cmp, Reg eax, Int32.of_int n));
+    Jcc_sym (AE, "done");
+  ]
+  @ pre
+  @ [
+      Ins (Mov_ri (eax, Int32.of_int table));
+      Ins (Push_r eax);
+      Ins (Mov_r_rm (eax, Mem (mb ebp (-4))));
+      Ins (Shift_i (Shl, Reg eax, 2));
+      Ins (Mov_rm_r (Reg edx, eax));
+      Ins (Pop_r eax);
+      Ins (Alu_rm_r (Add, Reg eax, edx));
+      Ins (Mov_r_rm (eax, Mem (mb eax 0)));
+      Ins (Mov_rm_r (Mem (mb ebp (-8)), eax));
+    ]
+  @ keep
+  @ [
+      Ins (Mov_r_rm (eax, Mem (mb ebp (-8))));
+      Ins (Alu_rm_i (And, Reg eax, 1l));
+      Ins (Alu_rm_i (Cmp, Reg eax, 0l));
+      Jcc_sym (E, "skip");
+      Ins (Mov_r_rm (eax, Mem (mabs (Int32.of_int present))));
+      Ins (Alu_rm_i (Add, Reg eax, 1l));
+      Ins (Mov_rm_r (Mem (mabs (Int32.of_int present)), eax));
+      Label "skip";
+      Ins (Mov_r_rm (eax, Mem (mb ebp (-4))));
+      Ins (Alu_rm_i (Add, Reg eax, 1l));
+      Ins (Mov_rm_r (Mem (mb ebp (-4)), eax));
+      Jmp_sym "head";
+      Label "done";
+    ]
+
+(* [table] + 4·(i + plus) into eax, then [v] stored there. *)
+let store_at ~table ~plus v =
+  [
+    Ins (Mov_ri (eax, Int32.of_int table));
+    Ins (Push_r eax);
+    Ins (Mov_r_rm (eax, Mem (mb ebp (-4))));
+    Ins (Alu_rm_i (Add, Reg eax, Int32.of_int plus));
+    Ins (Shift_i (Shl, Reg eax, 2));
+    Ins (Mov_rm_r (Reg edx, eax));
+    Ins (Pop_r eax);
+    Ins (Alu_rm_r (Add, Reg eax, edx));
+    Ins (Push_r eax);
+  ]
+  @ v
+  @ [ Ins (Pop_r ecx); Ins (Mov_rm_r (Mem (mb ecx 0), eax)) ]
+
+(* A counter loop whose exit reads the flags [test] leaves: i in [ebp-4]
+   from 1, incremented through eax, then [test] on eax and [jne]. *)
+let flag_loop test =
+  [
+    Ins (Mov_rm_r (Reg ebp, esp));
+    Ins (Alu_rm_i8 (Sub, Reg esp, 4l));
+    Ins (Mov_ri (eax, 1l));
+    Ins (Mov_rm_r (Mem (mb ebp (-4)), eax));
+    Label "head";
+    Ins (Mov_r_rm (eax, Mem (mb ebp (-4))));
+    Ins (Alu_rm_i (Add, Reg eax, 1l));
+    Ins (Mov_rm_r (Mem (mb ebp (-4)), eax));
+  ]
+  @ test
+  @ [ Jcc_sym (NE, "head") ]
+  @ exit_with_al
+
+(* [shl]'s carry is a bit shifted out, so no jump may read its flags:
+   i << 22 is zero first at i = 1024, while the [cmp] before it leaves
+   ZF clear for good.  The same loop exiting on a [cmp] of i is
+   summarised. *)
+let test_loop_shl_flags_refused () =
+  check int "a loop whose jump reads shl's flags is not summarised" 0
+    (loop_case (flag_loop [ Ins (Alu_rm_i (Cmp, Reg ebp, 0l)); Ins (Shift_i (Shl, Reg eax, 22)) ]));
+  summarised (loop_case (flag_loop [ Ins (Alu_rm_i (Cmp, Reg eax, 1024l)) ]))
+
+(* i & 0x3ff moves with i: the [and] is affine at no two points, so its
+   result, compared with 0, is not i's affine image. *)
+let test_loop_moving_and_refused () =
+  check int "a loop anding a moving value is not summarised" 0
+    (loop_case (flag_loop [ Ins (Alu_rm_i (And, Reg eax, 0x3ffl)); Ins (Alu_rm_i (Cmp, Reg eax, 0l)) ]))
+
+(* The scan copies each entry to a second table.  The entry at 300
+   differs from 0 only in its top byte, so it takes the zero path too;
+   the summary must end before it (the copy shows it), and the next one
+   takes the rest of the page. *)
+let test_loop_scan_top_byte () =
+  let table = 0x30000 and copy = 0x32000 in
+  let n =
+    loop_case ~slices:[ 2_000; 400_000 ] ~count:(fun s -> s.Bbexec.st_loop_scans)
+      ~setup:(fun _ m -> Phys.write32 (Machine.phys m) (table + (4 * 300)) 0x01000000l)
+      (scan_loop ~table ~n:1024
+         ~keep:(store_at ~table:copy ~plus:0 [ Ins (Mov_r_rm (eax, Mem (mb ebp (-8)))) ])
+         ()
+      @ exit_with_al)
+  in
+  check bool "the scan was summarised on both sides of the word" true (n >= 2)
+
+(* Each iteration stores a present entry 40 words ahead of the one it
+   loads, into a table of zeros: from i = 40 on the scan reads what the
+   loop itself stored, and counts it.  No summary may read past the
+   store. *)
+let test_loop_scan_store_ahead () =
+  let table = 0x30000 in
+  summarised
+    (loop_case ~slices:[ 1_500; 400_000 ] ~count:(fun s -> s.Bbexec.st_loop_scans)
+       (scan_loop ~table ~n:1000
+          ~pre:(store_at ~table ~plus:40 [ Ins (Mov_ri (eax, 1l)) ])
+          ()
+       @ [ Ins (Mov_r_rm (eax, Mem (mabs (Int32.of_int present)))) ]
+       @ exit_with_al))
+
+(* Flips on a workload, cached and on the interpreter: each must leave
+   the same record, flight recorder and final machine state, and the
+   cached run must raise [count] of the block engine's counters. *)
+let kernel_cases ~count cases =
   let open Kfi_injector in
   let r = Runner.create () in
   let target fn addr byte bit =
@@ -939,19 +1065,39 @@ let test_kernel_loop_summaries () =
       Array.to_list cpu.Cpu.regs )
   in
   List.iter
-    (fun (workload, t) ->
+    (fun (workload, (fn, addr, byte, bit)) ->
+      let t = target fn addr byte bit in
       let workload = Kfi_workload.Progs.index_of workload in
       Runner.set_backend r Backend.Cached;
-      let loops () = Option.fold ~none:0 ~some:(fun s -> s.Bbexec.st_loops) (Runner.block_stats r) in
-      let before = loops () in
+      let counted () = Option.fold ~none:0 ~some:count (Runner.block_stats r) in
+      let before = counted () in
       let cached = record workload t in
-      summarised (loops () - before);
+      summarised (counted () - before);
       Runner.set_backend r Backend.Interp;
       let interp = record workload t in
       check bool (t.Target.t_fn ^ ": the interpreter's record") true (cached = interp))
+    cases
+
+(* A-cached's two long runs are page-zeroing fault loops: the unproven
+   map_page hang on context1 and the 6.0M-cycle undumped do_anonymous_page
+   crash on fstime. *)
+let test_kernel_loop_summaries () =
+  kernel_cases
+    ~count:(fun s -> s.Bbexec.st_loops)
     [
-      ("context1", target "map_page" 0xc0101147l 0 4);
-      ("fstime", target "do_anonymous_page" 0xc0101156l 1 3);
+      ("context1", ("map_page", 0xc0101147l, 0, 4));
+      ("fstime", ("do_anonymous_page", 0xc0101156l, 1, 3));
+    ]
+
+(* Forking injections on spawn: a silent failure in sys_fork and a
+   dumped crash in copy_page_tables, each after page-table scans over
+   empty entries that the cached run summarises. *)
+let test_kernel_scan_summaries () =
+  kernel_cases
+    ~count:(fun s -> s.Bbexec.st_loop_scans)
+    [
+      ("spawn", ("sys_fork", 0xc010568dl, 1, 3));
+      ("spawn", ("copy_page_tables", 0xc0101417l, 2, 4));
     ]
 
 let suite =
@@ -998,10 +1144,20 @@ let suite =
     Alcotest.test_case "loop summary ends before a tick" `Quick test_loop_tick_mid_loop;
     Alcotest.test_case "loop summary replays an overlapping copy" `Quick
       test_loop_overlapping_copy;
+    Alcotest.test_case "loop summary refuses a jump on shl's flags" `Quick
+      test_loop_shl_flags_refused;
+    Alcotest.test_case "loop summary refuses an and of a moving value" `Quick
+      test_loop_moving_and_refused;
+    Alcotest.test_case "loop summary ends before a word differing in its top byte" `Quick
+      test_loop_scan_top_byte;
+    Alcotest.test_case "loop summary never scans past a store ahead" `Quick
+      test_loop_scan_store_ahead;
     Alcotest.test_case "loop summary writes another function's code" `Quick
       test_loop_writes_decoded_code;
     Alcotest.test_case "loop summaries on the kernel's page-zeroing loops" `Slow
       test_kernel_loop_summaries;
+    Alcotest.test_case "loop summaries on the kernel's page-table scans" `Slow
+      test_kernel_scan_summaries;
     Alcotest.test_case "record independent of the previous target" `Slow
       test_record_independent_of_order;
   ]
