@@ -252,6 +252,19 @@ echo "  resolved without running: ${sweep_skipped:-none} of ${sweep_not_activate
   echo "sweep gate failed: not every not-activated target was resolved without running" >&2
   exit 1
 }
+# Every cmp above also passes when a change starts fewer runs from a
+# rung, proves fewer hangs or rejoins less: only the counters show that
+# a shortcut quietly does less, so each must reach the sweep's count.
+for floor in inj.ladder:2216 inj.hang_proven:159 inj.rejoined:730; do
+  name=${floor%:*}
+  least=${floor#*:}
+  n=$(sed -n "s/.*\"$name\":\([0-9]*\).*/\1/p" $rollup)
+  echo "  $name: ${n:-none} (at least $least)"
+  [ -n "$n" ] && [ "$n" -ge "$least" ] || {
+    echo "sweep gate failed: $name fell below $least" >&2
+    exit 1
+  }
+done
 
 echo "== observability overhead cap: metrics must cost < 5% wall clock =="
 dune exec bench/main.exe -- obs --subsample 60 --max-overhead-pct 5 \

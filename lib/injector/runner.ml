@@ -37,14 +37,12 @@ type proof = { pr_cycle : int; pr_period : int; pr_eip : int32; pr_skipped : int
    window before it held fewer than a ring of records.  Interval [j]
    runs from boundary [j] to boundary [j + 1] (or the end), and
    [r_touch.(j)] has a bit per kernel-text byte it read: fetched or
-   loaded.  [r_seen] counts the records a [Ring] run of the whole golden
-   run adds; [r_rejoin] says no text page was written, so the touch
-   maps hold; [r_bytes] is the ladder's footprint. *)
+   loaded.  [r_rejoin] says no text page was written, so the touch maps
+   hold; [r_bytes] is the ladder's footprint. *)
 type reach = {
   r_cycles : int;
   r_rungs : Machine.checkpoint option array;
   r_touch : Bytes.t array;
-  r_seen : int;
   r_rejoin : bool;
   r_bytes : int;
 }
@@ -246,7 +244,6 @@ let golden_run build machine ~base ~start ~hardening ~max_cycles =
       r_cycles;
       r_rungs;
       r_touch = Array.of_list (List.rev !touches);
-      r_seen = cpu.Cpu.decoded - decoded0;
       r_rejoin;
       r_bytes;
     } )
@@ -423,27 +420,52 @@ let never_reached t r target =
   else None
 
 (* The golden checkpoint ladder.  Until DR0 fires an injection is the
-   golden run, so its state at each rung boundary is the rung: runs on
-   the cached backend start from the latest rung no later than the
-   interval in which the golden run first reads their target.  Rungs
-   carry a [Ring]-level flight recorder, so a [Full] run (which also
-   records events) starts at rung 0, and an [Off] run empties the ring.
-   The same runs rejoin the golden run (see [rejoin_at]). *)
+   golden run, so its state at each rung boundary is the rung: a run on
+   the cached backend starts with a jump from rung 0, the start, to the
+   latest rung no later than the interval in which the golden run first
+   reads its target, and after the injection jumps on from each rung it
+   matches (see [rejoin_at]).  Rungs carry a [Ring]-level flight
+   recorder, so a [Full] run (which also records events) stays at rung
+   0, and an [Off] run empties the ring. *)
 let ladder_usable t = Backend.kind t.backend = Backend.Cached && t.trace_level <> Trace.Full
 
-(* The latest rung a run may start from: rung 0, or a present one no
-   later than [interval] whose actual cycle, which a disk transfer can
-   carry past its boundary, lies inside the watchdog budget. *)
-let pick_rung t r ~start ~interval =
-  let rec find j =
-    if j < 1 then start
+(* The rung to jump to from rung [j], if any: the latest present one
+   past [j] and no later than interval [next], the golden run's next
+   read of the byte that matters (with no such read left, [None], the
+   latest of all), whose actual cycle, which a disk transfer can carry
+   past its boundary, lies inside the watchdog budget. *)
+let jump_target t r ~start ~j next =
+  let rec latest i =
+    if i <= j then None
     else
-      match r.r_rungs.(j) with
-      | Some k when Machine.checkpoint_cycles k - Machine.checkpoint_cycles start < t.max_cycles ->
-        k
-      | _ -> find (j - 1)
+      match r.r_rungs.(i) with
+      | Some k when Machine.checkpoint_cycles k < start + t.max_cycles -> Some k
+      | _ -> latest (i - 1)
   in
-  find interval
+  latest (Option.value next ~default:(Array.length r.r_rungs - 1))
+
+(* Put a flipped byte's flip in (or back): xor physical byte [pa] with
+   [x]. *)
+let toggle cpu (pa, x) = Cpu.poke_phys cpu pa (Phys.read8 cpu.Cpu.phys pa lxor x)
+
+(* Jump from rung [m], whose state the run holds (its flip aside) with
+   [seen] records and its last fault at cycle [fault], to rung [k]:
+   restore [k], put the flip back, and splice the recorder's count and
+   the last fault's cycle, the golden run's between the two rungs and
+   the run's own before.  The ring a later rung carries is the run's
+   own: its recorder window, which lies between the two rungs, holds at
+   least a ring of records, or [golden_run] leaves the rung out.  At the
+   start itself the ring starts empty.  Returns the cycles skipped. *)
+let jump t ?flip ~seen ~fault m k =
+  let cpu = Machine.cpu t.machine in
+  let tr = cpu.Cpu.trace and at = Machine.checkpoint_cycles m in
+  Machine.restore_checkpoint t.machine ~base:t.baseline k;
+  Option.iter (toggle cpu) flip;
+  Trace.set_level tr t.trace_level;
+  if t.trace_level = Trace.Off || k == m then Trace.clear tr
+  else Trace.set_seen tr (seen + Machine.checkpoint_seen k - Machine.checkpoint_seen m);
+  if cpu.Cpu.last_fault_cycle < at then cpu.Cpu.last_fault_cycle <- fault;
+  cpu.Cpu.cycles - at
 
 exception Deadline_exceeded of float
 (* the wall-clock budget (seconds) that was exceeded *)
@@ -471,16 +493,17 @@ let recurrence_steps = 4096
 
 (* Remember the registers, eip, eflags and mode, and step the reference
    interpreter under [Machine.run]'s stop checks until they recur.  Take
-   a checkpoint there, step until they recur again, and compare the whole
-   state (memory, disk, devices, TLB: [Machine.same_state]).  If the two
-   match and no [rdtsc] ran between them, skip whole periods, leaving a
-   tail of at least one period that also refills the flight recorder,
-   and advance the recorder's count by the records skipped.  The tail
-   re-executes every write of a period, so what the run leaves at the
-   watchdog is what the full run leaves.  A timer not yet due keeps its
-   distance; one already due stays due.  Nothing is tried with a debug
-   register armed (its hook is host code) or at trace level [Full],
-   whose event ring a tail cannot be trusted to refill. *)
+   a checkpoint there, step until they recur again, and compare the
+   whole state (memory, disk, devices, TLB: [Machine.matches]) with the
+   checkpoint's, one period on.  If they match and no [rdtsc] ran in the
+   period, skip whole periods, leaving a tail of at least one period
+   that also refills the flight recorder, and advance the recorder's
+   count by the records skipped.  The tail re-executes every write of a
+   period, so what the run leaves at the watchdog is what the full run
+   leaves.  A timer not yet due keeps its distance; one already due
+   stays due.  Nothing is tried with a debug register armed (its hook is
+   host code) or at trace level [Full], whose event ring a tail cannot
+   be trusted to refill. *)
 let skip_recurrence machine ~base ~limit =
   let cpu = Machine.cpu machine in
   let regs = Array.copy cpu.Cpu.regs
@@ -504,7 +527,7 @@ let skip_recurrence machine ~base ~limit =
       let k = Machine.checkpoint machine ~base in
       let c1 = cpu.Cpu.cycles and seen = Trace.seen trace and reads = cpu.Cpu.cycle_reads in
       if search recurrence_steps && cpu.Cpu.cycle_reads = reads
-         && Machine.same_state ~base k (Machine.checkpoint machine ~base)
+         && Machine.matches machine ~base k ~period:(cpu.Cpu.cycles - c1)
       then Ok (c1, Trace.seen trace - seen)
       else Error State_differs
     end
@@ -536,89 +559,34 @@ type rejoin = {
   rj_flip : (int * int) option;
       (* the flipped text byte's physical address and xor mask; [None]
          for a register flip *)
-  rj_bit : int;  (* its index in the touch maps *)
 }
 
-let rejoin_for t reach (target : Target.t) =
-  if not (ladder_usable t && reach.r_rejoin) then None
-  else
-    match target.Target.t_kind with
-    | Target.Register -> Some { rj_reach = reach; rj_flip = None; rj_bit = -1 }
-    | Target.Text ->
-      let bit = text_bit target.Target.t_addr + target.Target.t_byte in
-      if bit < 0 || bit >= 8 * Bytes.length reach.r_touch.(0) then None
-      else
-        Some
-          {
-            rj_reach = reach;
-            rj_flip =
-              Some
-                ( (Int32.to_int target.Target.t_addr land 0xFFFFFFFF) - L.page_offset
-                  + target.Target.t_byte,
-                  1 lsl target.Target.t_bit );
-            rj_bit = bit;
-          }
+(* A flipped text byte's bit in the touch maps. *)
+let flip_bit (pa, _) = pa + L.page_offset - L.kernel_text_base
 
-(* The rung to restore after matching rung [j] ([m]), if any.  It lies
-   past [m] and before the watchdog, and no later than the interval in
-   which the golden run next reads the flipped byte; with no such read
-   left, it is the latest one.  The ring it carries is the run's own
-   when the golden run records at least a ring of entries from [m] to
-   it; a rung near the end also serves when the golden run records a
-   ring after it and ends inside the budget, since that tail refills
-   the ring. *)
-let jump_target t rj ~start ~j m =
-  let r = rj.rj_reach in
-  let cap = Trace.capacity (Machine.cpu t.machine).Cpu.trace in
-  let seen = Machine.checkpoint_seen in
-  let ok ~tail k =
-    Machine.checkpoint_cycles k < start + t.max_cycles
-    && (t.trace_level = Trace.Off
-        || seen k - seen m >= cap
-        || (tail && r.r_cycles < t.max_cycles && r.r_seen - seen k >= cap))
-  in
-  let rec latest ~tail i =
-    if i <= j then None
-    else
-      match r.r_rungs.(i) with
-      | Some k when ok ~tail k -> Some k
-      | _ -> latest ~tail (i - 1)
-  in
-  match Option.bind rj.rj_flip (fun _ -> next_touch r rj.rj_bit j) with
-  | Some i -> latest ~tail:false i
-  | None -> latest ~tail:true (Array.length r.r_rungs - 1)
+let rejoin_for t reach flip =
+  let in_maps f = flip_bit f >= 0 && flip_bit f < 8 * Bytes.length reach.r_touch.(0) in
+  if ladder_usable t && reach.r_rejoin && Option.fold flip ~none:true ~some:in_maps then
+    Some { rj_reach = reach; rj_flip = flip }
+  else None
 
 (* At the first instruction boundary at or after rung [j]'s boundary:
-   compare, and on a match restore the rung [jump_target] names, put the
-   flip back, and splice the recorder's count and the last fault's
-   cycle: the golden run's between the two rungs, the run's own
-   before. *)
+   compare, and on a match jump to the rung [jump_target] names for the
+   golden run's next read of the flipped byte. *)
 let rejoin_at t rj ~start j =
   match rj.rj_reach.r_rungs.(j) with
   | Some m when Machine.matches ?flip:rj.rj_flip t.machine ~base:t.baseline m -> (
     let cpu = Machine.cpu t.machine in
     if t.last_rejoin = None then t.last_rejoin <- Some (cpu.Cpu.cycles - start);
-    match jump_target t rj ~start ~j m with
+    let next = Option.bind rj.rj_flip (fun f -> next_touch rj.rj_reach (flip_bit f) j) in
+    match jump_target t rj.rj_reach ~start ~j next with
     | None -> ()
     | Some k ->
-      let tr = cpu.Cpu.trace in
-      let at = cpu.Cpu.cycles and seen = Trace.seen tr and fault = cpu.Cpu.last_fault_cycle in
-      Machine.restore_checkpoint t.machine ~base:t.baseline k;
-      Option.iter
-        (fun (pa, x) -> Cpu.poke_phys cpu pa (Phys.read8 cpu.Cpu.phys pa lxor x))
-        rj.rj_flip;
-      Trace.set_level tr t.trace_level;
-      let golden = Machine.checkpoint_seen k - Machine.checkpoint_seen m in
-      if t.trace_level = Trace.Off then Trace.clear tr
-      else if golden >= Trace.capacity tr then Trace.set_seen tr (seen + golden)
-      else begin
-        (* a tail, which refills the ring *)
-        Trace.clear tr;
-        Trace.advance tr (seen + golden)
-      end;
-      if cpu.Cpu.last_fault_cycle < at then cpu.Cpu.last_fault_cycle <- fault;
+      let skipped =
+        jump t ?flip:rj.rj_flip ~seen:(Trace.seen cpu.Cpu.trace) ~fault:cpu.Cpu.last_fault_cycle m k
+      in
       t.last_episodes <- t.last_episodes + 1;
-      t.last_rejoin_skipped <- t.last_rejoin_skipped + (cpu.Cpu.cycles - at))
+      t.last_rejoin_skipped <- t.last_rejoin_skipped + skipped)
   | _ -> ()
 
 (* Run the machine to completion of the *simulated* watchdog budget,
@@ -695,39 +663,37 @@ let run_with_deadline t ~start ~deadline ~injected ~rejoin =
 let run_full ?deadline t ~workload ~reach (target : Target.t) ~wall0 =
   let start = t.starts.(workload) in
   let start_cycles = Machine.checkpoint_cycles start in
-  let interval =
-    if not (ladder_usable t) then 0
-    else
-      (* never read: the budget is shorter than the golden run *)
-      Option.value (first_interval t reach target) ~default:(Array.length reach.r_rungs - 1)
+  (* a jump from the start, which the run holds with no records and its
+     own last fault; interval 0 keeps it there, and a target never read
+     (under a budget shorter than the golden run) takes the latest rung *)
+  let next = if ladder_usable t then first_interval t reach target else Some 0 in
+  let rung = jump_target t reach ~start:start_cycles ~j:0 next in
+  let prefix =
+    jump t ~seen:0 ~fault:(Machine.checkpoint_last_fault start) start
+      (Option.value rung ~default:start)
   in
-  Machine.restore_checkpoint t.machine ~base:t.baseline (pick_rung t reach ~start ~interval);
   let restore = Unix.gettimeofday () -. wall0 in
   poke_hardening t;
   let cpu = Machine.cpu t.machine in
-  let prefix = cpu.Cpu.cycles - start_cycles in
-  (* the start carries the (empty, Off) boot-time trace state: arm the
-     recorder afresh so each injection's trace is isolated; a later rung
-     carries the ring a [Ring] run has recorded by then *)
-  Trace.set_level cpu.Cpu.trace t.trace_level;
-  if prefix = 0 || t.trace_level = Trace.Off then Trace.clear cpu.Cpu.trace;
+  let flip =
+    match target.Target.t_kind with
+    | Target.Text ->
+      (* a bit of kernel text (direct-mapped) *)
+      Some
+        ( (Int32.to_int target.Target.t_addr land 0xFFFFFFFF) - L.page_offset + target.Target.t_byte,
+          1 lsl target.Target.t_bit )
+    | Target.Register -> None
+  in
   let injected_at = ref None in
-  let rejoin = rejoin_for t reach target in
+  let rejoin = rejoin_for t reach flip in
   cpu.Cpu.dr.(0) <- target.Target.t_addr;
   cpu.Cpu.dr7 <- 1;
   cpu.Cpu.on_debug_hit <-
     Some
       (fun c _ ->
-        (match target.Target.t_kind with
-         | Target.Text ->
-           (* flip the bit in kernel text (direct-mapped) *)
-           let pa =
-             (Int32.to_int target.Target.t_addr land 0xFFFFFFFF) - L.page_offset
-             + target.Target.t_byte
-           in
-           let old = Phys.read8 c.Cpu.phys pa in
-           Cpu.poke_phys c pa (old lxor (1 lsl target.Target.t_bit))
-         | Target.Register ->
+        (match flip with
+         | Some f -> toggle c f
+         | None ->
            (* flip a bit in a general-purpose register (Xception-style) *)
            let r = target.Target.t_byte land 7 in
            c.Cpu.regs.(r) <-

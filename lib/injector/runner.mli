@@ -171,19 +171,19 @@ val run_one : ?deadline:float -> t -> workload:int -> Target.t -> Outcome.t
     report.  The metrics still see every phase span (near zero) and
     [inj.count], plus an [inj.skipped] count.
 
-    Any other target restores one rung of the (hardening, workload)
-    golden checkpoint ladder with a single
-    [Machine.restore_checkpoint ~base:(baseline t)].  On the cached
-    backend the run restores the latest rung inside [max_cycles] (by its
-    actual cycle) no later than the first interval whose touch map holds
-    the target's address byte, which the debug compare cannot see
-    earlier (interval 0 outside the kernel text; the last one for a byte
-    never read).  A run traced at [Ring] keeps the rung's flight
-    recorder, an [Off] run empties it, and a [Full] run, like every run on the interpreter,
-    starts at rung 0.  Cycle counts, the watchdog limit and the deadline
-    slices stay counted from the start, so every record is what the
-    plain run reports.  The metrics count runs that started above rung
-    0 in [inj.ladder] and their skipped cycles in
+    Any other target starts with a jump along the (hardening, workload)
+    golden checkpoint ladder from rung 0, the {!start}, held with no
+    records: one [Machine.restore_checkpoint ~base:(baseline t)].  On
+    the cached backend it lands on the latest rung inside [max_cycles]
+    (by its actual cycle) no later than the first interval whose touch
+    map holds the target's address byte, which the debug compare cannot
+    see earlier (interval 0 outside the kernel text; the latest rung for
+    a byte never read).  A run traced at [Ring] keeps the rung's flight
+    recorder, an [Off] run empties it, and a [Full] run, like every run
+    on the interpreter, stays at rung 0.  Cycle counts, the watchdog
+    limit and the deadline slices stay counted from the start, so every
+    record is what the plain run reports.  The metrics count runs that
+    started above rung 0 in [inj.ladder] and their skipped cycles in
     [inj.prefix_skipped_cycles], and gauge the rungs above rung 0 in
     [ladder.rungs] and their footprint in [ladder.bytes].
 
@@ -191,17 +191,18 @@ val run_one : ?deadline:float -> t -> workload:int -> Target.t -> Outcome.t
     the injection they pause at each rung boundary and compare their
     state with the rung's ({!Kfi_isa.Machine.matches}, the flipped byte
     masked).  On a match ({!last_rejoin}), the run is the golden run
-    until the golden run next reads the flipped byte.  So it restores
-    the latest rung no later than the start of the interval holding
-    that read, puts the flip back and goes on comparing.  With no read left, or for a register
-    flip, it restores a rung near the end and runs the tail.  The
-    flight recorder keeps its own count plus the golden records in
-    between, the last fault's cycle is the rung's when the golden run
-    faulted in between, and a restore is left out when the ring it
-    carries would not be the run's.  Records, flight recorder and final
-    machine state are the plain run's.  The metrics count runs that
-    matched in [inj.rejoined], the restores in [inj.rejoin_episodes]
-    and the cycles they skipped in [inj.rejoin_skipped_cycles].
+    until the golden run next reads the flipped byte, so it jumps on as
+    from the start: to the latest rung no later than the interval
+    holding that read (with no read left, or for a register flip, to a
+    rung near the end, and runs the tail), and puts the flip back.  A
+    jump counts the run's own records plus the golden ones in between
+    (at least a ring: the rung's recorder window lies between the two)
+    and takes the rung's last fault only if the golden run faulted in
+    between.
+    Records, flight recorder and final machine state are the plain
+    run's.  The metrics count runs that matched in [inj.rejoined], the
+    jumps after a match in [inj.rejoin_episodes] and the cycles they
+    skipped in [inj.rejoin_skipped_cycles].
 
     [deadline] is an absolute wall-clock bound on top of the simulated
     watchdog: the run is executed in short cycle slices and abandoned
@@ -245,13 +246,14 @@ val skip_recurrence : Machine.t -> base:Machine.snapshot -> limit:int -> recurre
 (** Remember the registers, eip, eflags and mode, and step the reference
     interpreter (under [Machine.run]'s stop checks and the absolute
     cycle [limit]) until they recur, at most a few thousand steps.  Take
-    a checkpoint over [base] there, step until they recur again, and
-    compare the two states with {!Kfi_isa.Machine.same_state}.  When
-    they match and no [rdtsc] ran in the period, the run repeats that
-    period until [limit]: add whole periods to the cycle counter (and to
-    a timer not yet due), leaving a tail of at least one period that
-    also refills the flight recorder, and advance the recorder's count
-    by the records skipped.  Running the machine on to [limit] then
+    one checkpoint over [base] there, step until they recur again, and
+    compare the live state with it one period on
+    ({!Kfi_isa.Machine.matches}).  When they match and no [rdtsc] ran in
+    the period, the run repeats that period until [limit]: add whole
+    periods to the cycle counter (and to a timer not yet due), leaving a
+    tail of at least one period that also refills the flight recorder,
+    and advance the recorder's count by the records skipped.  Running
+    the machine on to [limit] then
     leaves exactly the state the full run leaves.  Needs dirty tracking
     synchronized to [base] (the cached backend after restoring it);
     never tries with a debug register armed or at trace level [Full]. *)

@@ -226,45 +226,20 @@ let checkpoint_seen k = Trace.snapshot_seen k.k_cpu.s_trace
 let checkpoint_last_fault k = k.k_cpu.s_last_fault_cycle
 
 let due_in ~cycles next = if next = max_int then max_int else max 0 (next - cycles)
-let due s = due_in ~cycles:s.s_cycles s.s_next_timer
-
-(* Whether two checkpoints over [base] hold states the guest cannot tell
-   apart: everything a checkpoint keeps except the cycle counter, the
-   flight recorder and the last fault's cycle, which no instruction
-   reads, and the debug registers, which are [base]'s in both.  The
-   timer is compared by the cycles left until it is due (0 once due; an
-   idle timer never is).  A checkpoint's pages are exactly those that
-   differ from [base]; its blocks are those written since [base], so a
-   block only one of them lists must equal [base]'s. *)
-let same_state ~base a b =
-  let x = a.k_cpu and y = b.k_cpu in
-  let block_in k blk =
-    match List.assoc_opt blk k.k_blocks with
-    | Some data -> data
-    | None -> Devices.Disk.read_block base.s_disk blk
-  in
-  let same_blocks k k' =
-    List.for_all (fun (blk, data) -> Bytes.equal data (block_in k' blk)) k.k_blocks
-  in
-  x.s_regs = y.s_regs && Int32.equal x.s_eip y.s_eip && x.s_eflags = y.s_eflags
-  && x.s_mode = y.s_mode && x.s_cr0 = y.s_cr0 && x.s_cr2 = y.s_cr2 && x.s_cr3 = y.s_cr3
-  && x.s_esp0 = y.s_esp0 && x.s_halted = y.s_halted && x.s_exit_code = y.s_exit_code
-  && x.s_timer_period = y.s_timer_period && due x = due y
-  && String.equal x.s_console y.s_console && String.equal x.s_tty y.s_tty
-  && a.k_tlb = b.k_tlb
-  && a.k_page_ids = b.k_page_ids
-  && Array.for_all2 Bytes.equal a.k_page_data b.k_page_data
-  && same_blocks a b && same_blocks b a
 
 let buffer_is b s = Buffer.length b = String.length s && String.equal (Buffer.contents b) s
 
-(* [same_state] between the live machine and [k], plus an equal cycle
-   counter, without capturing the live state: CPU fields first, then
-   the devices and the TLB, then each page and block that either side
-   changed.  A settled page whose bytes [k] shares needs no compare.
-   With [flip = (pa, x)] the byte at physical [pa] must hold [k]'s byte
-   xor [x] instead. *)
-let matches ?flip t ~base k =
+(* Whether the live machine holds [k]'s state [period] cycles on, as far
+   as the guest can tell: everything a checkpoint keeps except the
+   flight recorder and the last fault's cycle, which no instruction
+   reads, and the debug registers, which are [base]'s.  The timer is
+   compared by the cycles left until it is due (0 once due; an idle
+   timer never is).  No state is captured: CPU fields first, then the
+   devices and the TLB, then each page and block that either side
+   changed since [base].  A settled page whose bytes [k] shares needs
+   no compare.  With [flip = (pa, x)] the byte at physical [pa] must
+   hold [k]'s byte xor [x] instead. *)
+let matches ?flip ?(period = 0) t ~base k =
   let c = t.cpu and x = k.k_cpu in
   let phys = c.Cpu.phys and disk = c.Cpu.disk in
   let skip, xor = match flip with Some (pa, v) -> (pa, v) | None -> (-1, 0) in
@@ -300,12 +275,12 @@ let matches ?flip t ~base k =
       written
     && List.for_all (fun (b, d) -> List.mem b written || Bytes.equal d (base_block b)) k.k_blocks
   in
-  c.Cpu.cycles = x.s_cycles && Int32.equal c.Cpu.eip x.s_eip && c.Cpu.eflags = x.s_eflags
+  c.Cpu.cycles = x.s_cycles + period && Int32.equal c.Cpu.eip x.s_eip && c.Cpu.eflags = x.s_eflags
   && c.Cpu.mode = x.s_mode && c.Cpu.regs = x.s_regs && c.Cpu.cr0 = x.s_cr0
   && c.Cpu.cr2 = x.s_cr2 && c.Cpu.cr3 = x.s_cr3 && c.Cpu.esp0 = x.s_esp0
   && c.Cpu.halted = x.s_halted && c.Cpu.exit_code = x.s_exit_code
   && c.Cpu.timer_period = x.s_timer_period
-  && due_in ~cycles:c.Cpu.cycles c.Cpu.next_timer = due x
+  && due_in ~cycles:c.Cpu.cycles c.Cpu.next_timer = due_in ~cycles:x.s_cycles x.s_next_timer
   && Phys.synced phys ~base:base.s_phys
   && Devices.Disk.synced disk ~base:base.s_disk
   && buffer_is c.Cpu.console x.s_console && buffer_is c.Cpu.tty x.s_tty

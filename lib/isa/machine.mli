@@ -71,27 +71,22 @@ val checkpoint_seen : checkpoint -> int
 val checkpoint_last_fault : checkpoint -> int
 (** The last fault's cycle at capture. *)
 
-val matches : ?flip:int * int -> t -> base:snapshot -> checkpoint -> bool
-(** Whether the live machine equals [k] as {!same_state} compares two
-    checkpoints, and its cycle counter equals [k]'s, without capturing
-    the live state.  CPU fields come first; then only the pages and
-    blocks written since [base] on either side are compared, and a page
-    unchanged since it was restored from (or captured into) a checkpoint
-    sharing its bytes with [k] is not compared at all.  With
+val matches : ?flip:int * int -> ?period:int -> t -> base:snapshot -> checkpoint -> bool
+(** Whether the live machine holds [k]'s state as far as the guest can
+    tell, [period] cycles on (default 0): the cycle counter, registers,
+    eip, eflags and mode, control registers, halt and exit code, timer
+    period and the cycles left until the timer is due (0 once it is),
+    console, tty, TLB, memory and disk.  The flight recorder and the
+    last fault's cycle are left out, as no instruction reads them, and
+    so are the debug registers, which [k] takes from [base].  A caller
+    passing the period between two sightings must rule out [rdtsc], the
+    one instruction that reads the cycle counter.  With
     [flip = (pa, x)], the byte at physical address [pa] must hold [k]'s
-    byte xor [x].  [false] unless memory and disk are tracked against
-    [base]. *)
-
-val same_state : base:snapshot -> checkpoint -> checkpoint -> bool
-(** Whether two checkpoints over [base] hold the same state as far as the
-    guest can tell: registers, eip, eflags and mode, the control
-    registers, halt and exit code, the timer period and the cycles left
-    until the timer is due (0 once it is), console and tty, the TLB,
-    every memory page and every disk block.  The cycle counter, the
-    flight recorder and the last fault's cycle are left out: no
-    instruction reads them, except the cycle counter through [rdtsc],
-    which the caller must rule out.  So are the debug registers, which a
-    checkpoint takes from [base] and no instruction writes. *)
+    byte xor [x].  Nothing is captured: only the pages and blocks
+    written since [base] on either side are compared, and not a page
+    unchanged since it was restored from (or captured into) a
+    checkpoint sharing its bytes with [k].  [false] unless memory and
+    disk are tracked against [base]. *)
 
 val checkpoint_bytes : ?prev:checkpoint -> checkpoint -> int
 (** Approximate heap footprint: pages, blocks, TLB, console and ring,

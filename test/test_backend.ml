@@ -497,8 +497,8 @@ let test_checkpoint_keeps_tlb () =
    flight recorder at [Ring]: on the cached backend, paused at cycle
    [at] for one [Runner.skip_recurrence] attempt and run on to [limit];
    on the interpreter, run plainly to [limit].  Both runs must end in
-   the same result, cycle count, registers, flight recorder, memory and
-   console; the attempt's verdict is returned. *)
+   the same result, cycle count, registers, flight recorder, memory,
+   disk and console; the attempt's verdict is returned. *)
 let recurrence_case ?(at = 5_000) ?(limit = 200_000) items =
   let code = (Testbed.assemble_items items).code in
   let setup kind =
@@ -532,6 +532,7 @@ let recurrence_case ?(at = 5_000) ?(limit = 200_000) items =
   check bool "same flight recorder" true
     (Trace.entries cpu'.Cpu.trace = Trace.entries cpu.Cpu.trace);
   check Alcotest.string "same memory" (digest (Machine.phys m')) (digest (Machine.phys m));
+  mem_eq "same disk" (Devices.Disk.image (Machine.disk m')) (Devices.Disk.image (Machine.disk m));
   check Alcotest.string "same console" (Machine.console_contents m') (Machine.console_contents m);
   verdict
 
@@ -597,6 +598,36 @@ let test_console_loop_unproven () =
           ])
     = None)
 
+(* The registers, flags and memory recur on every pass, but block 1's
+   first byte counts the passes: read block 1 into a buffer, increment
+   it, write it back, refill the buffer from block 2, then spin a
+   register tail, inside which the attempt starts.  The disk never
+   recurs, so the whole-state compare must fail. *)
+let test_disk_loop_unproven () =
+  let buf = Int32.of_int data_page in
+  match
+    recurrence_case ~at:5_900
+      [
+        Label "pass";
+        Ins (Mov_ri (ebx, 1l));
+        Ins (Mov_ri (edi, buf));
+        Ins Diskrd;
+        Ins (Inc_rm (Mem (mb edi 0)));
+        Ins (Mov_ri (esi, buf));
+        Ins Diskwr;
+        Ins (Mov_ri (ebx, 2l));
+        Ins Diskrd;
+        Ins (Alu_rm_r (Xor, Reg eax, eax));
+        Ins (Mov_ri (ecx, 300l));
+        Label "tail";
+        Ins (Dec_r ecx);
+        Jcc_sym (NE, "tail");
+        Jmp_sym "pass";
+      ]
+  with
+  | Kfi_injector.Runner.Unproven Kfi_injector.Runner.State_differs -> ()
+  | _ -> Alcotest.fail "a loop whose disk does not recur must fail the whole-state compare"
+
 let test_detach_hands_machine_back () =
   let r = Testbed.assemble_items selfmod_items in
   let m = Testbed.make_machine () in
@@ -608,9 +639,10 @@ let test_detach_hands_machine_back () =
   check int "machine usable after detach" 99
     (Testbed.exit_code (Machine.run m ~max_cycles:100_000))
 
-(* [Machine.matches] is [same_state] against the live machine plus an
-   equal cycle counter: a state one cycle later (timer distance kept)
-   does not match, a flipped byte matches only when the compare is told
+(* [Machine.matches] compares the live machine with a checkpoint,
+   cycle counter and timer distance included: a state one cycle later
+   (timer distance kept) does not match, nor does one whose tick is due
+   a cycle later, a flipped byte matches only when the compare is told
    about it, and a page or block written since does not match until its
    bytes are back.  Pages the checkpoint shares are not compared, so the
    second checkpoint of an unchanged run must still be told apart from a
@@ -623,15 +655,17 @@ let test_matches () =
   let b = Backend.create Backend.Cached m in
   let base = Backend.snapshot b in
   ignore (Backend.run b ~max_cycles:6);
+  Cpu.set_timer cpu 1_000;
   Phys.write8 phys 0x30000 7;
   Devices.Disk.write_block disk 3 (Bytes.make Devices.block_size 'k');
   let k = Machine.checkpoint m ~base in
   check bool "the state just captured" true (Machine.matches m ~base k);
   cpu.Cpu.cycles <- cpu.Cpu.cycles + 1;
-  if cpu.Cpu.next_timer <> max_int then cpu.Cpu.next_timer <- cpu.Cpu.next_timer + 1;
+  cpu.Cpu.next_timer <- cpu.Cpu.next_timer + 1;
   check bool "one cycle later" false (Machine.matches m ~base k);
   cpu.Cpu.cycles <- cpu.Cpu.cycles - 1;
-  if cpu.Cpu.next_timer <> max_int then cpu.Cpu.next_timer <- cpu.Cpu.next_timer - 1;
+  check bool "the tick one cycle later" false (Machine.matches m ~base k);
+  cpu.Cpu.next_timer <- cpu.Cpu.next_timer - 1;
   check bool "back on time" true (Machine.matches m ~base k);
   let text = Testbed.code_base + 1 in
   Cpu.poke_phys cpu text (Phys.read8 phys text lxor 0x10);
@@ -1134,6 +1168,7 @@ let suite =
     Alcotest.test_case "rdtsc-guarded loop is not proven" `Quick test_rdtsc_loop_unproven;
     Alcotest.test_case "counting loop is not proven" `Quick test_counting_loop_unproven;
     Alcotest.test_case "console loop is not proven" `Quick test_console_loop_unproven;
+    Alcotest.test_case "disk-only recurrence is not proven" `Quick test_disk_loop_unproven;
     Alcotest.test_case "loop summary stops before its own stack cell" `Quick
       test_loop_own_stack_cell;
     Alcotest.test_case "loop summary leaves the unmapped next page to the fault" `Quick

@@ -213,9 +213,19 @@ let test_ladder_kept_on_backend_switch () =
       let _, n = counting_rungs r (fun () -> run_late r) in
       check int "a new cached backend starts from a rung" 1 n)
 
+(* A rung must lie before the watchdog: with the budget at rung 1's
+   actual cycle the run starts from the start, one cycle later from
+   rung 1. *)
 let test_ladder_respects_budget () =
   let r = Lazy.force runner in
   let saved = Runner.max_cycles r in
+  let w = Kfi_workload.Progs.index_of "pipe" in
+  let rung1 =
+    match (Runner.ladder r ~workload:w).(1) with
+    | Some k ->
+      Kfi_isa.Machine.checkpoint_cycles k - Kfi_isa.Machine.checkpoint_cycles (Runner.start r w)
+    | None -> Alcotest.fail "pipe's ladder has a rung 1"
+  in
   on_cached r (fun () ->
       Fun.protect
         ~finally:(fun () -> Runner.set_max_cycles r saved)
@@ -227,7 +237,12 @@ let test_ladder_respects_budget () =
               check int (Printf.sprintf "budget %d: rung starts" budget) rungs n;
               check Alcotest.string "cut before the hit" "not activated" cat;
               check int "watchdog-bounded cycles" budget cycles)
-            [ (Runner.rung_spacing / 2, 0); ((3 * Runner.rung_spacing) + 1000, 1) ]))
+            [
+              (Runner.rung_spacing / 2, 0);
+              (rung1, 0);
+              (rung1 + 1, 1);
+              ((3 * Runner.rung_spacing) + 1000, 1);
+            ]))
 
 let test_ladder_unused_at_full () =
   let r = Lazy.force runner in
